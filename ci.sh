@@ -9,8 +9,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo build --release --offline"
-cargo build --release --offline
+echo "==> cargo build --release --offline --workspace"
+cargo build --release --offline --workspace
 
 # The test suite runs twice: once serial (DEFCON_THREADS=1) and once on 4
 # worker threads. The engine's determinism contract (DESIGN.md §4) says
@@ -101,6 +101,14 @@ rm -f "$trace_a" "$trace_b"
 echo "==> cargo check --all-targets --offline (benches + bins compile)"
 cargo check --all-targets --offline
 
+# The repository benchmark (BENCHMARK.json) is a package of its own under
+# perfbench/ that calls the library's public API. Building it and running
+# its unit tests here makes a change to a name it calls fail CI instead of
+# the benchmark run.
+echo "==> perfbench build + unit tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # Unwrap/panic ratchet over the fallible-API modules (DESIGN.md §"Fault
 # injection & graceful degradation"): these files expose typed-DefconError
 # APIs, so a *new* unwrap()/panic! is a regression. The counts below are
@@ -122,8 +130,9 @@ check_ratchet crates/support/src/env.rs       0 0
 check_ratchet crates/core/src/lut.rs          6 1
 check_ratchet crates/core/src/search.rs      11 1
 check_ratchet crates/core/src/autotune.rs     4 0
-check_ratchet crates/core/src/pipeline.rs     2 0
+check_ratchet crates/core/src/pipeline.rs     0 0
 check_ratchet crates/gpusim/src/device.rs     4 0
+check_ratchet crates/gpusim/src/engine.rs     8 0
 check_ratchet crates/gpusim/src/texture.rs    1 0
 check_ratchet crates/kernels/src/op.rs        3 0
 check_ratchet crates/models/src/trainer.rs    7 0

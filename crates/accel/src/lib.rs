@@ -195,20 +195,17 @@ impl Accel {
         CycleModel::new(&self.config, op)
     }
 
-    /// Schedule totals for the deformable stage of `op`, after
-    /// configuration checks. Timing is analytic: it depends on shapes
-    /// and the method's interpolation precision, never on tensor values.
+    /// Schedule totals for the deformable stage of `op`, after the
+    /// admission checks: a valid layer shape and accelerator config, the
+    /// `accel.tile` fault point, and buffer occupancy. Timing is analytic:
+    /// it depends on shapes and the method's interpolation precision,
+    /// never on tensor values.
     pub fn deform_totals(&self, op: &DeformConvOp) -> Result<Totals, DefconError> {
-        self.configure_op(op)?;
-        let plan = self.plan(op);
-        Ok(self.cycle_model(op).totals(&plan))
-    }
-
-    fn configure_op(&self, op: &DeformConvOp) -> Result<(), DefconError> {
+        op.shape.validate()?;
         self.config.validate()?;
-        // The injectable tile-scheduler fault: configuration-time, so
-        // every launch path (deform, total, autotune objective) degrades
-        // through the same gate.
+        // The injectable tile-scheduler fault: admission-time, so every
+        // launch path (deform, total, autotune objective) degrades through
+        // the same gate.
         if fault::fires("accel.tile") {
             return Err(DefconError::Constraint {
                 what: "accel-tile".into(),
@@ -216,7 +213,9 @@ impl Accel {
             });
         }
         let plan = self.plan(op);
-        self.cycle_model(op).check_occupancy(&plan)
+        let model = self.cycle_model(op);
+        model.check_occupancy(&plan)?;
+        Ok(model.totals(&plan))
     }
 
     /// Renders schedule totals as a launch report.
@@ -326,10 +325,6 @@ impl Backend for Accel {
         self.config.name.clone()
     }
 
-    fn configure(&self, op: &DeformConvOp) -> Result<(), DefconError> {
-        self.configure_op(op)
-    }
-
     fn launch_deform(
         &self,
         op: &DeformConvOp,
@@ -384,7 +379,7 @@ impl Backend for Accel {
     fn execute(&self, op: &DeformConvOp, x: &Tensor, offsets: &Tensor, weight: &Tensor) -> Tensor {
         let s = op.shape;
         let (oh, ow) = s.out_hw();
-        let kernel = Im2colDeformKernel::new_family(
+        let kernel = Im2colDeformKernel::new(
             s,
             op.tile,
             x,
@@ -523,7 +518,7 @@ mod tests {
             ..DeformConvOp::baseline(shape)
         };
         let accel = Accel::new(AccelConfig::edge());
-        let e = accel.configure(&op).unwrap_err();
+        let e = accel.deform_totals(&op).unwrap_err();
         assert!(e.is_degradable(), "buffer overflow must be degradable");
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let (x, off) = synthetic_inputs(&shape, 2.0, 5);

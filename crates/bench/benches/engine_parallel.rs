@@ -17,7 +17,7 @@
 
 use defcon_gpusim::{DeviceConfig, Gpu, SamplePolicy};
 use defcon_kernels::fused::FusedTexDeformKernel;
-use defcon_kernels::op::synthetic_inputs;
+use defcon_kernels::op::{synthetic_inputs, OpFamily};
 use defcon_kernels::{DeformLayerShape, TileConfig};
 use defcon_support::bench::Bench;
 use defcon_tensor::sample::OffsetTransform;
@@ -46,6 +46,8 @@ fn build_kernel<'a>(
         23,
         cfg.max_texture_layers,
         cfg.max_texture_dim,
+        OpFamily::DcnV1,
+        None,
     )
     .expect("texture limits exceeded");
     fused.co_blocks = FusedTexDeformKernel::pick_co_blocks(&shape, tile, cfg);

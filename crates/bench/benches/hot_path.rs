@@ -857,7 +857,7 @@ fn main() {
     let mut results: Vec<Comparison> = Vec::new();
     for family in OpFamily::all() {
         let modulation = synthetic_modulation(&shape, family, 0xA11C);
-        let im2col = Im2colDeformKernel::new_family(
+        let im2col = Im2colDeformKernel::new(
             shape,
             TileConfig::default16(),
             &x,
@@ -870,7 +870,7 @@ fn main() {
             modulation.as_ref(),
         )
         .expect("texture limits exceeded");
-        let mut fused = FusedTexDeformKernel::new_family(
+        let mut fused = FusedTexDeformKernel::new(
             shape,
             TileConfig::default16(),
             &x,

@@ -17,7 +17,7 @@ use defcon_bench::{emit_json, f2, layer_sweep, Table};
 use defcon_gpusim::{DeviceConfig, Gpu, KernelReport};
 use defcon_kernels::fused::FusedTexDeformKernel;
 use defcon_kernels::im2col::{Im2colDeformKernel, Sampling};
-use defcon_kernels::op::synthetic_inputs;
+use defcon_kernels::op::{synthetic_inputs, OpFamily};
 use defcon_kernels::TileConfig;
 use defcon_support::json::Json;
 use defcon_tensor::sample::OffsetTransform;
@@ -74,6 +74,8 @@ fn main() {
                 sampling,
                 gpu.config().max_texture_layers,
                 gpu.config().max_texture_dim,
+                OpFamily::DcnV1,
+                None,
             )
             .expect("texture limits");
             let r = gpu.launch(&kernel);
@@ -101,6 +103,8 @@ fn main() {
             23,
             gpu.config().max_texture_layers,
             gpu.config().max_texture_dim,
+            OpFamily::DcnV1,
+            None,
         )
         .expect("texture limits");
         let r = gpu.launch(&fused);

@@ -11,7 +11,7 @@
 use defcon_core::lut::LatencyLut;
 use defcon_core::search::{IntervalSearch, SearchConfig};
 use defcon_gpusim::{DeviceConfig, Gpu};
-use defcon_kernels::op::{OffsetPredictorKind, SamplingMethod};
+use defcon_kernels::op::{OffsetPredictorKind, OpFamily, SamplingMethod};
 use defcon_models::backbone::{BackboneConfig, SlotKind};
 use defcon_models::dataset::DeformedShapesConfig;
 use defcon_models::trainer::{prepare, DetectorSuperNet, TrainConfig};
@@ -49,6 +49,7 @@ fn main() {
         &keys,
         SamplingMethod::Tex2dPlusPlus,
         OffsetPredictorKind::Lightweight,
+        OpFamily::DcnV1,
     );
 
     println!("# Fig. 6 — interval-search placement (mini backbone, 5 slots; 'v' marks stride-2 downsampling slots)\n");

@@ -14,7 +14,7 @@ use defcon_bench::{f2, Table};
 use defcon_core::lut::LatencyLut;
 use defcon_core::search::{IntervalSearch, SearchConfig};
 use defcon_gpusim::{DeviceConfig, Gpu};
-use defcon_kernels::op::{OffsetPredictorKind, SamplingMethod};
+use defcon_kernels::op::{OffsetPredictorKind, OpFamily, SamplingMethod};
 use defcon_models::backbone::{BackboneConfig, SlotKind};
 use defcon_models::dataset::DeformedShapesConfig;
 use defcon_models::trainer::{
@@ -93,6 +93,7 @@ fn main() {
             &keys,
             SamplingMethod::Tex2dPlusPlus,
             OffsetPredictorKind::Lightweight,
+            OpFamily::DcnV1,
         );
         let iters = cfg.train_size / cfg.batch_size;
         let search_cfg = SearchConfig {

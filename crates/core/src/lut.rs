@@ -19,6 +19,7 @@ use defcon_support::fault;
 use defcon_support::json::{FromJson, Json, JsonError, ToJson};
 use defcon_support::par::ParallelSliceMut;
 use defcon_tensor::sample::OffsetTransform;
+use defcon_tensor::Tensor;
 use std::collections::HashMap;
 
 /// LUT key: the latency-relevant coordinates of a 3×3 convolution slot.
@@ -134,9 +135,12 @@ pub struct LatencyLut {
 }
 
 impl LatencyLut {
-    /// Builds a LUT on `gpu` for every key in `keys`, timing the deformable
-    /// operator in the given configuration (the search should penalize the
-    /// operator it will actually deploy).
+    /// Builds a LUT on `gpu` for every key in `keys`, timing the `family`
+    /// deformable operator in the given configuration (the search should
+    /// penalize the operator it will actually deploy). v2/v3 pay their
+    /// wider joint predictor and modulation traffic, so a search penalized
+    /// with a v3 table can place layers differently from a v1 table on the
+    /// same device.
     ///
     /// Keys are measured in parallel on `gpu.policy().threads` workers
     /// (`DEFCON_THREADS` by default), but every key is simulated on a
@@ -145,19 +149,6 @@ impl LatencyLut {
     /// parallelism lives across independent keys, never inside a launch
     /// where it would change L2 shard semantics.
     pub fn build(
-        gpu: &Gpu,
-        keys: &[LatencyKey],
-        method: SamplingMethod,
-        predictor: OffsetPredictorKind,
-    ) -> Self {
-        Self::build_family(gpu, keys, method, predictor, OpFamily::DcnV1)
-    }
-
-    /// [`LatencyLut::build`] generalized over the deformable operator
-    /// generation: v2/v3 pay their wider joint predictor and modulation
-    /// traffic, so a search penalized with a v3 table can place layers
-    /// differently from a v1 table on the same device.
-    pub fn build_family(
         gpu: &Gpu,
         keys: &[LatencyKey],
         method: SamplingMethod,
@@ -172,19 +163,9 @@ impl LatencyLut {
             .threads(threads)
             .enumerate()
             .for_each(|(i, slot)| {
-                let shape = keys[i].shape();
-                let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xDEFC);
-                let op = DeformConvOp {
-                    shape,
-                    tile: TileConfig::default16(),
-                    method,
-                    offset_predictor: predictor,
-                    offset_transform: OffsetTransform::Identity,
-                    family,
-                    modulation: None,
-                };
+                let (op, x, offsets) = key_op(&keys[i], method, predictor, family);
                 slot[0] = Some(LatencyEntry {
-                    regular_ms: simulate_regular_conv_ms(&worker, &shape),
+                    regular_ms: simulate_regular_conv_ms(&worker, &op.shape),
                     deform_ms: op.simulate_total(&worker, &x, &offsets).0,
                 });
             });
@@ -199,13 +180,12 @@ impl LatencyLut {
         }
     }
 
-    /// [`LatencyLut::build_family`] over any [`Backend`] — the route the
-    /// accel backend's tables take. Sequential (backend objects are not
-    /// required to be thread-splittable the way [`Gpu`] policies are),
-    /// deterministic, and falls back to the backend's own degradation
-    /// behaviour per key. Errors surface the first key that cannot be
-    /// timed at all.
-    pub fn build_family_backend(
+    /// [`LatencyLut::build`] over any [`Backend`] — the route the accel
+    /// backend's tables take. Sequential (backend objects are not required
+    /// to be thread-splittable the way [`Gpu`] policies are), deterministic,
+    /// and falls back to the backend's own degradation behaviour per key.
+    /// Errors surface the first key that cannot be timed at all.
+    pub fn build_backend(
         backend: &dyn Backend,
         keys: &[LatencyKey],
         method: SamplingMethod,
@@ -214,22 +194,12 @@ impl LatencyLut {
     ) -> Result<Self, DefconError> {
         let mut entries = HashMap::with_capacity(keys.len());
         for key in keys {
-            let shape = key.shape();
-            let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xDEFC);
-            let op = DeformConvOp {
-                shape,
-                tile: TileConfig::default16(),
-                method,
-                offset_predictor: predictor,
-                offset_transform: OffsetTransform::Identity,
-                family,
-                modulation: None,
-            };
+            let (op, x, offsets) = key_op(key, method, predictor, family);
             let (deform_ms, _) = backend.launch_total(&op, &x, &offsets)?;
             entries.insert(
                 *key,
                 LatencyEntry {
-                    regular_ms: backend.regular_conv_ms(&shape),
+                    regular_ms: backend.regular_conv_ms(&op.shape),
                     deform_ms,
                 },
             );
@@ -352,6 +322,28 @@ impl LatencyLut {
     }
 }
 
+/// The operator a LUT times at `key` (default tile, raw offsets, neutral
+/// modulation) and its synthetic inputs.
+fn key_op(
+    key: &LatencyKey,
+    method: SamplingMethod,
+    predictor: OffsetPredictorKind,
+    family: OpFamily,
+) -> (DeformConvOp, Tensor, Tensor) {
+    let shape = key.shape();
+    let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xDEFC);
+    let op = DeformConvOp {
+        shape,
+        tile: TileConfig::default16(),
+        method,
+        offset_predictor: predictor,
+        offset_transform: OffsetTransform::Identity,
+        family,
+        modulation: None,
+    };
+    (op, x, offsets)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,17 +370,17 @@ mod tests {
 
     #[test]
     fn backend_route_builds_tables_for_both_substrates() {
+        let _quiet = fault::quiesce();
         let keys = tiny_keys();
         let method = SamplingMethod::Tex2dPlusPlus;
         let pred = OffsetPredictorKind::Standard;
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let via_gpu = LatencyLut::build_family_backend(&gpu, &keys, method, pred, OpFamily::DcnV1)
+        let via_gpu = LatencyLut::build_backend(&gpu, &keys, method, pred, OpFamily::DcnV1)
             .expect("gpu backend route must build");
         assert_eq!(via_gpu.device, "Jetson-AGX-Xavier");
         let accel = defcon_accel::Accel::new(defcon_accel::AccelConfig::edge());
-        let via_accel =
-            LatencyLut::build_family_backend(&accel, &keys, method, pred, OpFamily::DcnV1)
-                .expect("accel backend route must build");
+        let via_accel = LatencyLut::build_backend(&accel, &keys, method, pred, OpFamily::DcnV1)
+            .expect("accel backend route must build");
         assert_eq!(via_accel.device, "DCN-Accel-Edge");
         for key in &keys {
             // Both substrates tabulate positive overheads for the key set.
@@ -405,6 +397,7 @@ mod tests {
             &tiny_keys(),
             SamplingMethod::SoftwareBilinear,
             OffsetPredictorKind::Standard,
+            OpFamily::DcnV1,
         );
         assert_eq!(lut.len(), 2);
         for key in tiny_keys() {
@@ -419,6 +412,7 @@ mod tests {
 
     #[test]
     fn family_aware_lut_orders_v1_v2_v3() {
+        let _quiet = fault::quiesce();
         // The modulated (v2) and sparse-softmax (v3) kernels cost strictly
         // more than v1 at the same key: v2 adds a mask load + multiply per
         // tap and widens the joint predictor to 3·G·k² channels; v3 pays
@@ -429,9 +423,9 @@ mod tests {
         let keys = tiny_keys();
         let method = SamplingMethod::Tex2d;
         let pred = OffsetPredictorKind::Standard;
-        let v1 = LatencyLut::build_family(&gpu, &keys, method, pred, OpFamily::DcnV1);
-        let v2 = LatencyLut::build_family(&gpu, &keys, method, pred, OpFamily::DcnV2);
-        let v3 = LatencyLut::build_family(&gpu, &keys, method, pred, OpFamily::DcnV3);
+        let v1 = LatencyLut::build(&gpu, &keys, method, pred, OpFamily::DcnV1);
+        let v2 = LatencyLut::build(&gpu, &keys, method, pred, OpFamily::DcnV2);
+        let v3 = LatencyLut::build(&gpu, &keys, method, pred, OpFamily::DcnV3);
         for key in &keys {
             let (o1, o2, o3) = (
                 v1.dcn_overhead_ms(key),
@@ -446,13 +440,11 @@ mod tests {
                 v2.get(key).expect("v2 entry").regular_ms
             );
         }
-        // build() is exactly build_family(DcnV1).
-        let legacy = LatencyLut::build(&gpu, &keys, method, pred);
-        assert_eq!(legacy.to_json(), v1.to_json());
     }
 
     #[test]
     fn lightweight_predictor_shrinks_overhead() {
+        let _quiet = fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let keys = [LatencyKey {
             c_in: 64,
@@ -466,24 +458,28 @@ mod tests {
             &keys,
             SamplingMethod::SoftwareBilinear,
             OffsetPredictorKind::Standard,
+            OpFamily::DcnV1,
         );
         let lw = LatencyLut::build(
             &gpu,
             &keys,
             SamplingMethod::Tex2dPlusPlus,
             OffsetPredictorKind::Lightweight,
+            OpFamily::DcnV1,
         );
         assert!(lw.dcn_overhead_ms(&keys[0]) < std.dcn_overhead_ms(&keys[0]));
     }
 
     #[test]
     fn json_round_trip() {
+        let _quiet = fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let lut = LatencyLut::build(
             &gpu,
             &tiny_keys(),
             SamplingMethod::Tex2d,
             OffsetPredictorKind::Lightweight,
+            OpFamily::DcnV1,
         );
         let s = lut.to_json();
         let back = LatencyLut::from_json(&s).unwrap();
@@ -496,6 +492,7 @@ mod tests {
 
     #[test]
     fn serialization_is_deterministic() {
+        let _quiet = fault::quiesce();
         // HashMap iteration order varies run to run; the sorted pair list
         // must not.
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
@@ -505,6 +502,7 @@ mod tests {
             &keys,
             SamplingMethod::Tex2d,
             OffsetPredictorKind::Lightweight,
+            OpFamily::DcnV1,
         );
         keys.reverse();
         let b = LatencyLut::build(
@@ -512,6 +510,7 @@ mod tests {
             &keys,
             SamplingMethod::Tex2d,
             OffsetPredictorKind::Lightweight,
+            OpFamily::DcnV1,
         );
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(
@@ -524,12 +523,16 @@ mod tests {
     fn save_load_round_trip_and_corrupt_file_is_typed() {
         use defcon_support::fault::{self, FaultPlan, Schedule};
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let lut = LatencyLut::build(
-            &gpu,
-            &tiny_keys(),
-            SamplingMethod::Tex2d,
-            OffsetPredictorKind::Lightweight,
-        );
+        let lut = {
+            let _quiet = fault::quiesce();
+            LatencyLut::build(
+                &gpu,
+                &tiny_keys(),
+                SamplingMethod::Tex2d,
+                OffsetPredictorKind::Lightweight,
+                OpFamily::DcnV1,
+            )
+        };
         let mut path = std::env::temp_dir();
         path.push(format!("defcon-lut-test-{}.json", std::process::id()));
         lut.save(&path).unwrap();

@@ -7,7 +7,6 @@ use defcon_kernels::op::{
     synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
 };
 use defcon_kernels::{DeformLayerShape, TileConfig};
-use defcon_support::error::DefconError;
 use defcon_tensor::sample::OffsetTransform;
 
 /// How the sampling-stage tile is chosen.
@@ -95,6 +94,15 @@ impl DefconConfig {
     /// objective evaluations is a simulator launch that itself follows the
     /// engine's determinism contract.
     pub fn build_op(&self, shape: DeformLayerShape, gpu: &Gpu) -> DeformConvOp {
+        let op = |tile| DeformConvOp {
+            shape,
+            tile,
+            method: self.method,
+            offset_predictor: self.offset_predictor(),
+            offset_transform: self.offset_transform(),
+            family: self.op_family,
+            modulation: None,
+        };
         let tile = match self.tile {
             TileChoice::Fixed(t) => t,
             TileChoice::Autotuned { budget } => {
@@ -104,16 +112,8 @@ impl DefconConfig {
                 let space = TileConfig::search_space();
                 tuner
                     .run(&space, |t| {
-                        let op = DeformConvOp {
-                            shape,
-                            tile: t,
-                            method: self.method,
-                            offset_predictor: self.offset_predictor(),
-                            offset_transform: self.offset_transform(),
-                            family: self.op_family,
-                            modulation: None,
-                        };
-                        op.simulate_deform(gpu, &x, &offsets)
+                        op(t)
+                            .simulate_deform(gpu, &x, &offsets)
                             .iter()
                             .map(|r| r.time_ms)
                             .sum()
@@ -121,47 +121,7 @@ impl DefconConfig {
                     .best
             }
         };
-        DeformConvOp {
-            shape,
-            tile,
-            method: self.method,
-            offset_predictor: self.offset_predictor(),
-            offset_transform: self.offset_transform(),
-            family: self.op_family,
-            modulation: None,
-        }
-    }
-
-    /// [`DefconConfig::build_op`] with graceful degradation: the sampling
-    /// method is first probed on synthetic inputs through the
-    /// `tex2D++ → tex2D → software` fallback ladder
-    /// ([`DeformConvOp::simulate_deform_with_fallback`]), and the operator
-    /// (including any autotuning) is then built with the method that
-    /// actually runs on this device for this shape. Returns the operator
-    /// and one degradation line per skipped rung (empty when the
-    /// configured method fits, in which case the operator is identical to
-    /// `build_op`'s).
-    pub fn build_op_with_fallback(
-        &self,
-        shape: DeformLayerShape,
-        gpu: &Gpu,
-    ) -> Result<(DeformConvOp, Vec<String>), DefconError> {
-        let (x, offsets) = synthetic_inputs(&shape, self.bounded.unwrap_or(4.0).min(4.0), 0xA07);
-        let probe = DeformConvOp {
-            shape,
-            tile: TileConfig::default16(),
-            method: self.method,
-            offset_predictor: self.offset_predictor(),
-            offset_transform: self.offset_transform(),
-            family: self.op_family,
-            modulation: None,
-        };
-        let fb = probe.simulate_deform_with_fallback(gpu, &x, &offsets)?;
-        let resolved = DefconConfig {
-            method: fb.method,
-            ..*self
-        };
-        Ok((resolved.build_op(shape, gpu), fb.degradations))
+        op(tile)
     }
 }
 
@@ -182,39 +142,8 @@ mod tests {
     }
 
     #[test]
-    fn fallback_build_degrades_texture_method_for_oversized_channels() {
-        // 2100 channels in one image exceed Xavier's 2048 texture layers:
-        // the full config's tex2D++ must degrade to the software sampler.
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let shape = DeformLayerShape::same3x3(2100, 4, 4, 4);
-        let cfg = DefconConfig {
-            tile: TileChoice::Fixed(TileConfig::default16()),
-            ..DefconConfig::full()
-        };
-        let (op, degradations) = cfg.build_op_with_fallback(shape, &gpu).unwrap();
-        assert_eq!(op.method, SamplingMethod::SoftwareBilinear);
-        assert_eq!(degradations.len(), 2, "{degradations:?}");
-        // The degraded operator actually runs.
-        let (x, off) = synthetic_inputs(&shape, 2.0, 5);
-        assert_eq!(op.simulate_deform(&gpu, &x, &off).len(), 2);
-    }
-
-    #[test]
-    fn fallback_build_is_identity_when_method_fits() {
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let shape = DeformLayerShape::same3x3(16, 16, 12, 12);
-        let cfg = DefconConfig {
-            tile: TileChoice::Fixed(TileConfig::default16()),
-            ..DefconConfig::full()
-        };
-        let (op, degradations) = cfg.build_op_with_fallback(shape, &gpu).unwrap();
-        assert!(degradations.is_empty());
-        assert_eq!(op.method, SamplingMethod::Tex2dPlusPlus);
-        assert_eq!(op.tile, cfg.build_op(shape, &gpu).tile);
-    }
-
-    #[test]
     fn autotuned_op_not_slower_than_default_tile() {
+        let _quiet = defcon_support::fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let shape = DeformLayerShape::same3x3(64, 64, 35, 35);
         let cfg = DefconConfig {

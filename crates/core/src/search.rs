@@ -483,7 +483,7 @@ fn parse_search_checkpoint(
 mod tests {
     use super::*;
     use defcon_gpusim::{DeviceConfig, Gpu};
-    use defcon_kernels::op::{OffsetPredictorKind, SamplingMethod};
+    use defcon_kernels::op::{OffsetPredictorKind, OpFamily, SamplingMethod};
     use defcon_nn::loss;
     use defcon_nn::modules::{DualPathConv, Module};
     use defcon_tensor::sample::DeformConv2dParams;
@@ -571,6 +571,7 @@ mod tests {
             }],
             SamplingMethod::SoftwareBilinear,
             OffsetPredictorKind::Standard,
+            OpFamily::DcnV1,
         )
     }
 
@@ -615,13 +616,12 @@ mod tests {
     }
 
     /// The search space is operator-family aware: a LUT built with
-    /// [`LatencyLut::build_family`] prices each slot with that family's
+    /// [`LatencyLut::build`] for a family prices each slot with that family's
     /// deformable overhead, so the per-slot `t(w)` the penalty gradient
     /// sees — and the frozen outcome's `dcn_overhead_ms` accounting —
     /// order v1 < v2 < v3 on the texture path.
     #[test]
     fn family_aware_lut_flows_into_the_search_space() {
-        use defcon_kernels::op::OpFamily;
         let _quiet = fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let key = LatencyKey {
@@ -633,7 +633,7 @@ mod tests {
         };
         let mut overheads = Vec::new();
         for family in OpFamily::all() {
-            let lut = LatencyLut::build_family(
+            let lut = LatencyLut::build(
                 &gpu,
                 &[key],
                 SamplingMethod::Tex2d,

@@ -627,25 +627,54 @@ impl SimResponse {
     }
 }
 
+/// How phase A resolved a request, on the owner thread and before any
+/// simulation.
 enum Plan {
-    Hit(CachedHit),
-    Miss(usize),
-    /// The deadline verdict fired in phase A (injected fault or LUT
-    /// preflight), before the cache was consulted.
+    /// The deadline verdict fired (injected fault or LUT preflight)
+    /// before the cache was consulted.
     Deadline(DefconError),
+    Hit(CachedHit),
+    Miss,
 }
 
-struct SimOutcome {
+/// A request after phase A: its content address, the deadline budget it
+/// has left, and how it resolved.
+struct Admitted {
+    key: u64,
+    canonical: String,
+    remaining: Option<u64>,
+    plan: Plan,
+}
+
+/// What answers one request — the reports, method and ladder
+/// degradations of the rung that ran, or the error that ended it — and
+/// the wall time it took (lookup or simulation).
+struct Answer {
     result: Result<(Vec<KernelReport>, SamplingMethod, Vec<String>), DefconError>,
     latency_ns: u64,
+}
+
+impl Answer {
+    /// A verdict reached without simulating or consulting the cache.
+    fn failed(e: DefconError) -> Self {
+        Answer {
+            result: Err(e),
+            latency_ns: 0,
+        }
+    }
 }
 
 fn simulate_request(
     req: &SimRequest,
     device: &DeviceConfig,
     remaining_cycles: Option<u64>,
-) -> SimOutcome {
+) -> Answer {
     let t0 = Instant::now();
+    // A malformed layer is a typed, uncached failure, checked before the
+    // synthetic inputs are shaped from it.
+    if let Err(e) = req.layer.validate() {
+        return Answer::failed(e);
+    }
     // Engine threads pinned to 1: report bytes must be a pure function of
     // the canonical request, independent of the server's worker count.
     let mut gpu = Gpu::with_policy(
@@ -694,7 +723,7 @@ fn simulate_request(
             })
         }
     };
-    SimOutcome {
+    Answer {
         result: result.map(|fb| (fb.reports, fb.method, fb.degradations)),
         latency_ns: t0.elapsed().as_nanos() as u64,
     }
@@ -980,8 +1009,8 @@ impl SimServer {
     /// gate and cache consultation on the owner thread in request order,
     /// (B) miss simulation fanned across worker bands into disjoint
     /// slots (each against its request's remaining deadline budget), (C)
-    /// assembly, deadline replay for hits, cache insertion, and breaker
-    /// feedback back on the owner thread in request order.
+    /// settlement — deadline replay for hits, cache insertion, and breaker
+    /// feedback — back on the owner thread in request order.
     pub fn drain(&mut self) -> Vec<SimResponse> {
         let batch = std::mem::take(&mut self.queue);
         if batch.is_empty() {
@@ -996,155 +1025,64 @@ impl SimServer {
         });
 
         // Phase A — deadline-gate and content-address each request, then
-        // consult the cache. The gate runs before the lookup so the
-        // verdict is identical on cold and warm caches.
-        let mut keys: Vec<(u64, String)> = Vec::with_capacity(batch.len());
-        let mut remainings: Vec<Option<u64>> = Vec::with_capacity(batch.len());
-        let mut plans: Vec<Plan> = Vec::with_capacity(batch.len());
-        let mut jobs: Vec<usize> = Vec::new();
-        for (req, backoff) in &batch {
-            let remaining = self.remaining_for(req, *backoff);
-            let canonical = req.canonical_string();
-            let key = fnv1a64(canonical.as_bytes());
-            let gated = remaining.and_then(|r| self.deadline_gate(req, r));
-            match gated {
-                Some(e) => plans.push(Plan::Deadline(e)),
-                None => match self.cache.lookup(key, &canonical) {
-                    Some(hit) => plans.push(Plan::Hit(hit)),
-                    None => {
-                        plans.push(Plan::Miss(jobs.len()));
-                        jobs.push(keys.len());
-                    }
-                },
-            }
-            keys.push((key, canonical));
-            remainings.push(remaining);
-        }
+        // consult the cache.
+        let admitted: Vec<Admitted> = batch
+            .iter()
+            .map(|(req, backoff)| self.admit(req, *backoff))
+            .collect();
+        let jobs: Vec<usize> = (0..batch.len())
+            .filter(|&i| matches!(admitted[i].plan, Plan::Miss))
+            .collect();
 
         // Phase B — simulate the misses. Workers read shared-immutable
         // device state and write disjoint one-slot bands.
-        let mut slots: Vec<Option<SimOutcome>> = jobs.iter().map(|_| None).collect();
-        {
-            let devices = &self.devices;
-            let batch_ref = &batch;
-            let jobs_ref = &jobs;
-            let remainings_ref = &remainings;
-            slots
-                .par_chunks_mut(1)
-                .threads(workers)
-                .enumerate()
-                .for_each(|(i, slot)| {
-                    let (req, _) = &batch_ref[jobs_ref[i]];
-                    let cfg = devices
-                        .iter()
-                        .find(|(d, _)| *d == req.device)
-                        .map(|(_, c)| c)
-                        .expect("SimServer::new resolves every ServeDevice");
-                    slot[0] = Some(simulate_request(req, cfg, remainings_ref[jobs_ref[i]]));
-                });
-        }
+        let mut slots: Vec<Option<Answer>> = jobs.iter().map(|_| None).collect();
+        slots
+            .par_chunks_mut(1)
+            .threads(workers)
+            .enumerate()
+            .for_each(|(i, slot)| {
+                let (req, _) = &batch[jobs[i]];
+                let cfg = self.device_config(req.device);
+                slot[0] = Some(simulate_request(req, cfg, admitted[jobs[i]].remaining));
+            });
 
-        // Phase C — assemble responses and fill the cache, in order.
+        // Phase C — settle each request, in order.
         let mut out = Vec::with_capacity(batch.len());
         let (mut hits, mut misses) = (0u64, 0u64);
-        for (i, (((req, _), plan), ((key, canonical), remaining))) in batch
-            .into_iter()
-            .zip(plans)
-            .zip(keys.into_iter().zip(remainings))
-            .enumerate()
-        {
-            let (reports, method, degradations, from_cache, error, outcome, latency_ns) = match plan
-            {
-                Plan::Deadline(e) => (
-                    Vec::new(),
-                    req.kernel_family,
-                    Vec::new(),
-                    false,
-                    Some(e.to_string()),
-                    ServeOutcome::DeadlineExceeded,
-                    0,
-                ),
-                Plan::Hit(hit) => {
+        let mut answers = slots.into_iter();
+        for (i, ((req, _), admitted)) in batch.into_iter().zip(admitted).enumerate() {
+            let sim = match admitted.plan {
+                Plan::Deadline(_) => None,
+                Plan::Hit(_) => {
                     hits += 1;
-                    // Replay the deadline verdict against the cached
-                    // launch charges — the same predicate a budgeted
-                    // fresh simulation evaluates.
-                    match remaining.and_then(|r| hit_deadline_verdict(r, &hit.reports)) {
-                        Some(e) => (
-                            Vec::new(),
-                            req.kernel_family,
-                            Vec::new(),
-                            false,
-                            Some(e.to_string()),
-                            ServeOutcome::DeadlineExceeded,
-                            hit.latency_ns,
-                        ),
-                        None => (
-                            hit.reports,
-                            hit.method,
-                            hit.degradations,
-                            true,
-                            None,
-                            ServeOutcome::Served,
-                            hit.latency_ns,
-                        ),
-                    }
+                    None
                 }
-                Plan::Miss(j) => {
+                Plan::Miss => {
                     misses += 1;
-                    let outcome = slots[j].take().expect("phase B fills every miss slot");
-                    match outcome.result {
-                        Ok((reports, method, degradations)) => {
-                            // Deadline-exceeded results never reach
-                            // this arm (the ladder propagates the
-                            // error), so everything inserted here fit
-                            // its budget.
-                            self.cache
-                                .insert(key, canonical, &reports, method, &degradations);
-                            (
-                                reports,
-                                method,
-                                degradations,
-                                false,
-                                None,
-                                ServeOutcome::Served,
-                                outcome.latency_ns,
-                            )
-                        }
-                        Err(e) => {
-                            let o = if matches!(e, DefconError::DeadlineExceeded { .. }) {
-                                ServeOutcome::DeadlineExceeded
-                            } else {
-                                ServeOutcome::Failed
-                            };
-                            (
-                                Vec::new(),
-                                req.kernel_family,
-                                Vec::new(),
-                                false,
-                                Some(e.to_string()),
-                                o,
-                                outcome.latency_ns,
-                            )
-                        }
-                    }
+                    answers.next().flatten()
                 }
             };
+            let remaining = admitted.remaining;
+            let response = self.settle(req, admitted, sim, false);
             let request_span = obs::span_with("serve.request", || {
                 vec![
                     ("index", Json::from(i)),
-                    ("device", Json::str(req.device.canonical_name())),
-                    ("kernel_family", Json::str(req.kernel_family.name())),
-                    ("key", Json::str(format!("{key:016x}"))),
+                    (
+                        "device",
+                        Json::str(response.request.device.canonical_name()),
+                    ),
+                    (
+                        "kernel_family",
+                        Json::str(response.request.kernel_family.name()),
+                    ),
+                    ("key", Json::str(format!("{:016x}", response.key))),
                 ]
             });
-            request_span.record("from_cache", Json::Bool(from_cache));
-            request_span.record("reports", Json::from(reports.len()));
+            request_span.record("from_cache", Json::Bool(response.from_cache));
+            request_span.record("reports", Json::from(response.reports.len()));
             drop(request_span);
-            self.served += 1;
-            if outcome == ServeOutcome::DeadlineExceeded {
-                self.deadline_exceeded += 1;
-                obs::counter_add("serve.deadline_exceeded", 1);
+            if response.outcome == ServeOutcome::DeadlineExceeded {
                 obs::event_with("serve.deadline", || {
                     vec![
                         ("index", Json::from(i)),
@@ -1152,27 +1090,7 @@ impl SimServer {
                     ]
                 });
             }
-            // Breaker feedback: the ladder's recorded degradations mark
-            // the failed rungs, the served method the healthy one. Only
-            // genuine serves feed it — deadline/shed verdicts say nothing
-            // about rung health.
-            if outcome == ServeOutcome::Served {
-                self.breaker
-                    .note_outcome(req.kernel_family, degradations.len());
-            }
-            out.push(SimResponse {
-                dcn_overhead_ms: self.lut_overhead(&req),
-                request: req,
-                key,
-                reports,
-                method,
-                degradations,
-                from_cache,
-                degraded_admission: false,
-                latency_ns,
-                error,
-                outcome,
-            });
+            out.push(response);
         }
         self.breaker.sync_obs();
         obs::counter_add("serve.requests", out.len() as u64);
@@ -1186,124 +1104,154 @@ impl SimServer {
         out
     }
 
-    /// Serves one request on the owner thread, bypassing the queue. Used
-    /// for degraded admissions; same deadline gate, cache discipline and
-    /// breaker feedback as [`drain`].
+    /// Serves one degraded admission on the owner thread, bypassing the
+    /// queue, through the same admission and settlement as [`drain`].
     ///
     /// [`drain`]: SimServer::drain
-    fn serve_inline(
-        &mut self,
-        req: SimRequest,
-        backoff_cycles: u64,
-        degraded_admission: bool,
-    ) -> SimResponse {
-        let remaining = self.remaining_for(&req, backoff_cycles);
-        let canonical = req.canonical_string();
-        let key = fnv1a64(canonical.as_bytes());
-        let t0 = Instant::now();
-        let gated = remaining.and_then(|r| self.deadline_gate(&req, r));
-        // `None` when the deadline gate fired before the cache was
-        // consulted; otherwise whether the lookup hit (mirrors drain's
-        // hit/miss accounting even when the hit then fails its verdict).
-        let mut cache_hit: Option<bool> = None;
-        let (reports, method, degradations, from_cache, error, outcome) = match gated {
-            Some(e) => (
-                Vec::new(),
-                req.kernel_family,
-                Vec::new(),
-                false,
-                Some(e.to_string()),
-                ServeOutcome::DeadlineExceeded,
-            ),
-            None => match {
-                let looked = self.cache.lookup(key, &canonical);
-                cache_hit = Some(looked.is_some());
-                looked
-            } {
-                Some(hit) => match remaining.and_then(|r| hit_deadline_verdict(r, &hit.reports)) {
-                    Some(e) => (
-                        Vec::new(),
-                        req.kernel_family,
-                        Vec::new(),
-                        false,
-                        Some(e.to_string()),
-                        ServeOutcome::DeadlineExceeded,
-                    ),
-                    None => (
-                        hit.reports,
-                        hit.method,
-                        hit.degradations,
-                        true,
-                        None,
-                        ServeOutcome::Served,
-                    ),
-                },
-                None => {
-                    let sim = simulate_request(&req, self.device_config(req.device), remaining);
-                    match sim.result {
-                        Ok((reports, method, degradations)) => {
-                            self.cache
-                                .insert(key, canonical, &reports, method, &degradations);
-                            (
-                                reports,
-                                method,
-                                degradations,
-                                false,
-                                None,
-                                ServeOutcome::Served,
-                            )
-                        }
-                        Err(e) => {
-                            let o = if matches!(e, DefconError::DeadlineExceeded { .. }) {
-                                ServeOutcome::DeadlineExceeded
-                            } else {
-                                ServeOutcome::Failed
-                            };
-                            (
-                                Vec::new(),
-                                req.kernel_family,
-                                Vec::new(),
-                                false,
-                                Some(e.to_string()),
-                                o,
-                            )
-                        }
-                    }
-                }
-            },
+    fn serve_inline(&mut self, req: SimRequest, backoff_cycles: u64) -> SimResponse {
+        let admitted = self.admit(&req, backoff_cycles);
+        let sim = match admitted.plan {
+            Plan::Deadline(_) => None,
+            Plan::Hit(_) => {
+                obs::counter_add("serve.cache_hits", 1);
+                None
+            }
+            Plan::Miss => {
+                obs::counter_add("serve.cache_misses", 1);
+                let device = self.device_config(req.device);
+                Some(simulate_request(&req, device, admitted.remaining))
+            }
         };
         obs::counter_add("serve.requests", 1);
-        if let Some(hit) = cache_hit {
-            obs::counter_add(
-                if hit {
-                    "serve.cache_hits"
-                } else {
-                    "serve.cache_misses"
-                },
-                1,
-            );
+        let response = self.settle(req, admitted, sim, true);
+        self.breaker.sync_obs();
+        obs::gauge_set("serve.hit_rate", self.cache.hit_rate());
+        response
+    }
+
+    /// Phase A for one request, on the owner thread in admission order:
+    /// content-address it, then run the deadline gate *before* the cache
+    /// lookup, so the verdict is identical on cold and warm caches.
+    fn admit(&mut self, req: &SimRequest, backoff_cycles: u64) -> Admitted {
+        let remaining = self.remaining_for(req, backoff_cycles);
+        let canonical = req.canonical_string();
+        let key = fnv1a64(canonical.as_bytes());
+        let plan = match remaining.and_then(|r| self.deadline_gate(req, r)) {
+            Some(e) => Plan::Deadline(e),
+            None => match self.cache.lookup(key, &canonical) {
+                Some(hit) => Plan::Hit(hit),
+                None => Plan::Miss,
+            },
+        };
+        Admitted {
+            key,
+            canonical,
+            remaining,
+            plan,
         }
+    }
+
+    /// Settles one admitted request on the owner thread; `sim` is its
+    /// simulation when it missed. A gated request fails its deadline; a
+    /// hit replays the deadline verdict against its cached launch charges
+    /// (the same predicate a budgeted fresh simulation evaluates); a miss
+    /// answers with its simulation, cached only when it succeeded — so
+    /// everything inserted fit its budget.
+    fn settle(
+        &mut self,
+        req: SimRequest,
+        admitted: Admitted,
+        sim: Option<Answer>,
+        degraded_admission: bool,
+    ) -> SimResponse {
+        let Admitted {
+            key,
+            canonical,
+            remaining,
+            plan,
+        } = admitted;
+        let (answer, from_cache) = match plan {
+            Plan::Deadline(e) => (Answer::failed(e), false),
+            Plan::Hit(hit) => match remaining.and_then(|r| hit_deadline_verdict(r, &hit.reports)) {
+                Some(e) => (
+                    Answer {
+                        result: Err(e),
+                        latency_ns: hit.latency_ns,
+                    },
+                    false,
+                ),
+                None => (
+                    Answer {
+                        result: Ok((hit.reports, hit.method, hit.degradations)),
+                        latency_ns: hit.latency_ns,
+                    },
+                    true,
+                ),
+            },
+            Plan::Miss => {
+                let sim = sim.expect("every miss is simulated before it settles");
+                if let Ok((reports, method, degradations)) = &sim.result {
+                    self.cache
+                        .insert(key, canonical, reports, *method, degradations);
+                }
+                (sim, false)
+            }
+        };
+        let response = self.respond(req, key, answer, from_cache, degraded_admission);
+        // Breaker feedback: the ladder's recorded degradations mark the
+        // failed rungs, the served method the healthy one. Only genuine
+        // serves feed it — deadline/shed verdicts say nothing about rung
+        // health.
+        if response.outcome == ServeOutcome::Served {
+            self.breaker
+                .note_outcome(response.request.kernel_family, response.degradations.len());
+        }
+        response
+    }
+
+    /// The one response constructor. The outcome follows from the
+    /// answer: `Overloaded` only arises at admission (a shed),
+    /// `DeadlineExceeded` at any deadline stage, and any other error is a
+    /// failed simulation. An error answer carries no reports and the
+    /// requested method. Counts the response, and deadline verdicts.
+    fn respond(
+        &mut self,
+        request: SimRequest,
+        key: u64,
+        answer: Answer,
+        from_cache: bool,
+        degraded_admission: bool,
+    ) -> SimResponse {
+        let outcome = match &answer.result {
+            Ok(_) => ServeOutcome::Served,
+            Err(DefconError::Overloaded { .. }) => ServeOutcome::Shed,
+            Err(DefconError::DeadlineExceeded { .. }) => ServeOutcome::DeadlineExceeded,
+            Err(_) => ServeOutcome::Failed,
+        };
+        self.served += 1;
         if outcome == ServeOutcome::DeadlineExceeded {
             self.deadline_exceeded += 1;
             obs::counter_add("serve.deadline_exceeded", 1);
         }
-        if outcome == ServeOutcome::Served {
-            self.breaker
-                .note_outcome(req.kernel_family, degradations.len());
-        }
-        self.breaker.sync_obs();
-        obs::gauge_set("serve.hit_rate", self.cache.hit_rate());
-        self.served += 1;
+        let (reports, method, degradations, error) = match answer.result {
+            Ok((reports, method, degradations)) => (reports, method, degradations, None),
+            Err(e) => (
+                Vec::new(),
+                request.kernel_family,
+                Vec::new(),
+                Some(e.to_string()),
+            ),
+        };
         SimResponse {
-            dcn_overhead_ms: self.lut_overhead(&req),
-            request: req,
+            dcn_overhead_ms: self.lut_overhead(&request),
+            request,
             key,
             reports,
             method,
             degradations,
             from_cache,
             degraded_admission,
-            latency_ns: t0.elapsed().as_nanos() as u64,
+            latency_ns: answer.latency_ns,
             error,
             outcome,
         }
@@ -1361,17 +1309,12 @@ impl SimServer {
                 if deadline != 0 && backoff_spent >= deadline {
                     // The backoff alone exhausted the budget: the request
                     // is terminally deadline-exceeded without simulating.
-                    self.deadline_exceeded += 1;
-                    obs::counter_add("serve.deadline_exceeded", 1);
-                    self.served += 1;
-                    out.push(self.terminal_response(
-                        req.clone(),
-                        DefconError::DeadlineExceeded {
-                            what: "serve backoff".to_string(),
-                            budget_cycles: deadline,
-                        },
-                        ServeOutcome::DeadlineExceeded,
-                    ));
+                    let e = DefconError::DeadlineExceeded {
+                        what: "serve backoff".to_string(),
+                        budget_cycles: deadline,
+                    };
+                    let key = req.cache_key();
+                    out.push(self.respond(req.clone(), key, Answer::failed(e), false, false));
                     settled = true;
                     break;
                 }
@@ -1415,7 +1358,7 @@ impl SimServer {
                             ("error", Json::str(err.to_string())),
                         ]
                     });
-                    out.push(self.serve_inline(degraded, backoff_spent, true));
+                    out.push(self.serve_inline(degraded, backoff_spent));
                 }
                 None => {
                     self.terminal_sheds += 1;
@@ -1426,8 +1369,8 @@ impl SimServer {
                             ("error", Json::str(err.to_string())),
                         ]
                     });
-                    self.served += 1;
-                    out.push(self.terminal_response(req.clone(), err, ServeOutcome::Shed));
+                    let key = req.cache_key();
+                    out.push(self.respond(req.clone(), key, Answer::failed(err), false, false));
                 }
             }
         }
@@ -1462,30 +1405,6 @@ impl SimServer {
         SimRequest {
             kernel_family: planned,
             ..req.clone()
-        }
-    }
-
-    /// A reports-free response for a terminal (shed / deadline) verdict.
-    fn terminal_response(
-        &self,
-        req: SimRequest,
-        err: DefconError,
-        outcome: ServeOutcome,
-    ) -> SimResponse {
-        let canonical = req.canonical_string();
-        let method = req.kernel_family;
-        SimResponse {
-            dcn_overhead_ms: self.lut_overhead(&req),
-            key: fnv1a64(canonical.as_bytes()),
-            request: req,
-            reports: Vec::new(),
-            method,
-            degradations: Vec::new(),
-            from_cache: false,
-            degraded_admission: false,
-            latency_ns: 0,
-            error: Some(err.to_string()),
-            outcome,
         }
     }
 
@@ -1720,6 +1639,7 @@ mod tests {
             &[LatencyKey::of(&req.layer)],
             SamplingMethod::Tex2d,
             defcon_kernels::op::OffsetPredictorKind::Standard,
+            OpFamily::DcnV1,
         );
         let mut server = SimServer::new(cfg(1)).with_lut(lut);
         let out = server.serve(std::slice::from_ref(&req));
@@ -1761,6 +1681,28 @@ mod tests {
         let again = server.serve(std::slice::from_ref(&req));
         assert_eq!(server.cache().hits(), 0);
         assert_eq!(out[0].content_string(), again[0].content_string());
+    }
+
+    #[test]
+    fn malformed_layer_is_a_failed_response_and_never_cached() {
+        let _quiet = fault::quiesce();
+        let mut server = SimServer::new(cfg(1));
+        let req = SimRequest {
+            layer: DeformLayerShape {
+                stride: 0,
+                ..DeformLayerShape::same3x3(4, 4, 10, 10)
+            },
+            ..tiny_request(4, SamplingMethod::Tex2dPlusPlus)
+        };
+        for _ in 0..2 {
+            let out = server.serve(std::slice::from_ref(&req));
+            assert_eq!(out[0].outcome, ServeOutcome::Failed);
+            assert!(out[0].reports.is_empty() && out[0].degradations.is_empty());
+            let rendered = out[0].error.as_deref().expect("failure carries an error");
+            assert!(rendered.contains("stride must be positive"), "{rendered}");
+        }
+        assert_eq!(server.cache().len(), 0);
+        assert_eq!(server.cache().misses(), 2);
     }
 
     #[test]

@@ -269,9 +269,9 @@ impl Gpu {
     }
 
     /// Attaches a deadline budget: subsequent launches via
-    /// [`Gpu::launch_checked`] / [`Gpu::try_launch`] fail with
-    /// [`DefconError::DeadlineExceeded`] once the budget is cancelled or
-    /// exhausted, and each completed launch charges its simulated cycles.
+    /// [`Gpu::try_launch`] fail with [`DefconError::DeadlineExceeded`]
+    /// once the budget is cancelled or exhausted, and each completed
+    /// launch charges its simulated cycles.
     pub fn with_budget(mut self, budget: Arc<DeadlineBudget>) -> Self {
         self.budget = Some(budget);
         self
@@ -301,16 +301,24 @@ impl Gpu {
     /// results merge in block-index order (see the module docs for the
     /// determinism contract). With one thread this is byte-identical to
     /// [`Gpu::launch_serial`].
+    ///
+    /// The device config is trusted, and the launch panics on an empty
+    /// grid or a tripped deadline budget; paths fed by external
+    /// configuration or carrying a budget use [`Gpu::try_launch`].
+    pub fn launch(&self, kernel: &dyn BlockTrace) -> KernelReport {
+        self.launch_impl(kernel)
+            .expect("launch(): deadline budget tripped — use try_launch on budgeted paths")
+    }
+
     /// [`Gpu::launch`] behind validation: the device config and launch
-    /// shape are checked first and violations come back as typed
-    /// [`DefconError`]s instead of the panics `launch` raises on malformed
-    /// input. Use this on paths fed by external configuration.
-    pub fn try_launch(
-        &self,
-        kernel: &dyn BlockTrace,
-    ) -> Result<KernelReport, defcon_support::error::DefconError> {
+    /// shape are checked first, and violations come back as typed
+    /// [`DefconError::Constraint`]s instead of panics. When a
+    /// [`DeadlineBudget`] is attached and is (or becomes) cancelled or
+    /// exhausted, the launch fails with [`DefconError::DeadlineExceeded`].
+    /// A valid, unbudgeted launch is byte-identical to `launch`.
+    pub fn try_launch(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
         self.cfg.validate()?;
-        let constraint = |detail: String| defcon_support::error::DefconError::Constraint {
+        let constraint = |detail: String| DefconError::Constraint {
             what: "launch".to_string(),
             detail,
         };
@@ -320,19 +328,6 @@ impl Gpu {
         if kernel.block_threads() == 0 {
             return Err(constraint("empty block (block_threads() == 0)".to_string()));
         }
-        self.launch_impl(kernel)
-    }
-
-    pub fn launch(&self, kernel: &dyn BlockTrace) -> KernelReport {
-        self.launch_impl(kernel)
-            .expect("launch(): deadline budget tripped — use launch_checked on budgeted paths")
-    }
-
-    /// [`Gpu::launch`] returning a `Result`: when a [`DeadlineBudget`] is
-    /// attached and is (or becomes) cancelled/exhausted, the launch fails
-    /// with [`DefconError::DeadlineExceeded`] instead of panicking. Without
-    /// a budget this never fails and is byte-identical to `launch`.
-    pub fn launch_checked(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
         self.launch_impl(kernel)
     }
 
@@ -627,6 +622,7 @@ mod tests {
     use super::*;
     use crate::texture::LayeredTexture2d;
     use crate::trace::TraceSink;
+    use defcon_support::fault;
     use defcon_support::json::ToJson;
 
     /// A toy kernel: every block streams `loads_per_thread` coalesced loads
@@ -1016,6 +1012,7 @@ mod tests {
 
     #[test]
     fn budget_charges_per_launch_and_trips_across_launches() {
+        let _quiet = fault::quiesce();
         let k = StreamKernel {
             blocks: 64,
             threads: 128,
@@ -1028,20 +1025,20 @@ mod tests {
         let budget = Arc::new(DeadlineBudget::new(2 * per_launch));
         let gpu = Gpu::new(DeviceConfig::xavier_agx()).with_budget(Arc::clone(&budget));
 
-        let r1 = gpu.launch_checked(&k).expect("first launch fits");
-        let r2 = gpu.launch_checked(&k).expect("second launch fits exactly");
+        let r1 = gpu.try_launch(&k).expect("first launch fits");
+        let r2 = gpu.try_launch(&k).expect("second launch fits exactly");
         assert_eq!(budget.spent_cycles(), 2 * per_launch);
         assert!(!budget.exceeded());
         // Third launch pushes the spend past the budget: the launch fails,
         // its report is discarded, and the token is now cancelled.
-        let e = gpu.launch_checked(&k).unwrap_err();
+        let e = gpu.try_launch(&k).unwrap_err();
         assert!(matches!(
             e,
             DefconError::DeadlineExceeded { budget_cycles, .. } if budget_cycles == 2 * per_launch
         ));
         assert!(budget.is_cancelled());
         // Fourth fails at entry, without simulating anything.
-        assert!(gpu.launch_checked(&k).is_err());
+        assert!(gpu.try_launch(&k).is_err());
         // The two completed reports are bytes-identical to unbudgeted runs.
         assert_eq!(r1.to_json().to_string(), probe.to_json().to_string());
         assert_eq!(r2.to_json().to_string(), probe.to_json().to_string());
@@ -1049,6 +1046,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_budget_fails_at_entry() {
+        let _quiet = fault::quiesce();
         let k = StreamKernel {
             blocks: 16,
             threads: 64,
@@ -1058,13 +1056,14 @@ mod tests {
         let budget = Arc::new(DeadlineBudget::new(u64::MAX));
         budget.cancel();
         let gpu = Gpu::new(DeviceConfig::xavier_agx()).with_budget(Arc::clone(&budget));
-        let e = gpu.launch_checked(&k).unwrap_err();
+        let e = gpu.try_launch(&k).unwrap_err();
         assert!(matches!(e, DefconError::DeadlineExceeded { .. }));
         assert_eq!(budget.spent_cycles(), 0, "nothing was simulated");
     }
 
     #[test]
     fn generous_budget_is_byte_identical_to_no_budget() {
+        let _quiet = fault::quiesce();
         let k = StreamKernel {
             blocks: 300,
             threads: 128,
@@ -1083,7 +1082,7 @@ mod tests {
             .with_budget(Arc::new(DeadlineBudget::new(u64::MAX)));
             assert_eq!(
                 budgeted
-                    .launch_checked(&k)
+                    .try_launch(&k)
                     .expect("u64::MAX budget cannot trip")
                     .to_json()
                     .to_string(),
@@ -1095,6 +1094,7 @@ mod tests {
 
     #[test]
     fn mid_flight_cancel_unwinds_parallel_launch_cleanly() {
+        let _quiet = fault::quiesce();
         // Cancel raised by another thread while the banded launch runs: the
         // launch must come back Err (never a torn report, never a panic).
         // The token may flip before, during, or after the band loop — all
@@ -1116,7 +1116,7 @@ mod tests {
             let b = Arc::clone(&budget);
             std::thread::spawn(move || b.cancel())
         };
-        let first = gpu.launch_checked(&k);
+        let first = gpu.try_launch(&k);
         canceller.join().unwrap();
         if let Ok(report) = first {
             // Raced ahead of the cancel: the completed report must be exact.
@@ -1130,8 +1130,28 @@ mod tests {
             );
         }
         // Once the token is set, every subsequent launch fails at entry.
-        let e = gpu.launch_checked(&k).unwrap_err();
+        let e = gpu.try_launch(&k).unwrap_err();
         assert!(matches!(e, DefconError::DeadlineExceeded { .. }));
+    }
+
+    #[test]
+    fn try_launch_rejects_empty_grids_and_blocks_as_typed_constraints() {
+        let _quiet = fault::quiesce();
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        for (blocks, threads, detail) in [(0, 128, "empty grid"), (4, 0, "empty block")] {
+            let k = StreamKernel {
+                blocks,
+                threads,
+                loads_per_thread: 1,
+                fma_per_thread: 1,
+            };
+            let e = gpu.try_launch(&k).unwrap_err();
+            assert!(
+                matches!(&e, DefconError::Constraint { what, detail: d }
+                    if what == "launch" && d.starts_with(detail)),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! work (Huang et al.'s algorithm–hardware co-design, Xu et al.'s
 //! energy-efficient DCN accelerator) adds a third column: a tiled
 //! on-chip-buffer dataflow machine. [`Backend`] is the seam that makes
-//! that column pluggable: configure → launch → [`KernelReport`], plus a
-//! numeric `execute` so a differential suite can assert that **every**
-//! backend computes the same deformable convolution bit for bit.
+//! that column pluggable: a launch that admits and times the operator as a
+//! [`KernelReport`], plus a numeric `execute` so a differential suite can
+//! assert that **every** backend computes the same deformable convolution
+//! bit for bit.
 //!
 //! `gpusim::Gpu` implements the trait here (kernels already depends on
 //! gpusim); the `defcon-accel` crate provides the dataflow model.
@@ -79,8 +80,8 @@ impl BackendKind {
 }
 
 /// An execution backend for the deformable-convolution operator: a thing
-/// that can validate an operator configuration, *time* it (producing the
-/// same [`KernelReport`] currency the rest of the stack consumes — LUTs,
+/// that can *time* an operator configuration (producing the same
+/// [`KernelReport`] currency the rest of the stack consumes — LUTs,
 /// serving, goldens), and *execute* it numerically under the cross-backend
 /// determinism contract described at the module level.
 pub trait Backend {
@@ -90,14 +91,12 @@ pub trait Backend {
     /// The device/model name stamped into reports.
     fn device_name(&self) -> String;
 
-    /// Validates `op` against this backend's constraints without
-    /// launching. Degradable errors ([`DefconError::is_degradable`]) mean
-    /// a fallback (another rung, or another backend) may be tried.
-    fn configure(&self, op: &DeformConvOp) -> Result<(), DefconError>;
-
     /// Times the deformable stage (sampling + GEMM), degrading gracefully
     /// where the backend supports it. Returns the reports of whatever
-    /// configuration actually ran plus one line per degradation.
+    /// configuration actually ran plus one line per degradation. The
+    /// backend's admission checks run here: degradable errors
+    /// ([`DefconError::is_degradable`]) mean a fallback (another rung, or
+    /// another backend) may be tried.
     fn launch_deform(
         &self,
         op: &DeformConvOp,
@@ -130,26 +129,6 @@ impl Backend for Gpu {
 
     fn device_name(&self) -> String {
         self.config().name.clone()
-    }
-
-    fn configure(&self, op: &DeformConvOp) -> Result<(), DefconError> {
-        self.config().validate()?;
-        // Texture methods need at least one batch partition to fit the
-        // device's layer limit; a single image's channel planes are the
-        // indivisible unit (op-level partitioning splits on images only).
-        if op.method != crate::op::SamplingMethod::SoftwareBilinear
-            && op.shape.c_in > self.config().max_texture_layers
-        {
-            return Err(DefconError::Constraint {
-                what: "texture-limit".into(),
-                detail: format!(
-                    "c_in {} exceeds max_texture_layers {}",
-                    op.shape.c_in,
-                    self.config().max_texture_layers
-                ),
-            });
-        }
-        Ok(())
     }
 
     fn launch_deform(
@@ -221,24 +200,11 @@ mod tests {
         };
         let backend: &dyn Backend = &gpu;
         assert_eq!(backend.backend_name(), "gpusim");
-        backend.configure(&op).unwrap();
         let (x, offsets) = synthetic_inputs(&shape, 2.0, 7);
         let fb = backend.launch_deform(&op, &x, &offsets).unwrap();
         assert_eq!(fb.method, SamplingMethod::Tex2dPlusPlus);
         let (total, reports) = backend.launch_total(&op, &x, &offsets).unwrap();
         assert!(total > 0.0 && reports.len() >= 2);
         assert!(backend.regular_conv_ms(&shape) > 0.0);
-    }
-
-    #[test]
-    fn gpu_configure_rejects_unpartitionable_texture_shapes() {
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let shape = DeformLayerShape::same3x3(4096, 4, 4, 4);
-        let op = DeformConvOp {
-            method: SamplingMethod::Tex2d,
-            ..DeformConvOp::baseline(shape)
-        };
-        let e = gpu.configure(&op).unwrap_err();
-        assert!(e.is_degradable(), "texture-limit must stay degradable");
     }
 }

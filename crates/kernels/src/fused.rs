@@ -53,37 +53,11 @@ pub struct FusedTexDeformKernel<'a> {
 }
 
 impl<'a> FusedTexDeformKernel<'a> {
-    /// Builds the DCNv1 kernel, binding `x` as a layered texture with
-    /// border addressing and the requested filter precision.
+    /// Builds the kernel for `family`, binding `x` as a layered texture
+    /// with border addressing and the requested filter precision;
+    /// `modulation` is the optional borrowed mask (v2) or logits (v3).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        shape: DeformLayerShape,
-        tile: TileConfig,
-        x: &Tensor,
-        offsets: &'a Tensor,
-        offset_transform: OffsetTransform,
-        frac_bits: u32,
-        max_layers: usize,
-        max_dim: usize,
-    ) -> Result<Self, TextureLimitError> {
-        Self::new_family(
-            shape,
-            tile,
-            x,
-            offsets,
-            offset_transform,
-            frac_bits,
-            max_layers,
-            max_dim,
-            OpFamily::DcnV1,
-            None,
-        )
-    }
-
-    /// [`FusedTexDeformKernel::new`] generalized over the operator family,
-    /// with an optional borrowed modulation tensor (mask / logits).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_family(
         shape: DeformLayerShape,
         tile: TileConfig,
         x: &Tensor,
@@ -360,6 +334,8 @@ mod tests {
             frac_bits,
             2048,
             32768,
+            OpFamily::DcnV1,
+            None,
         )
         .unwrap()
     }

@@ -78,37 +78,11 @@ pub struct Im2colDeformKernel<'a> {
 }
 
 impl<'a> Im2colDeformKernel<'a> {
-    /// Builds the DCNv1 kernel, constructing the layered texture when
-    /// needed. `max_layers` / `max_dim` are the device texture limits.
+    /// Builds the kernel for `family`, constructing the layered texture
+    /// when needed. `max_layers` / `max_dim` are the device texture limits;
+    /// `modulation` is the optional borrowed mask (v2) or logits (v3).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        shape: DeformLayerShape,
-        tile: TileConfig,
-        x: &'a Tensor,
-        offsets: &'a Tensor,
-        offset_transform: OffsetTransform,
-        sampling: Sampling,
-        max_layers: usize,
-        max_dim: usize,
-    ) -> Result<Self, defcon_gpusim::texture::TextureLimitError> {
-        Self::new_family(
-            shape,
-            tile,
-            x,
-            offsets,
-            offset_transform,
-            sampling,
-            max_layers,
-            max_dim,
-            OpFamily::DcnV1,
-            None,
-        )
-    }
-
-    /// [`Im2colDeformKernel::new`] generalized over the operator family,
-    /// with an optional borrowed modulation tensor (mask / logits).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_family(
         shape: DeformLayerShape,
         tile: TileConfig,
         x: &'a Tensor,
@@ -496,20 +470,41 @@ mod tests {
         (x, offsets, shape)
     }
 
+    /// The DCNv1 kernel under Xavier's texture limits.
+    fn v1<'a>(
+        shape: DeformLayerShape,
+        tile: TileConfig,
+        x: &'a Tensor,
+        off: &'a Tensor,
+        transform: OffsetTransform,
+        sampling: Sampling,
+    ) -> Im2colDeformKernel<'a> {
+        Im2colDeformKernel::new(
+            shape,
+            tile,
+            x,
+            off,
+            transform,
+            sampling,
+            2048,
+            32768,
+            OpFamily::DcnV1,
+            None,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn grid_covers_output() {
         let (x, off, shape) = small_kernel(Sampling::Software);
-        let k = Im2colDeformKernel::new(
+        let k = v1(
             shape,
             TileConfig { h: 8, w: 8 },
             &x,
             &off,
             OffsetTransform::Identity,
             Sampling::Software,
-            2048,
-            32768,
-        )
-        .unwrap();
+        );
         // 12x12 output with 8x8 tiles -> 2x2 tiles per channel, 4 channels.
         assert_eq!(k.grid_blocks(), 16);
         assert_eq!(k.block_threads(), 64);
@@ -518,17 +513,14 @@ mod tests {
     #[test]
     fn numeric_software_matches_reference_columns() {
         let (x, off, shape) = small_kernel(Sampling::Software);
-        let k = Im2colDeformKernel::new(
+        let k = v1(
             shape,
             TileConfig::default16(),
             &x,
             &off,
             OffsetTransform::Identity,
             Sampling::Software,
-            2048,
-            32768,
-        )
-        .unwrap();
+        );
         let cols = im2col_deform_numeric(&k, 0);
         // Spot-check one element against the reference bilinear sampler.
         let (oh, ow) = shape.out_hw();
@@ -542,17 +534,14 @@ mod tests {
     fn texture_numeric_matches_software_at_full_precision() {
         let (x, off, shape) = small_kernel(Sampling::Software);
         let mk = |sampling| {
-            Im2colDeformKernel::new(
+            v1(
                 shape,
                 TileConfig::default16(),
                 &x,
                 &off,
                 OffsetTransform::Identity,
                 sampling,
-                2048,
-                32768,
             )
-            .unwrap()
         };
         let sw = mk(Sampling::Software);
         let tx = mk(Sampling::Texture { frac_bits: 23 });
@@ -567,17 +556,14 @@ mod tests {
     fn tex2dpp_numeric_error_is_small() {
         let (x, off, shape) = small_kernel(Sampling::Software);
         let mk = |sampling| {
-            Im2colDeformKernel::new(
+            v1(
                 shape,
                 TileConfig::default16(),
                 &x,
                 &off,
                 OffsetTransform::Identity,
                 sampling,
-                2048,
-                32768,
             )
-            .unwrap()
         };
         let sw = mk(Sampling::Software);
         let pp = mk(Sampling::Texture { frac_bits: 8 });
@@ -597,17 +583,14 @@ mod tests {
         let (x, off, shape) = small_kernel(Sampling::Software);
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let mk = |sampling| {
-            Im2colDeformKernel::new(
+            v1(
                 shape,
                 TileConfig::default16(),
                 &x,
                 &off,
                 OffsetTransform::Identity,
                 sampling,
-                2048,
-                32768,
             )
-            .unwrap()
         };
         let sw_report = gpu.launch(&mk(Sampling::Software));
         let tx_report = gpu.launch(&mk(Sampling::Texture { frac_bits: 23 }));
@@ -624,17 +607,14 @@ mod tests {
     fn bounded_offsets_do_not_change_in_range_numerics() {
         let (x, off, shape) = small_kernel(Sampling::Software);
         let mk = |tr| {
-            Im2colDeformKernel::new(
+            v1(
                 shape,
                 TileConfig::default16(),
                 &x,
                 &off,
                 tr,
                 Sampling::Software,
-                2048,
-                32768,
             )
-            .unwrap()
         };
         // Offsets are within [-2, 2]; bounding at 7 is a no-op.
         let a = im2col_deform_numeric(&mk(OffsetTransform::Identity), 0);

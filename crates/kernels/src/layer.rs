@@ -1,5 +1,6 @@
 //! Layer shapes and thread-block tile configurations.
 
+use defcon_support::error::DefconError;
 use defcon_tensor::conv::Conv2dParams;
 use defcon_tensor::sample::DeformConv2dParams;
 
@@ -42,6 +43,50 @@ impl DeformLayerShape {
             pad: 1,
             deform_groups: 1,
         }
+    }
+
+    /// Checks that the shape is a convolution the kernels can run: every
+    /// dimension and the stride positive, the kernel no larger than the
+    /// padded input, and `c_in` split evenly across the deformable groups
+    /// (an uneven split indexes past the last group's offsets). Violations
+    /// are [`DefconError::InvalidShape`].
+    pub fn validate(&self) -> Result<(), DefconError> {
+        let invalid = |detail: String| {
+            Err(DefconError::InvalidShape {
+                what: "deformable layer".into(),
+                detail,
+            })
+        };
+        for (name, v) in [
+            ("n", self.n),
+            ("c_in", self.c_in),
+            ("c_out", self.c_out),
+            ("h", self.h),
+            ("w", self.w),
+            ("kernel", self.kernel),
+            ("stride", self.stride),
+            ("deform_groups", self.deform_groups),
+        ] {
+            if v == 0 {
+                return invalid(format!("{name} must be positive"));
+            }
+        }
+        let padded = |side: usize| side.saturating_add(self.pad.saturating_mul(2));
+        if self.kernel > padded(self.h).min(padded(self.w)) {
+            return invalid(format!(
+                "kernel {} exceeds the padded {}x{} input",
+                self.kernel,
+                padded(self.h),
+                padded(self.w)
+            ));
+        }
+        if !self.c_in.is_multiple_of(self.deform_groups) {
+            return invalid(format!(
+                "c_in {} is not divisible by deform_groups {}",
+                self.c_in, self.deform_groups
+            ));
+        }
+        Ok(())
     }
 
     /// The convolution window as `Conv2dParams`.

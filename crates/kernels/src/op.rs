@@ -61,8 +61,8 @@ impl SamplingMethod {
     }
 
     /// One rung down the fallback ladder (`tex2D++` → `tex2D` → software);
-    /// `None` once at the software floor. This is the same order
-    /// [`simulate_deform_with_fallback`] walks on texture-constraint
+    /// `None` once at the software floor. This is the order
+    /// [`DeformConvOp::simulate_deform_with_fallback`] walks on degradable
     /// failures, reused by `core::serve` as its overload degradation.
     pub fn degrade(&self) -> Option<SamplingMethod> {
         match self {
@@ -199,7 +199,7 @@ impl DeformConvOp {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
         let cfg = gpu.config();
-        let kernel = Im2colDeformKernel::new_family(
+        let kernel = Im2colDeformKernel::new(
             s,
             self.tile,
             x,
@@ -231,16 +231,85 @@ impl DeformConvOp {
     /// texture variants run DEFCON's **fused** kernel (sampling feeds the
     /// convolution accumulators directly; no column buffer).
     ///
-    /// Panics when the shape exceeds the device's texture limits; see
-    /// [`DeformConvOp::try_simulate_deform`] for the fallible form.
+    /// Panics on any error [`DeformConvOp::try_simulate_deform`] returns.
     pub fn simulate_deform(&self, gpu: &Gpu, x: &Tensor, offsets: &Tensor) -> Vec<KernelReport> {
         self.try_simulate_deform(gpu, x, offsets)
-            .expect("texture limits exceeded")
+            .expect("deformable stage failed (try_simulate_deform has the typed error)")
     }
 
-    /// [`DeformConvOp::simulate_deform`] with the texture-limit failure
-    /// surfaced as a typed [`DefconError::Constraint`] instead of a panic.
+    /// [`DeformConvOp::simulate_deform`] with failures surfaced as typed
+    /// errors instead of panics: [`DefconError::InvalidShape`] for a
+    /// malformed layer ([`DeformLayerShape::validate`], checked before
+    /// anything is built), a degradable [`DefconError::Constraint`] when
+    /// the texture setup exceeds the device's limits, and whatever
+    /// [`Gpu::try_launch`] returns.
+    ///
+    /// When `N × C_in` exceeds the device's layered-texture limit, the
+    /// texture methods partition the batch (paper §III-B): each partition
+    /// is uploaded and launched separately, which "results in the overhead
+    /// associated with multiple invocations of the GPU kernel". A batch
+    /// that fits is one partition. A single image whose channels alone
+    /// exceed the limit cannot be split and is a texture-limit constraint.
     pub fn try_simulate_deform(
+        &self,
+        gpu: &Gpu,
+        x: &Tensor,
+        offsets: &Tensor,
+    ) -> Result<Vec<KernelReport>, DefconError> {
+        self.shape.validate()?;
+        let max_layers = gpu.config().max_texture_layers;
+        let s = self.shape;
+        if self.method == SamplingMethod::SoftwareBilinear || s.n * s.c_in <= max_layers {
+            return self.launch_partition(gpu, x, offsets);
+        }
+        if s.c_in > max_layers {
+            return Err(DefconError::Constraint {
+                what: "texture-limit".into(),
+                detail: format!(
+                    "a single image's channels ({}) exceed the texture layer limit ({max_layers})",
+                    s.c_in
+                ),
+            });
+        }
+        let per_chunk = max_layers / s.c_in;
+        let (oh, ow) = s.out_hw();
+        let mut reports = Vec::new();
+        let mut n0 = 0usize;
+        while n0 < s.n {
+            let n_here = per_chunk.min(s.n - n0);
+            let chunk_shape = DeformLayerShape { n: n_here, ..s };
+            // Slice the batch range out of x and offsets.
+            let x_stride = s.c_in * s.h * s.w;
+            let o_stride = s.offset_channels() * oh * ow;
+            let x_chunk = Tensor::from_vec(
+                x.data()[n0 * x_stride..(n0 + n_here) * x_stride].to_vec(),
+                &[n_here, s.c_in, s.h, s.w],
+            );
+            let o_chunk = Tensor::from_vec(
+                offsets.data()[n0 * o_stride..(n0 + n_here) * o_stride].to_vec(),
+                &[n_here, s.offset_channels(), oh, ow],
+            );
+            let m_chunk = self.modulation.as_ref().map(|m| {
+                let mc = self.family.modulation_channels(&s);
+                let m_stride = mc * oh * ow;
+                Tensor::from_vec(
+                    m.data()[n0 * m_stride..(n0 + n_here) * m_stride].to_vec(),
+                    &[n_here, mc, oh, ow],
+                )
+            });
+            let op = DeformConvOp {
+                shape: chunk_shape,
+                modulation: m_chunk,
+                ..self.clone()
+            };
+            reports.extend(op.launch_partition(gpu, &x_chunk, &o_chunk)?);
+            n0 += n_here;
+        }
+        Ok(reports)
+    }
+
+    /// Builds and launches the deformable stage for one batch partition.
+    fn launch_partition(
         &self,
         gpu: &Gpu,
         x: &Tensor,
@@ -249,7 +318,7 @@ impl DeformConvOp {
         let cfg = gpu.config();
         match self.method {
             SamplingMethod::SoftwareBilinear => {
-                let im2col = Im2colDeformKernel::new_family(
+                let im2col = Im2colDeformKernel::new(
                     self.shape,
                     self.tile,
                     x,
@@ -263,17 +332,14 @@ impl DeformConvOp {
                 )
                 .map_err(texture_constraint)?;
                 let gemm_stage = GemmKernel::for_conv(&self.shape);
-                Ok(vec![
-                    gpu.launch_checked(&im2col)?,
-                    gpu.launch_checked(&gemm_stage)?,
-                ])
+                Ok(vec![gpu.try_launch(&im2col)?, gpu.try_launch(&gemm_stage)?])
             }
             SamplingMethod::Tex2d | SamplingMethod::Tex2dPlusPlus => {
                 let frac_bits = match self.method.sampling() {
                     Sampling::Texture { frac_bits } => frac_bits,
                     Sampling::Software => unreachable!(),
                 };
-                let mut fused = crate::fused::FusedTexDeformKernel::new_family(
+                let mut fused = crate::fused::FusedTexDeformKernel::new(
                     self.shape,
                     self.tile,
                     x,
@@ -288,7 +354,68 @@ impl DeformConvOp {
                 .map_err(texture_constraint)?;
                 fused.co_blocks =
                     crate::fused::FusedTexDeformKernel::pick_co_blocks(&self.shape, self.tile, cfg);
-                Ok(vec![gpu.launch_checked(&fused)?])
+                Ok(vec![gpu.try_launch(&fused)?])
+            }
+        }
+    }
+
+    /// Simulates the deformable stage with graceful degradation along the
+    /// paper's method ladder, walking [`SamplingMethod::degrade`] down
+    /// from the requested method (`tex2D++ → tex2D → software`). A rung
+    /// that fails with a degradable error — its texture setup exceeds the
+    /// layer/dimension limits, or an injected `texture.limit` fault fires —
+    /// is recorded in `degradations` and the next rung is tried; any other
+    /// error (a malformed shape, a tripped deadline) ends the walk. The
+    /// software rung reads global memory and cannot hit texture limits, so
+    /// a texture-capable op always completes — at reduced fidelity to the
+    /// requested configuration.
+    pub fn simulate_deform_with_fallback(
+        &self,
+        gpu: &Gpu,
+        x: &Tensor,
+        offsets: &Tensor,
+    ) -> Result<DeformFallback, DefconError> {
+        let ladder_span = obs::span_with("kernels.fallback_ladder", || {
+            let rungs = std::iter::successors(Some(self.method), SamplingMethod::degrade).count();
+            vec![
+                ("requested", Json::str(self.method.name())),
+                ("rungs", Json::from(rungs)),
+            ]
+        });
+        let mut degradations = Vec::new();
+        let mut method = self.method;
+        loop {
+            let op = DeformConvOp {
+                method,
+                ..self.clone()
+            };
+            match op.try_simulate_deform(gpu, x, offsets) {
+                Ok(reports) => {
+                    ladder_span.record("selected", Json::str(method.name()));
+                    ladder_span.record("degradations", Json::from(degradations.len()));
+                    return Ok(DeformFallback {
+                        reports,
+                        method,
+                        degradations,
+                    });
+                }
+                Err(e) if e.is_degradable() => {
+                    obs::event_with("kernels.fallback", || {
+                        vec![
+                            ("from", Json::str(method.name())),
+                            ("error", Json::str(e.to_string())),
+                        ]
+                    });
+                    degradations.push(format!("{} unavailable: {e}", method.name()));
+                    match method.degrade() {
+                        Some(next) => method = next,
+                        None => {
+                            ladder_span.record("selected", Json::str("none"));
+                            return Err(e);
+                        }
+                    }
+                }
+                Err(e) => return Err(e),
             }
         }
     }
@@ -346,6 +473,19 @@ impl DeformConvOp {
         let total = reports.iter().map(|r| r.time_ms).sum();
         (total, reports)
     }
+}
+
+/// Result of [`DeformConvOp::simulate_deform_with_fallback`]: the reports
+/// of the rung that ran, which rung it was, and why earlier rungs were
+/// skipped (empty when the requested method ran as configured).
+#[derive(Clone, Debug)]
+pub struct DeformFallback {
+    /// Per-launch reports from the method that succeeded.
+    pub reports: Vec<KernelReport>,
+    /// The sampling method that actually ran.
+    pub method: SamplingMethod,
+    /// One line per skipped rung, in ladder order.
+    pub degradations: Vec<String>,
 }
 
 /// Simulated latency of a plain (rigid) convolution at `shape`, timed as
@@ -536,191 +676,10 @@ mod tests {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Mini-batch partitioning over the layered-texture limit (paper §III-B's
-// "future work": when batch × channels exceeds the 2048-layer limit, load
-// a subset of mini-batches at a time and pay the extra kernel launches)
-// ---------------------------------------------------------------------------
-
-impl DeformConvOp {
-    /// Like [`DeformConvOp::simulate_deform`], but transparently partitions
-    /// the batch when `N × C_in` exceeds the device's layered-texture limit
-    /// (paper §III-B): each partition is uploaded and launched separately,
-    /// which "results in the overhead associated with multiple invocations
-    /// of the GPU kernel". Returns the per-launch reports (one partition ⇒
-    /// identical to `simulate_deform`).
-    pub fn simulate_deform_partitioned(
-        &self,
-        gpu: &Gpu,
-        x: &Tensor,
-        offsets: &Tensor,
-    ) -> Vec<KernelReport> {
-        self.try_simulate_deform_partitioned(gpu, x, offsets)
-            .expect("texture limits exceeded")
-    }
-
-    /// [`DeformConvOp::simulate_deform_partitioned`] with texture-limit
-    /// failures surfaced as typed [`DefconError::Constraint`]s instead of
-    /// panics — including the unpartitionable case where a *single*
-    /// image's channel count already exceeds the layer limit.
-    pub fn try_simulate_deform_partitioned(
-        &self,
-        gpu: &Gpu,
-        x: &Tensor,
-        offsets: &Tensor,
-    ) -> Result<Vec<KernelReport>, DefconError> {
-        let max_layers = gpu.config().max_texture_layers;
-        let s = self.shape;
-        let needs_partition = matches!(
-            self.method,
-            SamplingMethod::Tex2d | SamplingMethod::Tex2dPlusPlus
-        ) && s.n * s.c_in > max_layers;
-        if !needs_partition {
-            return self.try_simulate_deform(gpu, x, offsets);
-        }
-        if s.c_in > max_layers {
-            return Err(DefconError::Constraint {
-                what: "texture-limit".into(),
-                detail: format!(
-                    "a single image's channels ({}) exceed the texture layer limit ({max_layers})",
-                    s.c_in
-                ),
-            });
-        }
-        let per_chunk = max_layers / s.c_in;
-        let (oh, ow) = s.out_hw();
-        let mut reports = Vec::new();
-        let mut n0 = 0usize;
-        while n0 < s.n {
-            let n_here = per_chunk.min(s.n - n0);
-            let chunk_shape = DeformLayerShape { n: n_here, ..s };
-            // Slice the batch range out of x and offsets.
-            let x_stride = s.c_in * s.h * s.w;
-            let o_stride = s.offset_channels() * oh * ow;
-            let x_chunk = Tensor::from_vec(
-                x.data()[n0 * x_stride..(n0 + n_here) * x_stride].to_vec(),
-                &[n_here, s.c_in, s.h, s.w],
-            );
-            let o_chunk = Tensor::from_vec(
-                offsets.data()[n0 * o_stride..(n0 + n_here) * o_stride].to_vec(),
-                &[n_here, s.offset_channels(), oh, ow],
-            );
-            let m_chunk = self.modulation.as_ref().map(|m| {
-                let mc = self.family.modulation_channels(&s);
-                let m_stride = mc * oh * ow;
-                Tensor::from_vec(
-                    m.data()[n0 * m_stride..(n0 + n_here) * m_stride].to_vec(),
-                    &[n_here, mc, oh, ow],
-                )
-            });
-            let op = DeformConvOp {
-                shape: chunk_shape,
-                modulation: m_chunk,
-                ..self.clone()
-            };
-            reports.extend(op.try_simulate_deform(gpu, &x_chunk, &o_chunk)?);
-            n0 += n_here;
-        }
-        Ok(reports)
-    }
-
-    /// Simulates the deformable stage with graceful degradation along the
-    /// paper's method ladder: `tex2D++ → tex2D → software`. Each rung uses
-    /// the batch-partitioned launcher; a rung that fails its texture setup
-    /// (layer/dimension limits, or an injected `texture.limit` fault) is
-    /// recorded in `degradations` and the next rung is tried. The software
-    /// rung reads global memory and cannot hit texture limits, so a
-    /// texture-capable op always completes — at reduced fidelity to the
-    /// requested configuration.
-    pub fn simulate_deform_with_fallback(
-        &self,
-        gpu: &Gpu,
-        x: &Tensor,
-        offsets: &Tensor,
-    ) -> Result<DeformFallback, DefconError> {
-        let chain: &[SamplingMethod] = match self.method {
-            SamplingMethod::Tex2dPlusPlus => &[
-                SamplingMethod::Tex2dPlusPlus,
-                SamplingMethod::Tex2d,
-                SamplingMethod::SoftwareBilinear,
-            ],
-            SamplingMethod::Tex2d => &[SamplingMethod::Tex2d, SamplingMethod::SoftwareBilinear],
-            SamplingMethod::SoftwareBilinear => &[SamplingMethod::SoftwareBilinear],
-        };
-        let ladder_span = obs::span_with("kernels.fallback_ladder", || {
-            vec![
-                ("requested", Json::str(self.method.name())),
-                ("rungs", Json::from(chain.len())),
-            ]
-        });
-        let mut degradations = Vec::new();
-        let mut last = None;
-        for &method in chain {
-            let op = DeformConvOp {
-                method,
-                ..self.clone()
-            };
-            match op.try_simulate_deform_partitioned(gpu, x, offsets) {
-                Ok(reports) => {
-                    ladder_span.record("selected", Json::str(method.name()));
-                    ladder_span.record("degradations", Json::from(degradations.len()));
-                    return Ok(DeformFallback {
-                        reports,
-                        method,
-                        degradations,
-                    });
-                }
-                Err(e) if e.is_degradable() => {
-                    obs::event_with("kernels.fallback", || {
-                        vec![
-                            ("from", Json::str(method.name())),
-                            ("error", Json::str(e.to_string())),
-                        ]
-                    });
-                    degradations.push(format!("{} unavailable: {e}", method.name()));
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        ladder_span.record("selected", Json::str("none"));
-        Err(last.unwrap_or(DefconError::Constraint {
-            what: "deform-fallback".into(),
-            detail: "empty fallback chain".into(),
-        }))
-    }
-}
-
-/// Result of [`DeformConvOp::simulate_deform_with_fallback`]: the reports
-/// of the rung that ran, which rung it was, and why earlier rungs were
-/// skipped (empty when the requested method ran as configured).
-#[derive(Clone, Debug)]
-pub struct DeformFallback {
-    /// Per-launch reports from the method that succeeded.
-    pub reports: Vec<KernelReport>,
-    /// The sampling method that actually ran.
-    pub method: SamplingMethod,
-    /// One line per skipped rung, in ladder order.
-    pub degradations: Vec<String>,
-}
-
 #[cfg(test)]
 mod partition_tests {
     use super::*;
     use defcon_gpusim::DeviceConfig;
-
-    #[test]
-    fn small_batches_are_single_launch() {
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let shape = DeformLayerShape::same3x3(16, 16, 12, 12);
-        let (x, off) = synthetic_inputs(&shape, 2.0, 1);
-        let op = DeformConvOp {
-            method: SamplingMethod::Tex2d,
-            ..DeformConvOp::baseline(shape)
-        };
-        let reports = op.simulate_deform_partitioned(&gpu, &x, &off);
-        assert_eq!(reports.len(), 1, "fused kernel, one launch");
-    }
 
     #[test]
     fn oversized_batch_partitions_and_pays_launches() {
@@ -735,7 +694,7 @@ mod partition_tests {
             method: SamplingMethod::Tex2dPlusPlus,
             ..DeformConvOp::baseline(shape)
         };
-        let reports = op.simulate_deform_partitioned(&gpu, &x, &off);
+        let reports = op.simulate_deform(&gpu, &x, &off);
         assert_eq!(reports.len(), 2, "expected two texture partitions");
         // Each partition carries its own launch overhead — the cost the
         // paper predicts for partitioned training batches.
@@ -766,9 +725,7 @@ mod partition_tests {
                 method: SamplingMethod::Tex2d,
                 ..DeformConvOp::baseline(shape)
             };
-            op.try_simulate_deform_partitioned(&gpu, &x, &off)
-                .unwrap()
-                .len()
+            op.try_simulate_deform(&gpu, &x, &off).unwrap().len()
         };
         assert_eq!(launches(1, 2047), 1, "under the limit: single launch");
         assert_eq!(launches(1, 2048), 1, "exactly at the limit: single launch");
@@ -787,9 +744,7 @@ mod partition_tests {
             method: SamplingMethod::Tex2dPlusPlus,
             ..DeformConvOp::baseline(shape)
         };
-        let err = op
-            .try_simulate_deform_partitioned(&gpu, &x, &off)
-            .unwrap_err();
+        let err = op.try_simulate_deform(&gpu, &x, &off).unwrap_err();
         assert!(matches!(err, DefconError::Constraint { .. }), "{err}");
         assert!(err.is_degradable());
     }
@@ -829,6 +784,46 @@ mod partition_tests {
     }
 
     #[test]
+    fn malformed_shapes_are_one_typed_error_even_through_the_ladder() {
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        let base = DeformLayerShape::same3x3(4, 4, 8, 8);
+        // Never read: the shape is validated before any kernel is built.
+        let (x, off) = (Tensor::zeros(&[1]), Tensor::zeros(&[1]));
+        for (shape, detail) in [
+            (
+                DeformLayerShape { c_out: 0, ..base },
+                "c_out must be positive",
+            ),
+            (
+                DeformLayerShape { stride: 0, ..base },
+                "stride must be positive",
+            ),
+            (DeformLayerShape { kernel: 11, ..base }, "kernel 11 exceeds"),
+            (
+                DeformLayerShape {
+                    deform_groups: 3,
+                    ..base
+                },
+                "not divisible",
+            ),
+        ] {
+            let op = DeformConvOp {
+                method: SamplingMethod::Tex2dPlusPlus,
+                ..DeformConvOp::baseline(shape)
+            };
+            let direct = op.try_simulate_deform(&gpu, &x, &off).unwrap_err();
+            assert!(
+                matches!(&direct, DefconError::InvalidShape { detail: d, .. } if d.contains(detail)),
+                "{direct}"
+            );
+            // Not degradable: the ladder returns the one error, skipping
+            // no rungs.
+            let laddered = op.simulate_deform_with_fallback(&gpu, &x, &off);
+            assert_eq!(laddered.unwrap_err(), direct);
+        }
+    }
+
+    #[test]
     fn software_path_never_partitions() {
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let shape = DeformLayerShape {
@@ -839,7 +834,7 @@ mod partition_tests {
         let op = DeformConvOp::baseline(shape);
         // Software bilinear reads global memory; the texture limit is
         // irrelevant (2 launches = im2col + GEMM, not partitions).
-        let reports = op.simulate_deform_partitioned(&gpu, &x, &off);
+        let reports = op.simulate_deform(&gpu, &x, &off);
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().any(|r| r.kernel == "deform_im2col_sw"));
     }

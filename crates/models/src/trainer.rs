@@ -414,7 +414,7 @@ mod tests {
     use defcon_core::lut::LatencyLut;
     use defcon_core::search::{IntervalSearch, SearchConfig};
     use defcon_gpusim::{DeviceConfig, Gpu};
-    use defcon_kernels::op::{OffsetPredictorKind, SamplingMethod};
+    use defcon_kernels::op::{OffsetPredictorKind, OpFamily, SamplingMethod};
 
     fn quick_cfg() -> TrainConfig {
         TrainConfig {
@@ -598,6 +598,7 @@ mod tests {
             &keys,
             SamplingMethod::Tex2dPlusPlus,
             OffsetPredictorKind::Lightweight,
+            OpFamily::DcnV1,
         );
         let cfg = SearchConfig {
             search_epochs: 2,

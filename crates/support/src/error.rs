@@ -58,6 +58,16 @@ pub enum DefconError {
         /// The specific violation.
         detail: String,
     },
+    /// A caller-supplied shape describes no computation the kernels can
+    /// run (zero dimensions, zero stride, a window larger than its input,
+    /// channels that do not split evenly). Deterministic on its input, so
+    /// neither degradable nor retryable.
+    InvalidShape {
+        /// What the shape describes (e.g. "deformable layer").
+        what: String,
+        /// The first violated requirement.
+        detail: String,
+    },
     /// An environment variable held a value that does not parse.
     Env {
         /// Variable name.
@@ -120,6 +130,9 @@ impl fmt::Display for DefconError {
             ),
             DefconError::Constraint { what, detail } => {
                 write!(f, "{what} constraint violated: {detail}")
+            }
+            DefconError::InvalidShape { what, detail } => {
+                write!(f, "invalid {what} shape: {detail}")
             }
             DefconError::Env {
                 var,
@@ -205,6 +218,7 @@ impl DefconError {
             | DefconError::NonFinite { .. }
             | DefconError::NotPositiveDefinite { .. }
             | DefconError::Constraint { .. }
+            | DefconError::InvalidShape { .. }
             | DefconError::Env { .. }
             | DefconError::MissingKey { .. }
             | DefconError::RetriesExhausted { .. }
@@ -228,51 +242,7 @@ mod tests {
 
     #[test]
     fn display_renders_every_variant() {
-        let cases: Vec<DefconError> = vec![
-            DefconError::json("lut.json", JsonError::msg("bad")),
-            DefconError::Io {
-                path: "/x".into(),
-                detail: "denied".into(),
-            },
-            DefconError::Corrupt {
-                what: "checkpoint".into(),
-                detail: "crc mismatch".into(),
-            },
-            DefconError::NonFinite {
-                what: "loss".into(),
-                step: 3,
-            },
-            DefconError::NotPositiveDefinite {
-                pivot: 2,
-                value: -1e-9,
-            },
-            DefconError::Constraint {
-                what: "texture".into(),
-                detail: "too many layers".into(),
-            },
-            DefconError::Env {
-                var: "DEFCON_THREADS".into(),
-                value: "lots".into(),
-                expected: "a positive integer",
-            },
-            DefconError::MissingKey {
-                what: "LUT key".into(),
-            },
-            DefconError::RetriesExhausted {
-                what: "training step".into(),
-                attempts: 4,
-            },
-            DefconError::Overloaded {
-                what: "serve queue".into(),
-                queue_depth: 64,
-                capacity: 64,
-            },
-            DefconError::DeadlineExceeded {
-                what: "serve request".into(),
-                budget_cycles: 250_000,
-            },
-        ];
-        for e in cases {
+        for e in one_of_each() {
             assert!(!e.to_string().is_empty());
         }
     }
@@ -302,6 +272,10 @@ mod tests {
             DefconError::Constraint {
                 what: "texture".into(),
                 detail: "too many layers".into(),
+            },
+            DefconError::InvalidShape {
+                what: "deformable layer".into(),
+                detail: "stride must be positive".into(),
             },
             DefconError::Env {
                 var: "DEFCON_THREADS".into(),
@@ -345,6 +319,7 @@ mod tests {
                 | DefconError::NonFinite { .. }
                 | DefconError::NotPositiveDefinite { .. }
                 | DefconError::Constraint { .. }
+                | DefconError::InvalidShape { .. }
                 | DefconError::Env { .. }
                 | DefconError::MissingKey { .. }
                 | DefconError::RetriesExhausted { .. } => false,
@@ -353,7 +328,7 @@ mod tests {
             }
         }
         let cases = one_of_each();
-        assert_eq!(cases.len(), 11, "keep one_of_each in sync with the enum");
+        assert_eq!(cases.len(), 12, "keep one_of_each in sync with the enum");
         for e in &cases {
             assert_eq!(e.retryable(), expected(e), "retry class of {e}");
         }

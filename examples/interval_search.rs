@@ -33,6 +33,7 @@ fn main() {
         &keys,
         SamplingMethod::Tex2dPlusPlus,
         OffsetPredictorKind::Lightweight,
+        OpFamily::DcnV1,
     );
     println!(
         "latency LUT ({} keys, device {}):",

@@ -9,7 +9,9 @@
 
 use defcon::core::lut::{LatencyKey, LatencyLut};
 use defcon::gpusim::{Counters, DeviceConfig, Gpu, KernelReport};
-use defcon::kernels::op::{synthetic_inputs, DeformConvOp, OffsetPredictorKind, SamplingMethod};
+use defcon::kernels::op::{
+    synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
+};
 use defcon::kernels::DeformLayerShape;
 use defcon_support::json::{FromJson, Json, JsonError, ToJson};
 use defcon_support::prop::{self, Config};
@@ -90,6 +92,7 @@ fn corrupted_latency_lut_json_is_typed_and_positioned() {
         &[key],
         SamplingMethod::SoftwareBilinear,
         OffsetPredictorKind::Standard,
+        OpFamily::DcnV1,
     )
     .to_json();
     // Round-trip sanity before corrupting anything.

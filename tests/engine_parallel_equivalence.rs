@@ -36,6 +36,8 @@ fn layer_kernels(shape: DeformLayerShape, gpu: &Gpu) -> Vec<Box<dyn BlockTrace +
         SamplingMethod::SoftwareBilinear.sampling(),
         cfg.max_texture_layers,
         cfg.max_texture_dim,
+        OpFamily::DcnV1,
+        None,
     )
     .expect("texture limits exceeded");
     let mut fused = FusedTexDeformKernel::new(
@@ -47,6 +49,8 @@ fn layer_kernels(shape: DeformLayerShape, gpu: &Gpu) -> Vec<Box<dyn BlockTrace +
         23, // tex2D fp32 filter precision
         cfg.max_texture_layers,
         cfg.max_texture_dim,
+        OpFamily::DcnV1,
+        None,
     )
     .expect("texture limits exceeded");
     fused.co_blocks = FusedTexDeformKernel::pick_co_blocks(&shape, TileConfig::default16(), cfg);

@@ -11,7 +11,9 @@ use defcon::core::search::{
     IntervalSearch, RobustSearchConfig, SearchConfig, SearchModel, SearchOutcome,
 };
 use defcon::gpusim::{BlockTrace, DeviceConfig, Gpu, TraceSink};
-use defcon::kernels::op::{synthetic_inputs, DeformConvOp, OffsetPredictorKind, SamplingMethod};
+use defcon::kernels::op::{
+    synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
+};
 use defcon::kernels::DeformLayerShape;
 use defcon::nn::graph::{ParamId, ParamStore, Tape, Var};
 use defcon::nn::loss;
@@ -123,6 +125,7 @@ fn tiny_lut() -> LatencyLut {
         &[lut_key()],
         SamplingMethod::SoftwareBilinear,
         OffsetPredictorKind::Standard,
+        OpFamily::DcnV1,
     )
 }
 

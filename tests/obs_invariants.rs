@@ -10,7 +10,7 @@
 
 use defcon::gpusim::{DeviceConfig, Gpu, SamplePolicy};
 use defcon::kernels::im2col::{Im2colDeformKernel, Sampling};
-use defcon::kernels::op::{synthetic_inputs, DeformConvOp, SamplingMethod};
+use defcon::kernels::op::{synthetic_inputs, DeformConvOp, OpFamily, SamplingMethod};
 use defcon::kernels::{DeformLayerShape, TileConfig};
 use defcon::tensor::sample::OffsetTransform;
 use defcon_support::fault::{self, FaultPlan, Schedule};
@@ -43,6 +43,8 @@ impl Layer {
             Sampling::Software,
             cfg.max_texture_layers,
             cfg.max_texture_dim,
+            OpFamily::DcnV1,
+            None,
         )
         .unwrap()
     }

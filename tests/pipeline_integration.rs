@@ -70,8 +70,10 @@ fn numeric_equivalence_across_the_whole_operator_stack() {
 
 #[test]
 fn texture_limits_propagate_to_the_operator() {
-    // Batch × channels beyond the 2048-layer limit must fail loudly
-    // (paper §III-B), not silently mis-simulate.
+    // Batch × channels beyond the 2048-layer limit must not silently
+    // mis-simulate (paper §III-B): the texture path partitions the batch
+    // and pays one launch per partition, and a single image whose
+    // channels alone exceed the limit fails loudly.
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let shape = DeformLayerShape {
         n: 5,
@@ -83,12 +85,17 @@ fn texture_limits_propagate_to_the_operator() {
         method: SamplingMethod::Tex2d,
         ..DeformConvOp::baseline(shape)
     };
+    let reports = op.simulate_deform(&gpu, &x, &offsets);
+    assert_eq!(reports.len(), 2, "4 images of 512 channels per partition");
+    let wide = DeformLayerShape::same3x3(2100, 4, 4, 4);
+    let (x, offsets) = synthetic_inputs(&wide, 2.0, 4);
+    let op = DeformConvOp { shape: wide, ..op };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         op.simulate_deform(&gpu, &x, &offsets)
     }));
     assert!(
         result.is_err(),
-        "exceeding the layered-texture limit must panic"
+        "one image beyond the layered-texture limit must panic"
     );
 }
 
@@ -110,12 +117,14 @@ fn latency_lut_orders_predictors_and_devices_sensibly() {
         &[key],
         SamplingMethod::SoftwareBilinear,
         OffsetPredictorKind::Standard,
+        OpFamily::DcnV1,
     );
     let lut_t = LatencyLut::build(
         &turing,
         &[key],
         SamplingMethod::SoftwareBilinear,
         OffsetPredictorKind::Standard,
+        OpFamily::DcnV1,
     );
     // The discrete GPU is far faster in absolute terms.
     assert!(lut_t.get(&key).unwrap().deform_ms < lut_x.get(&key).unwrap().deform_ms);
@@ -125,6 +134,7 @@ fn latency_lut_orders_predictors_and_devices_sensibly() {
         &[key],
         SamplingMethod::Tex2dPlusPlus,
         OffsetPredictorKind::Lightweight,
+        OpFamily::DcnV1,
     );
     assert!(lut_light.dcn_overhead_ms(&key) < lut_x.dcn_overhead_ms(&key));
 }

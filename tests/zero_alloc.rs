@@ -17,7 +17,7 @@ use defcon::gpusim::trace::{BlockTrace, TraceSink};
 use defcon::kernels::fused::FusedTexDeformKernel;
 use defcon::kernels::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
 use defcon::kernels::im2col::{Im2colDeformKernel, Sampling};
-use defcon::kernels::op::synthetic_inputs;
+use defcon::kernels::op::{synthetic_inputs, synthetic_modulation, OpFamily};
 use defcon::kernels::{DeformLayerShape, TileConfig};
 use defcon::tensor::sample::OffsetTransform;
 use defcon_support::testalloc::{thread_allocations, CountingAllocator};
@@ -103,6 +103,8 @@ fn im2col_software_traces_without_allocating() {
         Sampling::Software,
         cfg.max_texture_layers,
         cfg.max_texture_dim,
+        OpFamily::DcnV1,
+        None,
     )
     .unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 4), 0);
@@ -122,6 +124,8 @@ fn im2col_texture_traces_without_allocating() {
         Sampling::Texture { frac_bits: 23 },
         cfg.max_texture_layers,
         cfg.max_texture_dim,
+        OpFamily::DcnV1,
+        None,
     )
     .unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 4), 0);
@@ -141,6 +145,8 @@ fn fused_texture_traces_without_allocating() {
         8,
         cfg.max_texture_layers,
         cfg.max_texture_dim,
+        OpFamily::DcnV1,
+        None,
     )
     .unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 2), 0);
@@ -152,13 +158,12 @@ fn fused_texture_traces_without_allocating() {
 /// real modulation tensor attached so the address stream is exercised.
 #[test]
 fn modulated_and_sparse_kernels_trace_without_allocating() {
-    use defcon::kernels::op::{synthetic_modulation, OpFamily};
     let shape = table2_shape();
     let (x, off) = synthetic_inputs(&shape, 2.0, 14);
     let cfg = DeviceConfig::xavier_agx();
     for family in [OpFamily::DcnV2, OpFamily::DcnV3] {
         let m = synthetic_modulation(&shape, family, 14);
-        let im2col = Im2colDeformKernel::new_family(
+        let im2col = Im2colDeformKernel::new(
             shape,
             TileConfig::default16(),
             &x,
@@ -176,7 +181,7 @@ fn modulated_and_sparse_kernels_trace_without_allocating() {
             0,
             "{family:?} im2col"
         );
-        let fused = FusedTexDeformKernel::new_family(
+        let fused = FusedTexDeformKernel::new(
             shape,
             TileConfig::default16(),
             &x,
