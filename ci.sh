@@ -127,14 +127,20 @@ check_ratchet() {
 }
 check_ratchet crates/support/src/ckpt.rs     14 0
 check_ratchet crates/support/src/env.rs       0 0
-check_ratchet crates/core/src/lut.rs          6 1
+check_ratchet crates/core/src/lut.rs          6 0
 check_ratchet crates/core/src/search.rs      11 1
 check_ratchet crates/core/src/autotune.rs     4 0
 check_ratchet crates/core/src/pipeline.rs     0 0
+check_ratchet crates/core/src/serve.rs        0 2
+check_ratchet crates/core/src/chaos.rs        0 0
 check_ratchet crates/gpusim/src/device.rs     4 0
 check_ratchet crates/gpusim/src/engine.rs     8 0
 check_ratchet crates/gpusim/src/texture.rs    1 0
 check_ratchet crates/kernels/src/op.rs        3 0
+check_ratchet crates/kernels/src/im2col.rs    1 0
+check_ratchet crates/kernels/src/fused.rs     1 0
+check_ratchet crates/kernels/src/backend.rs   4 0
+check_ratchet crates/accel/src/lib.rs         7 0
 check_ratchet crates/models/src/trainer.rs    7 0
 
 # Hot-path tex2D byte-equivalence gate: the legacy (pre-optimization

@@ -36,7 +36,7 @@ pub mod scheduler;
 use defcon_gpusim::{Gpu, KernelReport};
 use defcon_kernels::backend::{Backend, BackendKind};
 use defcon_kernels::im2col::{im2col_deform_numeric_tile, Im2colDeformKernel};
-use defcon_kernels::op::{DeformConvOp, DeformFallback, SamplingMethod};
+use defcon_kernels::op::{DeformConvOp, DeformFallback};
 use defcon_kernels::{DeformLayerShape, TileConfig};
 use defcon_support::error::DefconError;
 use defcon_support::json::Json;
@@ -238,12 +238,11 @@ impl Accel {
     }
 
     fn deform_label(&self, op: &DeformConvOp) -> String {
-        let method = match op.method {
-            SamplingMethod::SoftwareBilinear => "sw",
-            SamplingMethod::Tex2d => "tex2d",
-            SamplingMethod::Tex2dPlusPlus => "tex2dpp",
-        };
-        format!("accel_deform_{method}{}", op.family.label_suffix())
+        format!(
+            "accel_deform_{}{}",
+            op.method.label_stem(),
+            op.family.label_suffix()
+        )
     }
 
     /// A plain dense convolution pass on the array (weight-streaming,
@@ -370,30 +369,19 @@ impl Backend for Accel {
     }
 
     /// Tile-by-tile numeric execution. Byte-identical to the GPU
-    /// backend's full-plane execution: each tile's columns come from the
-    /// identical per-element sampling pipeline
-    /// ([`im2col_deform_numeric_tile`]), and the blocked GEMM's
-    /// per-output-element reduction order is independent of which columns
-    /// are present (see `defcon_tensor::gemm`), so scattering per-tile
-    /// GEMM results reproduces the full-plane result bit for bit.
+    /// backend's full-plane execution: both run
+    /// [`im2col_deform_numeric_tile`] — the GPU over the one-tile window of
+    /// the whole plane, the accelerator over its tile plan — and the
+    /// blocked GEMM's per-output-element reduction order is independent of
+    /// which columns are present (see `defcon_tensor::gemm`), so scattering
+    /// per-tile GEMM results reproduces the full-plane result bit for bit.
     fn execute(&self, op: &DeformConvOp, x: &Tensor, offsets: &Tensor, weight: &Tensor) -> Tensor {
         let s = op.shape;
         let (oh, ow) = s.out_hw();
-        let kernel = Im2colDeformKernel::new(
-            s,
-            op.tile,
-            x,
-            offsets,
-            op.offset_transform,
-            op.method.sampling(),
-            // The accelerator has no texture unit: the sampler pipeline
-            // is modeled directly, so there is no layer/dimension limit.
-            usize::MAX,
-            usize::MAX,
-            op.family,
-            op.modulation.as_ref(),
-        )
-        .expect("unlimited texture layers cannot be exceeded");
+        // The accelerator has no texture unit: the sampler pipeline is
+        // modeled directly, so there is no layer/dimension limit.
+        let kernel = Im2colDeformKernel::new(op, x, offsets, (usize::MAX, usize::MAX))
+            .expect("unlimited texture layers cannot be exceeded");
         let krows = s.c_in * s.kernel * s.kernel;
         let plan = self.plan(op);
         let mut out = Tensor::zeros(&[s.n, s.c_out, oh, ow]);
@@ -450,7 +438,7 @@ pub fn launch_with_gpu_fallback(
 mod tests {
     use super::*;
     use defcon_gpusim::DeviceConfig;
-    use defcon_kernels::op::synthetic_inputs;
+    use defcon_kernels::op::{synthetic_inputs, SamplingMethod};
 
     fn small_op(method: SamplingMethod) -> DeformConvOp {
         DeformConvOp {

@@ -17,10 +17,9 @@
 
 use defcon_gpusim::{DeviceConfig, Gpu, SamplePolicy};
 use defcon_kernels::fused::FusedTexDeformKernel;
-use defcon_kernels::op::{synthetic_inputs, OpFamily};
-use defcon_kernels::{DeformLayerShape, TileConfig};
+use defcon_kernels::op::{synthetic_inputs, DeformConvOp};
+use defcon_kernels::{DeformLayerShape, SamplingMethod};
 use defcon_support::bench::Bench;
-use defcon_tensor::sample::OffsetTransform;
 use std::time::Instant;
 
 /// The 550×550 layer under test. 16 channels keeps a single exhaustive
@@ -35,23 +34,11 @@ fn build_kernel<'a>(
     offsets: &'a defcon_tensor::Tensor,
     cfg: &DeviceConfig,
 ) -> FusedTexDeformKernel<'a> {
-    let shape = layer();
-    let tile = TileConfig::default16();
-    let mut fused = FusedTexDeformKernel::new(
-        shape,
-        tile,
-        x,
-        offsets,
-        OffsetTransform::Identity,
-        23,
-        cfg.max_texture_layers,
-        cfg.max_texture_dim,
-        OpFamily::DcnV1,
-        None,
-    )
-    .expect("texture limits exceeded");
-    fused.co_blocks = FusedTexDeformKernel::pick_co_blocks(&shape, tile, cfg);
-    fused
+    let op = DeformConvOp {
+        method: SamplingMethod::Tex2d,
+        ..DeformConvOp::baseline(layer())
+    };
+    FusedTexDeformKernel::new(&op, x, offsets, cfg).expect("texture limits exceeded")
 }
 
 fn gpu_with_threads(threads: usize) -> Gpu {

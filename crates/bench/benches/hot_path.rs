@@ -38,9 +38,9 @@ use defcon_gpusim::texture::LayeredTexture2d;
 use defcon_gpusim::trace::{BlockTrace, TraceSink};
 use defcon_gpusim::{DeviceConfig, Gpu, SamplePolicy};
 use defcon_kernels::fused::FusedTexDeformKernel;
-use defcon_kernels::im2col::{address_map, Im2colDeformKernel, Sampling};
-use defcon_kernels::op::{synthetic_inputs, synthetic_modulation, OpFamily};
-use defcon_kernels::{DeformLayerShape, TileConfig};
+use defcon_kernels::im2col::{address_map, Im2colDeformKernel};
+use defcon_kernels::op::{synthetic_inputs, synthetic_modulation, DeformConvOp, OpFamily};
+use defcon_kernels::{DeformLayerShape, SamplingMethod};
 use defcon_support::json::{Json, ToJson};
 use std::time::Instant;
 
@@ -856,35 +856,19 @@ fn main() {
     // 4 threads, fingerprint identity, and (full mode) timed comparisons.
     let mut results: Vec<Comparison> = Vec::new();
     for family in OpFamily::all() {
-        let modulation = synthetic_modulation(&shape, family, 0xA11C);
-        let im2col = Im2colDeformKernel::new(
-            shape,
-            TileConfig::default16(),
-            &x,
-            &offsets,
-            defcon_tensor::sample::OffsetTransform::Identity,
-            Sampling::Software,
-            cfg.max_texture_layers,
-            cfg.max_texture_dim,
+        let op = DeformConvOp {
             family,
-            modulation.as_ref(),
-        )
-        .expect("texture limits exceeded");
-        let mut fused = FusedTexDeformKernel::new(
-            shape,
-            TileConfig::default16(),
-            &x,
-            &offsets,
-            defcon_tensor::sample::OffsetTransform::Identity,
-            23,
-            cfg.max_texture_layers,
-            cfg.max_texture_dim,
-            family,
-            modulation.as_ref(),
-        )
-        .expect("texture limits exceeded");
-        fused.co_blocks =
-            FusedTexDeformKernel::pick_co_blocks(&shape, TileConfig::default16(), &cfg);
+            modulation: synthetic_modulation(&shape, family, 0xA11C),
+            ..DeformConvOp::baseline(shape)
+        };
+        let im2col = Im2colDeformKernel::new(&op, &x, &offsets, cfg.texture_limits())
+            .expect("texture limits exceeded");
+        let tex2d = DeformConvOp {
+            method: SamplingMethod::Tex2d,
+            ..op.clone()
+        };
+        let fused =
+            FusedTexDeformKernel::new(&tex2d, &x, &offsets, &cfg).expect("texture limits exceeded");
         let legacy_im2col = LegacyIm2colSw(&im2col);
         let legacy_fused = LegacyFused(&fused);
         let im2col_name = format!("deform_im2col_sw{}", family.label_suffix());

@@ -16,11 +16,9 @@
 use defcon_bench::{emit_json, f2, layer_sweep, Table};
 use defcon_gpusim::{DeviceConfig, Gpu, KernelReport};
 use defcon_kernels::fused::FusedTexDeformKernel;
-use defcon_kernels::im2col::{Im2colDeformKernel, Sampling};
-use defcon_kernels::op::{synthetic_inputs, OpFamily};
-use defcon_kernels::TileConfig;
+use defcon_kernels::im2col::Im2colDeformKernel;
+use defcon_kernels::op::{synthetic_inputs, DeformConvOp, SamplingMethod};
 use defcon_support::json::Json;
-use defcon_tensor::sample::OffsetTransform;
 
 fn counter_row(layer: &str, name: &str, r: &KernelReport) -> Json {
     Json::obj(vec![
@@ -60,24 +58,19 @@ fn main() {
     for shape in layer_sweep() {
         let (x, offsets) = synthetic_inputs(&shape, 4.0, 123);
         let layer = format!("{},{},{},{}", shape.c_in, shape.c_out, shape.h, shape.w);
-        for (name, sampling) in [
-            ("PyTorch", Sampling::Software),
-            ("tex2D", Sampling::Texture { frac_bits: 23 }),
-            ("tex2D++", Sampling::Texture { frac_bits: 8 }),
+        let with_method = |method| DeformConvOp {
+            method,
+            ..DeformConvOp::baseline(shape)
+        };
+        for method in [
+            SamplingMethod::SoftwareBilinear,
+            SamplingMethod::Tex2d,
+            SamplingMethod::Tex2dPlusPlus,
         ] {
-            let kernel = Im2colDeformKernel::new(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &offsets,
-                OffsetTransform::Identity,
-                sampling,
-                gpu.config().max_texture_layers,
-                gpu.config().max_texture_dim,
-                OpFamily::DcnV1,
-                None,
-            )
-            .expect("texture limits");
+            let name = method.name();
+            let op = with_method(method);
+            let kernel = Im2colDeformKernel::new(&op, &x, &offsets, gpu.config().texture_limits())
+                .expect("texture limits");
             let r = gpu.launch(&kernel);
             table.row(&[
                 layer.clone(),
@@ -94,19 +87,12 @@ fn main() {
         // only global loads are fully coalesced offsets and weights — this
         // is the configuration whose GLD efficiency the paper reports as
         // reaching 100 %.
-        let fused = FusedTexDeformKernel::new(
-            shape,
-            TileConfig::default16(),
-            &x,
-            &offsets,
-            OffsetTransform::Identity,
-            23,
-            gpu.config().max_texture_layers,
-            gpu.config().max_texture_dim,
-            OpFamily::DcnV1,
-            None,
-        )
-        .expect("texture limits");
+        let tex2d = with_method(SamplingMethod::Tex2d);
+        let mut fused =
+            FusedTexDeformKernel::new(&tex2d, &x, &offsets, gpu.config()).expect("texture limits");
+        // The figure reports the unsplit kernel (one output-channel block);
+        // its golden pins these counters.
+        fused.co_blocks = 1;
         let r = gpu.launch(&fused);
         table.row(&[
             layer.clone(),

@@ -215,31 +215,16 @@ impl LatencyLut {
         self.entries.get(key)
     }
 
-    /// Fallible `t(w_n)` lookup: [`DefconError::MissingKey`] when the key
-    /// was not collected. Prefer this on paths fed by externally loaded
-    /// tables; [`LatencyLut::dcn_overhead_ms`] keeps the hard-fail contract
-    /// for in-process search loops.
-    pub fn try_dcn_overhead_ms(&self, key: &LatencyKey) -> Result<f64, DefconError> {
+    /// `t(w_n)` for the search penalty; [`DefconError::MissingKey`] when
+    /// the key was not collected (the search must not silently treat an
+    /// unmeasured layer as free).
+    pub fn dcn_overhead_ms(&self, key: &LatencyKey) -> Result<f64, DefconError> {
         self.entries
             .get(key)
             .map(LatencyEntry::dcn_overhead_ms)
             .ok_or_else(|| DefconError::MissingKey {
                 what: format!("latency LUT key {key:?} (collected on {})", self.device),
             })
-    }
-
-    /// `t(w_n)` for the search penalty; panics if the key was not collected
-    /// (the search must not silently treat an unmeasured layer as free).
-    pub fn dcn_overhead_ms(&self, key: &LatencyKey) -> f64 {
-        self.entries
-            .get(key)
-            .unwrap_or_else(|| {
-                panic!(
-                    "latency LUT missing key {key:?} (collected on {})",
-                    self.device
-                )
-            })
-            .dcn_overhead_ms()
     }
 
     /// Number of collected keys.
@@ -369,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_route_builds_tables_for_both_substrates() {
+    fn backend_route_builds_tables_for_both_substrates() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let keys = tiny_keys();
         let method = SamplingMethod::Tex2dPlusPlus;
@@ -384,13 +369,14 @@ mod tests {
         assert_eq!(via_accel.device, "DCN-Accel-Edge");
         for key in &keys {
             // Both substrates tabulate positive overheads for the key set.
-            assert!(via_gpu.dcn_overhead_ms(key) > 0.0);
-            assert!(via_accel.dcn_overhead_ms(key) > 0.0);
+            assert!(via_gpu.dcn_overhead_ms(key)? > 0.0);
+            assert!(via_accel.dcn_overhead_ms(key)? > 0.0);
         }
+        Ok(())
     }
 
     #[test]
-    fn build_measures_both_choices() {
+    fn build_measures_both_choices() -> Result<(), DefconError> {
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let lut = LatencyLut::build(
             &gpu,
@@ -406,12 +392,13 @@ mod tests {
                 e.deform_ms > e.regular_ms,
                 "DCN must cost more than regular conv at {key:?}"
             );
-            assert!(lut.dcn_overhead_ms(&key) > 0.0);
+            assert!(lut.dcn_overhead_ms(&key)? > 0.0);
         }
+        Ok(())
     }
 
     #[test]
-    fn family_aware_lut_orders_v1_v2_v3() {
+    fn family_aware_lut_orders_v1_v2_v3() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         // The modulated (v2) and sparse-softmax (v3) kernels cost strictly
         // more than v1 at the same key: v2 adds a mask load + multiply per
@@ -428,9 +415,9 @@ mod tests {
         let v3 = LatencyLut::build(&gpu, &keys, method, pred, OpFamily::DcnV3);
         for key in &keys {
             let (o1, o2, o3) = (
-                v1.dcn_overhead_ms(key),
-                v2.dcn_overhead_ms(key),
-                v3.dcn_overhead_ms(key),
+                v1.dcn_overhead_ms(key)?,
+                v2.dcn_overhead_ms(key)?,
+                v3.dcn_overhead_ms(key)?,
             );
             assert!(o1 < o2, "v2 must cost more than v1 at {key:?}");
             assert!(o2 < o3, "v3 must cost more than v2 at {key:?}");
@@ -440,10 +427,11 @@ mod tests {
                 v2.get(key).expect("v2 entry").regular_ms
             );
         }
+        Ok(())
     }
 
     #[test]
-    fn lightweight_predictor_shrinks_overhead() {
+    fn lightweight_predictor_shrinks_overhead() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let keys = [LatencyKey {
@@ -467,11 +455,12 @@ mod tests {
             OffsetPredictorKind::Lightweight,
             OpFamily::DcnV1,
         );
-        assert!(lw.dcn_overhead_ms(&keys[0]) < std.dcn_overhead_ms(&keys[0]));
+        assert!(lw.dcn_overhead_ms(&keys[0])? < std.dcn_overhead_ms(&keys[0])?);
+        Ok(())
     }
 
     #[test]
-    fn json_round_trip() {
+    fn json_round_trip() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let lut = LatencyLut::build(
@@ -486,8 +475,9 @@ mod tests {
         assert_eq!(back.len(), lut.len());
         assert_eq!(back.device, lut.device);
         for key in tiny_keys() {
-            assert!((back.dcn_overhead_ms(&key) - lut.dcn_overhead_ms(&key)).abs() < 1e-12);
+            assert!((back.dcn_overhead_ms(&key)? - lut.dcn_overhead_ms(&key)?).abs() < 1e-12);
         }
+        Ok(())
     }
 
     #[test]
@@ -551,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn try_overhead_returns_missing_key() {
+    fn missing_key_is_a_typed_error() {
         let lut = LatencyLut::default();
         let key = LatencyKey {
             c_in: 1,
@@ -561,21 +551,8 @@ mod tests {
             stride: 1,
         };
         assert!(matches!(
-            lut.try_dcn_overhead_ms(&key),
-            Err(DefconError::MissingKey { .. })
+            lut.dcn_overhead_ms(&key),
+            Err(DefconError::MissingKey { what }) if what.starts_with("latency LUT key")
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "latency LUT missing key")]
-    fn missing_key_panics() {
-        let lut = LatencyLut::default();
-        lut.dcn_overhead_ms(&LatencyKey {
-            c_in: 1,
-            c_out: 1,
-            h: 1,
-            w: 1,
-            stride: 1,
-        });
     }
 }

@@ -166,14 +166,17 @@ impl IntervalSearch {
     /// Thin wrapper over [`IntervalSearch::run_robust`] with the default
     /// robustness knobs (no checkpointing); when no step ever produces a
     /// non-finite loss or gradient the arithmetic is identical to the
-    /// historical unguarded loop.
+    /// historical unguarded loop. Panics on any error `run_robust`
+    /// returns.
     pub fn run<M: SearchModel>(&self, model: &mut M, store: &mut ParamStore) -> SearchOutcome {
         self.run_robust(model, store, &RobustSearchConfig::default())
-            .expect("interval search could not recover from non-finite steps")
+            .expect("interval search failed (run_robust has the typed error)")
     }
 
     /// Algorithm 1 with graceful degradation:
     ///
+    /// - every slot's `t(w_n)` is looked up before training starts: a slot
+    ///   whose key the LUT never collected is [`DefconError::MissingKey`];
     /// - every optimization step is guarded: a non-finite task loss or any
     ///   non-finite parameter gradient rolls the store back to the
     ///   pre-step snapshot, backs off the learning rate
@@ -212,8 +215,8 @@ impl IntervalSearch {
             ]
         });
         let lat: Vec<f32> = (0..model.num_slots())
-            .map(|i| self.lut.dcn_overhead_ms(&model.latency_key(i)) as f32)
-            .collect();
+            .map(|i| Ok(self.lut.dcn_overhead_ms(&model.latency_key(i))? as f32))
+            .collect::<Result<_, DefconError>>()?;
         let mut opt = Sgd::new(self.config.lr, 0.9, 0.0);
         let mut loss_history: Vec<f32> = Vec::new();
         let mut final_loss = f32::NAN;
@@ -495,7 +498,18 @@ mod tests {
     struct ToyNet {
         slots: Vec<DualPathConv>,
         data: Vec<(Tensor, Tensor)>,
+        /// Per-slot LUT keys (both [`TOY_KEY`] unless a test says otherwise).
+        keys: [LatencyKey; 2],
     }
+
+    /// The latency key every [`tiny_lut`] tabulates.
+    const TOY_KEY: LatencyKey = LatencyKey {
+        c_in: 16,
+        c_out: 16,
+        h: 16,
+        w: 16,
+        stride: 1,
+    };
 
     impl ToyNet {
         fn new(store: &mut ParamStore) -> Self {
@@ -520,7 +534,11 @@ mod tests {
                 }
                 data.push((x, y));
             }
-            ToyNet { slots, data }
+            ToyNet {
+                slots,
+                data,
+                keys: [TOY_KEY; 2],
+            }
         }
     }
 
@@ -531,14 +549,8 @@ mod tests {
         fn alpha(&self, i: usize) -> ParamId {
             self.slots[i].alpha
         }
-        fn latency_key(&self, _i: usize) -> LatencyKey {
-            LatencyKey {
-                c_in: 16,
-                c_out: 16,
-                h: 16,
-                w: 16,
-                stride: 1,
-            }
+        fn latency_key(&self, i: usize) -> LatencyKey {
+            self.keys[i]
         }
         fn set_temperature(&mut self, tau: f32) {
             for s in &mut self.slots {
@@ -562,13 +574,7 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         LatencyLut::build(
             &gpu,
-            &[LatencyKey {
-                c_in: 16,
-                c_out: 16,
-                h: 16,
-                w: 16,
-                stride: 1,
-            }],
+            &[TOY_KEY],
             SamplingMethod::SoftwareBilinear,
             OffsetPredictorKind::Standard,
             OpFamily::DcnV1,
@@ -576,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn search_runs_and_freezes() {
+    fn search_runs_and_freezes() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let mut store = ParamStore::new();
         let mut net = ToyNet::new(&mut store);
@@ -592,8 +598,30 @@ mod tests {
         assert_eq!(out.loss_history.len(), 5);
         assert_eq!(out.layout().len(), 2);
         // After freezing, the DCN overhead is the sum over chosen slots.
-        let per_slot = search.lut.dcn_overhead_ms(&net.latency_key(0));
+        let per_slot = search.lut.dcn_overhead_ms(&net.latency_key(0))?;
         assert!((out.dcn_overhead_ms - per_slot * out.num_dcn() as f64).abs() < 1e-9);
+        Ok(())
+    }
+
+    /// A slot whose key the LUT never collected is a typed error before
+    /// any training step, never a panic and never a free layer.
+    #[test]
+    fn untabulated_slot_is_a_missing_key_error() {
+        let _quiet = fault::quiesce();
+        let mut store = ParamStore::new();
+        let mut net = ToyNet::new(&mut store);
+        net.keys[1] = LatencyKey {
+            stride: 2,
+            ..TOY_KEY
+        };
+        let search = IntervalSearch::new(small_cfg(), tiny_lut());
+        let err = search
+            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
+            .err();
+        assert!(
+            matches!(&err, Some(DefconError::MissingKey { what }) if what.contains("stride: 2")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -621,21 +649,14 @@ mod tests {
     /// sees — and the frozen outcome's `dcn_overhead_ms` accounting —
     /// order v1 < v2 < v3 on the texture path.
     #[test]
-    fn family_aware_lut_flows_into_the_search_space() {
+    fn family_aware_lut_flows_into_the_search_space() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let key = LatencyKey {
-            c_in: 16,
-            c_out: 16,
-            h: 16,
-            w: 16,
-            stride: 1,
-        };
         let mut overheads = Vec::new();
         for family in OpFamily::all() {
             let lut = LatencyLut::build(
                 &gpu,
-                &[key],
+                &[TOY_KEY],
                 SamplingMethod::Tex2d,
                 OffsetPredictorKind::Standard,
                 family,
@@ -644,7 +665,7 @@ mod tests {
             let mut net = ToyNet::new(&mut store);
             let search = IntervalSearch::new(small_cfg(), lut);
             let out = search.run(&mut net, &mut store);
-            let per_slot = search.lut.dcn_overhead_ms(&net.latency_key(0));
+            let per_slot = search.lut.dcn_overhead_ms(&net.latency_key(0))?;
             // The driver prices slots through the f32 `lat` vector, so the
             // accounting identity holds at f32 resolution.
             let priced = (per_slot as f32) as f64;
@@ -658,6 +679,7 @@ mod tests {
             overheads[0] < overheads[1] && overheads[1] < overheads[2],
             "per-slot t(w) must order v1 < v2 < v3: {overheads:?}"
         );
+        Ok(())
     }
 
     #[test]

@@ -1259,7 +1259,7 @@ impl SimServer {
 
     fn lut_overhead(&self, req: &SimRequest) -> Option<f64> {
         let lut = self.lut.as_ref()?;
-        lut.try_dcn_overhead_ms(&LatencyKey::of(&req.layer)).ok()
+        lut.dcn_overhead_ms(&LatencyKey::of(&req.layer)).ok()
     }
 
     /// Drives a whole request stream through admission control. Per

@@ -338,6 +338,12 @@ impl DeviceConfig {
         Ok(())
     }
 
+    /// The layered-texture limits `(max layers, max extent)` every texture
+    /// bound on this device must fit (§III-B).
+    pub fn texture_limits(&self) -> (usize, usize) {
+        (self.max_texture_layers, self.max_texture_dim)
+    }
+
     /// Peak FP32 throughput in GFLOP/s (2 flops per FMA).
     pub fn peak_gflops(&self) -> f64 {
         2.0 * self.num_sms as f64 * self.fp32_lanes_per_sm as f64 * self.core_clock_ghz

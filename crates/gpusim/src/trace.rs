@@ -114,7 +114,7 @@ pub struct BlockCost {
 /// # Zero-allocation contract
 ///
 /// The sink owns fixed-capacity [`LaneBuf`] scratch for every warp-level
-/// event class (lane addresses, coalesced sectors, texture coordinates,
+/// event class (lane addresses, coalesced sectors, texture fetch plans,
 /// filtered outputs). Kernels that stage their events through the `_into`
 /// entry points ([`TraceSink::global_load_into`],
 /// [`TraceSink::global_store_into`], [`TraceSink::tex_fetch_warp_into`])
@@ -137,8 +137,6 @@ pub struct TraceSink<'a> {
     lane_addrs: LaneBuf<u64>,
     /// Unique coalesced sectors of the current instruction.
     sectors: LaneBuf<u64>,
-    /// Staged lane coordinates of the current texture instruction.
-    coords: LaneBuf<(f32, f32)>,
     /// Layer-independent fetch plans staged for the current texture warp —
     /// computed once per coordinate set and replayed per layer.
     plans: LaneBuf<FetchPlan>,
@@ -183,7 +181,6 @@ impl<'a> TraceSink<'a> {
             tex_stats: TexStats::default(),
             lane_addrs: LaneBuf::new(),
             sectors: LaneBuf::new(),
-            coords: LaneBuf::new(),
             plans: LaneBuf::new(),
             tex_out: LaneBuf::new(),
             l1_sector_shift,
@@ -372,9 +369,7 @@ impl<'a> TraceSink<'a> {
         coords: &[(f32, f32)],
         out: &mut Vec<f32>,
     ) {
-        self.coords.fill_from(coords.iter().copied());
-        self.tex_fetch_staged(tex, layer);
-        out.extend_from_slice(&self.tex_out);
+        out.extend_from_slice(self.tex_fetch_warp_into(tex, layer, coords.iter().copied()));
     }
 
     /// [`TraceSink::tex_fetch_warp`] fed by an iterator of lane coordinates;
@@ -386,9 +381,8 @@ impl<'a> TraceSink<'a> {
         layer: usize,
         coords: impl IntoIterator<Item = (f32, f32)>,
     ) -> &[f32] {
-        self.coords.fill_from(coords);
-        self.tex_fetch_staged(tex, layer);
-        &self.tex_out
+        self.tex_stage_warp(tex, coords);
+        self.tex_fetch_staged_warp(tex, layer)
     }
 
     /// Stages a warp's texture coordinates **without issuing a fetch**:
@@ -405,12 +399,9 @@ impl<'a> TraceSink<'a> {
         tex: &LayeredTexture2d,
         coords: impl IntoIterator<Item = (f32, f32)>,
     ) {
-        self.coords.fill_from(coords);
-        self.plans.clear();
-        for i in 0..self.coords.len() {
-            let (y, x) = self.coords[i];
-            self.plans.push(tex.plan_fetch(y, x));
-        }
+        self.plans
+            .fill_from(coords.into_iter().map(|(y, x)| tex.plan_fetch(y, x)));
+        debug_assert!(self.plans.len() <= self.cfg.warp_size);
         self.tex_stats.plan_warps += 1;
     }
 
@@ -422,19 +413,6 @@ impl<'a> TraceSink<'a> {
     pub fn tex_fetch_staged_warp(&mut self, tex: &LayeredTexture2d, layer: usize) -> &[f32] {
         self.tex_replay_plans(tex, layer);
         &self.tex_out
-    }
-
-    /// Texture path over the staged `coords`: plan each coordinate, then
-    /// replay the plans against `layer`.
-    fn tex_fetch_staged(&mut self, tex: &LayeredTexture2d, layer: usize) {
-        debug_assert!(self.coords.len() <= self.cfg.warp_size);
-        self.plans.clear();
-        for i in 0..self.coords.len() {
-            let (y, x) = self.coords[i];
-            self.plans.push(tex.plan_fetch(y, x));
-        }
-        self.tex_stats.plan_warps += 1;
-        self.tex_replay_plans(tex, layer);
     }
 
     /// The texture instruction proper: walks the staged plans' footprints
@@ -507,16 +485,6 @@ impl<'a> TraceSink<'a> {
         }
         self.cost.latency_cycles += worst as u64;
     }
-
-    /// Single-lane convenience wrapper over the staged texture path. Unlike
-    /// the pre-optimization version, it does **not** allocate a per-fetch
-    /// `Vec` — the value comes straight out of the sink's scratch.
-    pub fn tex_fetch(&mut self, tex: &LayeredTexture2d, layer: usize, y: f32, x: f32) -> f32 {
-        self.coords.clear();
-        self.coords.push((y, x));
-        self.tex_fetch_staged(tex, layer);
-        self.tex_out[0]
-    }
 }
 
 #[cfg(test)]
@@ -573,8 +541,8 @@ mod tests {
         let data: Vec<f32> = (0..64).map(|v| v as f32).collect();
         let t = LayeredTexture2d::new(data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
-        let v = sink.tex_fetch(&t, 0, 3.0, 4.0);
-        assert_eq!(v, 28.0);
+        let v = sink.tex_fetch_warp_into(&t, 0, [(3.0, 4.0)]);
+        assert_eq!(v, [28.0]);
         assert_eq!(sink.counters.tex_requests, 1);
         assert_eq!(sink.cost.tex_fetches_fp32, 1);
         assert_eq!(
@@ -590,7 +558,7 @@ mod tests {
         let mut t = LayeredTexture2d::new(data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
         t.filter_mode = FilterMode::Linear { frac_bits: 8 };
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
-        sink.tex_fetch(&t, 0, 2.5, 2.5);
+        sink.tex_fetch_warp_into(&t, 0, [(2.5, 2.5)]);
         assert_eq!(sink.cost.tex_fetches_fp16, 1);
         assert_eq!(sink.cost.tex_fetches_fp32, 0);
     }
@@ -604,7 +572,7 @@ mod tests {
         // A tight 2-D walk: overwhelmingly texture-cache hits after warmup.
         for y in 0..8 {
             for x in 0..8 {
-                sink.tex_fetch(&t, 0, y as f32 + 0.3, x as f32 + 0.3);
+                sink.tex_fetch_warp_into(&t, 0, [(y as f32 + 0.3, x as f32 + 0.3)]);
             }
         }
         assert!(

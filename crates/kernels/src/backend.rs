@@ -17,10 +17,10 @@
 //!
 //! For a fixed `(op, x, offsets, weight)`, `Backend::execute` must return
 //! byte-identical tensors on every backend. The contract is achievable
-//! because the numeric pipeline is shared: per-element sampling goes
-//! through `Im2colDeformKernel`'s coordinate/modulation/sampler path, and
-//! the GEMM epilogue's per-element reduction order is blocking-invariant
-//! (see `defcon_tensor::gemm`). Timing (`launch_*`) is backend-specific
+//! because the numeric pipeline is shared: every backend materializes its
+//! columns with `im2col_deform_numeric_tile` (gpusim's whole output plane
+//! is one tile), and the GEMM epilogue's per-element reduction order is
+//! blocking-invariant (see `defcon_tensor::gemm`). Timing (`launch_*`) is backend-specific
 //! by design — that is the point of having backends.
 
 use defcon_gpusim::{Gpu, KernelReport};

@@ -16,11 +16,13 @@
 //! in registers while looping over `(tap, c_in)`, fetching each sample
 //! exactly once.
 
-use crate::im2col::address_map;
+use crate::im2col::{address_map, bind_texture, sample_coord, trace_tap_prologue, OutputTile};
 use crate::layer::{DeformLayerShape, TileConfig};
-use crate::op::OpFamily;
-use defcon_gpusim::texture::{AddressMode, FilterMode, LayeredTexture2d, TextureLimitError};
-use defcon_gpusim::trace::{BlockTrace, LaneBuf, TraceSink};
+use crate::op::{DeformConvOp, OpFamily, SamplingMethod};
+use defcon_gpusim::texture::LayeredTexture2d;
+use defcon_gpusim::trace::{BlockTrace, TraceSink};
+use defcon_gpusim::DeviceConfig;
+use defcon_support::error::DefconError;
 use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::Tensor;
 
@@ -36,61 +38,47 @@ pub struct FusedTexDeformKernel<'a> {
     pub offset_transform: OffsetTransform,
     /// Input feature map bound as a layered texture.
     pub texture: LayeredTexture2d,
-    /// Filter-fraction bits (23 = `tex2D`, 8 = `tex2D++`).
-    pub frac_bits: u32,
+    /// Texture sampling method (`tex2D` or `tex2D++`; names the launch).
+    pub method: SamplingMethod,
     /// Output-channel blocking factor: the grid is additionally split into
     /// `co_blocks` channel groups so small feature maps still fill every
     /// SM; each group re-fetches the samples (the honest cost of the
-    /// split). Pick with [`FusedTexDeformKernel::pick_co_blocks`].
+    /// split). [`FusedTexDeformKernel::new`] sets it with
+    /// [`FusedTexDeformKernel::pick_co_blocks`].
     pub co_blocks: usize,
     /// Operator generation; gates the modulation loads and arithmetic
     /// (v1 traces are byte-identical to the pre-family kernel).
     pub family: OpFamily,
-    /// Modulation tensor `[N, G·k², outH, outW]` (mask for v2, logits for
-    /// v3); `None` is the neutral element. Values only matter to the
-    /// numeric path (`DeformConvOp::execute`), never to the trace.
-    pub modulation: Option<&'a Tensor>,
 }
 
 impl<'a> FusedTexDeformKernel<'a> {
-    /// Builds the kernel for `family`, binding `x` as a layered texture
-    /// with border addressing and the requested filter precision;
-    /// `modulation` is the optional borrowed mask (v2) or logits (v3).
-    #[allow(clippy::too_many_arguments)]
+    /// DEFCON's kernel for the texture method of `op`: binds `x` as a
+    /// layered texture (border addressing, the method's filter precision)
+    /// within `cfg`'s texture limits and splits the output channels into
+    /// [`FusedTexDeformKernel::pick_co_blocks`] blocks for `cfg`. A texture
+    /// the limits cannot hold is the degradable `texture-limit` constraint;
+    /// a software-method op has no texture to fuse and is a
+    /// [`DefconError::Constraint`] too.
     pub fn new(
-        shape: DeformLayerShape,
-        tile: TileConfig,
+        op: &DeformConvOp,
         x: &Tensor,
         offsets: &'a Tensor,
-        offset_transform: OffsetTransform,
-        frac_bits: u32,
-        max_layers: usize,
-        max_dim: usize,
-        family: OpFamily,
-        modulation: Option<&'a Tensor>,
-    ) -> Result<Self, TextureLimitError> {
-        let (n, c, h, w) = x.shape().nchw();
-        let mut texture = LayeredTexture2d::new(
-            x.data().to_vec(),
-            n * c,
-            h,
-            w,
-            address_map::TEXTURE,
-            max_layers,
-            max_dim,
-        )?;
-        texture.filter_mode = FilterMode::Linear { frac_bits };
-        texture.address_mode = AddressMode::Border;
+        cfg: &DeviceConfig,
+    ) -> Result<Self, DefconError> {
+        let texture =
+            bind_texture(op, x, cfg.texture_limits())?.ok_or_else(|| DefconError::Constraint {
+                what: "fused-kernel".into(),
+                detail: format!("{} sampling binds no texture to fuse", op.method.name()),
+            })?;
         Ok(FusedTexDeformKernel {
-            shape,
-            tile,
+            shape: op.shape,
+            tile: op.tile,
             offsets,
-            offset_transform,
+            offset_transform: op.offset_transform,
             texture,
-            frac_bits,
-            co_blocks: 1,
-            family,
-            modulation,
+            method: op.method,
+            co_blocks: Self::pick_co_blocks(&op.shape, op.tile, cfg),
+            family: op.family,
         })
     }
 
@@ -98,13 +86,9 @@ impl<'a> FusedTexDeformKernel<'a> {
     /// splitting output channels across `B` blocks fills more SMs and
     /// shrinks per-block compute, but re-fetches every sample `B` times.
     /// The estimate mirrors the engine's wave/roofline model.
-    pub fn pick_co_blocks(
-        shape: &DeformLayerShape,
-        tile: TileConfig,
-        cfg: &defcon_gpusim::DeviceConfig,
-    ) -> usize {
-        let (oh, ow) = shape.out_hw();
-        let spatial = (shape.n * oh.div_ceil(tile.h) * ow.div_ceil(tile.w)).max(1);
+    pub fn pick_co_blocks(shape: &DeformLayerShape, tile: TileConfig, cfg: &DeviceConfig) -> usize {
+        let (rows, columns) = OutputTile::grid(shape, tile);
+        let spatial = (shape.n * rows * columns).max(1);
         let tile_elems = tile.threads() as f64;
         let fetches_per_block = (shape.c_in * shape.kernel * shape.kernel) as f64 * tile_elems;
         let macs = shape.conv_macs() as f64;
@@ -128,31 +112,12 @@ impl<'a> FusedTexDeformKernel<'a> {
         }
         best.1
     }
-
-    fn tiles_xy(&self) -> (usize, usize) {
-        let (oh, ow) = self.shape.out_hw();
-        (oh.div_ceil(self.tile.h), ow.div_ceil(self.tile.w))
-    }
-
-    #[inline]
-    fn offset_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let oc = self.shape.offset_channels();
-        address_map::OFFSETS + 4 * (((ni * oc + ch) * oh + oy) * ow + ox) as u64
-    }
-
-    #[inline]
-    fn modulation_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let mc = self.shape.deform_groups * self.shape.kernel * self.shape.kernel;
-        address_map::MODULATION + 4 * (((ni * mc + ch) * oh + oy) * ow + ox) as u64
-    }
 }
 
 impl BlockTrace for FusedTexDeformKernel<'_> {
     fn grid_blocks(&self) -> usize {
-        let (ty, tx) = self.tiles_xy();
-        self.shape.n * self.co_blocks * ty * tx
+        let (rows, columns) = OutputTile::grid(&self.shape, self.tile);
+        self.shape.n * self.co_blocks * rows * columns
     }
 
     fn block_threads(&self) -> usize {
@@ -160,24 +125,22 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
     }
 
     fn label(&self) -> String {
-        let base = if self.frac_bits <= 10 {
-            "deform_fused_tex2dpp"
-        } else {
-            "deform_fused_tex2d"
-        };
-        format!("{base}{}", self.family.label_suffix())
+        format!(
+            "deform_fused_{}{}",
+            self.method.label_stem(),
+            self.family.label_suffix()
+        )
     }
 
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
-        let (ty_count, tx_count) = self.tiles_xy();
-        let per_n = self.co_blocks * ty_count * tx_count;
+        let (rows, columns) = OutputTile::grid(&s, self.tile);
+        let per_n = self.co_blocks * rows * columns;
         let ni = block / per_n;
         let rem = block % per_n;
-        let co_blk = rem / (ty_count * tx_count);
-        let t = rem % (ty_count * tx_count);
-        let (tile_y, tile_x) = (t / tx_count, t % tx_count);
+        let co_blk = rem / (rows * columns);
+        let out_tile = OutputTile::nth(&s, self.tile, rem % (rows * columns));
         let kk = s.kernel * s.kernel;
         let ch_per_group = s.c_in / s.deform_groups;
         // This block's slice of output channels.
@@ -191,98 +154,36 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
         // All warp events are staged through fixed-capacity `LaneBuf`s /
         // sink iterators — no heap allocation per block (see
         // `tests/zero_alloc.rs`).
-        let threads = self.tile.threads();
-        let mut lanes: LaneBuf<(usize, usize)> = LaneBuf::new();
-        let mut coords: LaneBuf<(f32, f32)> = LaneBuf::new();
-        for warp_start in (0..threads).step_by(32) {
-            lanes.fill_from(
-                (warp_start..(warp_start + 32).min(threads)).filter_map(|tid| {
-                    let oy = tile_y * self.tile.h + tid / self.tile.w;
-                    let ox = tile_x * self.tile.w + tid % self.tile.w;
-                    (oy < oh && ox < ow).then_some((oy, ox))
-                }),
-            );
-            if lanes.is_empty() {
-                continue;
-            }
+        out_tile.for_each_warp(|lanes| {
             let nl = lanes.len() as u64;
-
             for g in 0..s.deform_groups {
                 for tap in 0..kk {
-                    let ch = 2 * (g * kk + tap);
-                    // Offsets loaded once per (group, tap) — coalesced.
-                    sink.global_load_into(
-                        lanes
-                            .iter()
-                            .map(|&(oy, ox)| self.offset_addr(ni, ch, oy, ox)),
-                    );
-                    sink.global_load_into(
-                        lanes
-                            .iter()
-                            .map(|&(oy, ox)| self.offset_addr(ni, ch + 1, oy, ox)),
-                    );
-                    sink.alu(4 * nl);
-                    sink.flop(4 * nl); // p = p_o + p_i + Δp
-
-                    // Family-specific modulation traffic, once per
-                    // (group, tap) — the factor is shared by every channel
-                    // of the group, exactly like the coordinates below.
-                    // Gated on family so v1 stays byte-identical.
-                    match self.family {
-                        OpFamily::DcnV1 => {}
-                        OpFamily::DcnV2 => {
-                            sink.global_load_into(
-                                lanes.iter().map(|&(oy, ox)| {
-                                    self.modulation_addr(ni, g * kk + tap, oy, ox)
-                                }),
-                            );
-                            sink.flop(nl);
-                        }
-                        OpFamily::DcnV3 => {
-                            sink.global_load_into(
-                                lanes.iter().map(|&(oy, ox)| {
-                                    self.modulation_addr(ni, g * kk + tap, oy, ox)
-                                }),
-                            );
-                            sink.flop(3 * nl);
-                            sink.alu(nl);
-                        }
-                    }
-
-                    let (ki, kj) = (tap / s.kernel, tap % s.kernel);
+                    // Offsets and modulation load once per (group, tap):
+                    // every channel of the group shares them.
+                    trace_tap_prologue(sink, &s, self.family, lanes, ni, g, tap);
                     // Every channel of this deformable group samples at the
-                    // same coordinates, so compute them once per (g, tap)
-                    // instead of once per channel — `ch_per_group`× fewer
-                    // offset reads and coordinate transforms, identical
-                    // values fed to every fetch.
-                    coords.fill_from(lanes.iter().map(|&(oy, ox)| {
-                        let dy = self
-                            .offset_transform
-                            .apply(self.offsets.at4(ni, ch, oy, ox));
-                        let dx = self
-                            .offset_transform
-                            .apply(self.offsets.at4(ni, ch + 1, oy, ox));
-                        let py = (oy * s.stride + ki) as f32 - s.pad as f32 + dy;
-                        let px = (ox * s.stride + kj) as f32 - s.pad as f32 + dx;
-                        (py, px)
-                    }));
-                    // Stage the warp's fetch plans once per (g, tap): the
-                    // floor/quantize/address-mode work is shared by every
+                    // same coordinates, so stage the warp's fetch plans once
+                    // per (g, tap): the coordinate transform and the
+                    // floor/quantize/address-mode work are shared by every
                     // channel of the group (the layers differ, the plans do
                     // not), so each per-channel fetch below is just a plan
                     // replay — a weighted sum plus the cache walk.
-                    sink.tex_stage_warp(&self.texture, coords.iter().copied());
+                    sink.tex_stage_warp(
+                        &self.texture,
+                        lanes.iter().map(|&p| {
+                            sample_coord(&s, self.offsets, self.offset_transform, ni, g, tap, p)
+                        }),
+                    );
                     // Each sample feeds C_out FMAs.
                     for ci in g * ch_per_group..(g + 1) * ch_per_group {
-                        let layer = ni * s.c_in + ci;
-                        sink.tex_fetch_staged_warp(&self.texture, layer);
+                        sink.tex_fetch_staged_warp(&self.texture, ni * s.c_in + ci);
                         // The fetched sample multiplies into this block's
                         // output-channel register accumulators.
                         sink.fma(nl * co_here as u64);
                     }
                 }
             }
-        }
+        });
         // Weight streaming: each (ci, tap, co) weight read once per block,
         // coalesced (served from L2 after the first block touches it).
         let wf = s.c_in * kk * co_here;
@@ -293,23 +194,13 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
             );
         }
         // Output stores: C_out values per covered position.
-        for warp_start in (0..threads).step_by(32) {
-            lanes.fill_from(
-                (warp_start..(warp_start + 32).min(threads)).filter_map(|tid| {
-                    let oy = tile_y * self.tile.h + tid / self.tile.w;
-                    let ox = tile_x * self.tile.w + tid % self.tile.w;
-                    (oy < oh && ox < ow).then_some((oy, ox))
-                }),
-            );
-            if lanes.is_empty() {
-                continue;
-            }
+        out_tile.for_each_warp(|lanes| {
             for co in co_lo..co_lo + co_here {
                 sink.global_store_into(lanes.iter().map(|&(oy, ox)| {
                     address_map::OUTPUT + 4 * (((ni * s.c_out + co) * oh + oy) * ow + ox) as u64
                 }));
             }
-        }
+        });
     }
 }
 
@@ -317,34 +208,38 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
 mod tests {
     use super::*;
     use crate::op::synthetic_inputs;
-    use defcon_gpusim::{DeviceConfig, Gpu};
+    use defcon_gpusim::Gpu;
 
     fn build<'a>(
-        frac_bits: u32,
+        method: SamplingMethod,
         shape: DeformLayerShape,
         x: &Tensor,
         off: &'a Tensor,
     ) -> FusedTexDeformKernel<'a> {
-        FusedTexDeformKernel::new(
-            shape,
-            TileConfig::default16(),
-            x,
-            off,
-            OffsetTransform::Identity,
-            frac_bits,
-            2048,
-            32768,
-            OpFamily::DcnV1,
-            None,
-        )
-        .unwrap()
+        let op = DeformConvOp {
+            method,
+            ..DeformConvOp::baseline(shape)
+        };
+        FusedTexDeformKernel::new(&op, x, off, &DeviceConfig::xavier_agx()).unwrap()
+    }
+
+    #[test]
+    fn software_op_is_a_typed_constraint() {
+        let shape = DeformLayerShape::same3x3(4, 4, 8, 8);
+        let (x, off) = synthetic_inputs(&shape, 2.0, 6);
+        let op = DeformConvOp::baseline(shape);
+        let err = FusedTexDeformKernel::new(&op, &x, &off, &DeviceConfig::xavier_agx()).err();
+        assert!(
+            matches!(&err, Some(DefconError::Constraint { what, .. }) if what == "fused-kernel"),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn grid_is_spatial_only() {
         let shape = DeformLayerShape::same3x3(32, 32, 33, 33);
         let (x, off) = synthetic_inputs(&shape, 2.0, 1);
-        let k = build(23, shape, &x, &off);
+        let k = build(SamplingMethod::Tex2d, shape, &x, &off);
         // 33x33 output, 16x16 tiles -> 3x3 tiles, one batch.
         assert_eq!(k.grid_blocks(), 9);
     }
@@ -353,7 +248,7 @@ mod tests {
     fn fetch_count_is_cin_k2_per_output() {
         let shape = DeformLayerShape::same3x3(8, 4, 16, 16);
         let (x, off) = synthetic_inputs(&shape, 2.0, 2);
-        let k = build(23, shape, &x, &off);
+        let k = build(SamplingMethod::Tex2d, shape, &x, &off);
         let gpu = Gpu::with_policy(
             DeviceConfig::xavier_agx(),
             defcon_gpusim::SamplePolicy::exhaustive(),
@@ -388,7 +283,7 @@ mod tests {
         let shape = DeformLayerShape::same3x3(16, 16, 32, 32);
         let (x, off) = synthetic_inputs(&shape, 2.0, 3);
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let r = gpu.launch(&build(23, shape, &x, &off));
+        let r = gpu.launch(&build(SamplingMethod::Tex2d, shape, &x, &off));
         // Global stores are exactly the output tensor (per simulated share).
         let out_bytes = r.counters.gst_requested_bytes;
         let expect = (16 * 32 * 32 * 4) as u64;
@@ -403,8 +298,8 @@ mod tests {
         let shape = DeformLayerShape::same3x3(64, 64, 35, 35);
         let (x, off) = synthetic_inputs(&shape, 4.0, 4);
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let t2 = gpu.launch(&build(23, shape, &x, &off));
-        let tpp = gpu.launch(&build(8, shape, &x, &off));
+        let t2 = gpu.launch(&build(SamplingMethod::Tex2d, shape, &x, &off));
+        let tpp = gpu.launch(&build(SamplingMethod::Tex2dPlusPlus, shape, &x, &off));
         assert!(
             tpp.time_ms <= t2.time_ms,
             "tex2D++ {} > tex2D {}",
@@ -420,7 +315,7 @@ mod tests {
         let shape = DeformLayerShape::same3x3(32, 32, 32, 32);
         let (x, off) = synthetic_inputs(&shape, 4.0, 5);
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let r = gpu.launch(&build(23, shape, &x, &off));
+        let r = gpu.launch(&build(SamplingMethod::Tex2d, shape, &x, &off));
         assert!(
             r.counters.gld_efficiency() > 95.0,
             "{}",

@@ -9,10 +9,11 @@
 //! filter.
 
 use crate::layer::{DeformLayerShape, TileConfig};
-use crate::op::OpFamily;
-use defcon_gpusim::texture::LayeredTexture2d;
+use crate::op::{DeformConvOp, OpFamily, SamplingMethod};
+use defcon_gpusim::texture::{AddressMode, FilterMode, LayeredTexture2d};
 use defcon_gpusim::trace::{BlockTrace, LaneBuf, TraceSink};
-use defcon_tensor::sample::{tap_softmax, OffsetTransform};
+use defcon_support::error::DefconError;
+use defcon_tensor::sample::{bilinear_sample, tap_softmax, OffsetTransform};
 use defcon_tensor::Tensor;
 
 /// Simulated address-space bases (one region per buffer, far apart so cache
@@ -34,17 +35,158 @@ pub mod address_map {
     pub const TEXTURE: u64 = 0x8000_0000;
 }
 
-/// How the sampling stage reads the input feature map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Sampling {
-    /// Software bilinear from global memory (PyTorch baseline).
-    Software,
-    /// Hardware-filtered fetches from a layered texture; `frac_bits`
-    /// controls the filter precision (23 = `tex2D`, 8 = `tex2D++`).
-    Texture {
-        /// Interpolation-fraction bits.
-        frac_bits: u32,
-    },
+/// Binds `x` as the layered texture `op`'s method samples from — border
+/// addressing, the method's filter precision — within the device's
+/// `(max layers, max extent)` texture limits. `None` for software
+/// sampling, which reads global memory. A texture the limits cannot hold
+/// (or an injected `texture.limit` fault) is the degradable `texture-limit`
+/// constraint the fallback ladder dispatches on.
+pub(crate) fn bind_texture(
+    op: &DeformConvOp,
+    x: &Tensor,
+    (max_layers, max_dim): (usize, usize),
+) -> Result<Option<LayeredTexture2d>, DefconError> {
+    let Some(frac_bits) = op.method.frac_bits() else {
+        return Ok(None);
+    };
+    let (n, c, h, w) = x.shape().nchw();
+    let mut texture = LayeredTexture2d::new(
+        x.data().to_vec(),
+        n * c,
+        h,
+        w,
+        address_map::TEXTURE,
+        max_layers,
+        max_dim,
+    )
+    .map_err(|e| DefconError::Constraint {
+        what: "texture-limit".into(),
+        detail: e.message,
+    })?;
+    texture.filter_mode = FilterMode::Linear { frac_bits };
+    texture.address_mode = AddressMode::Border;
+    Ok(Some(texture))
+}
+
+/// The output tile one thread block covers. Threads cover the tile
+/// row-major; lanes of one warp are consecutive threads (so consecutive
+/// output columns, wrapping at tile width — the standard CUDA mapping).
+pub(crate) struct OutputTile {
+    tile: TileConfig,
+    y0: usize,
+    x0: usize,
+    out_hw: (usize, usize),
+}
+
+impl OutputTile {
+    /// The tile grid `(rows, columns)` covering `shape`'s output plane.
+    pub(crate) fn grid(shape: &DeformLayerShape, tile: TileConfig) -> (usize, usize) {
+        let (oh, ow) = shape.out_hw();
+        (oh.div_ceil(tile.h), ow.div_ceil(tile.w))
+    }
+
+    /// Tile `t` of that grid, counted row-major.
+    pub(crate) fn nth(shape: &DeformLayerShape, tile: TileConfig, t: usize) -> Self {
+        let columns = Self::grid(shape, tile).1;
+        OutputTile {
+            tile,
+            y0: (t / columns) * tile.h,
+            x0: (t % columns) * tile.w,
+            out_hw: shape.out_hw(),
+        }
+    }
+
+    /// Calls `f` with each warp's output positions, dropping lanes past the
+    /// plane's edge and warps left with none. The positions are staged in a
+    /// fixed-capacity `LaneBuf`, so walking the warps allocates nothing (see
+    /// `tests/zero_alloc.rs`).
+    pub(crate) fn for_each_warp(&self, mut f: impl FnMut(&[(usize, usize)])) {
+        let threads = self.tile.threads();
+        let (oh, ow) = self.out_hw;
+        let mut lanes: LaneBuf<(usize, usize)> = LaneBuf::new();
+        for warp_start in (0..threads).step_by(32) {
+            lanes.fill_from(
+                (warp_start..(warp_start + 32).min(threads)).filter_map(|tid| {
+                    let oy = self.y0 + tid / self.tile.w;
+                    let ox = self.x0 + tid % self.tile.w;
+                    (oy < oh && ox < ow).then_some((oy, ox))
+                }),
+            );
+            if !lanes.is_empty() {
+                f(&lanes);
+            }
+        }
+    }
+}
+
+/// The warp prologue both deformable trace kernels emit per (group, tap):
+/// two coalesced loads of the (Δy, Δx) offsets, the sampling-position
+/// arithmetic, then the family's modulation traffic. Gated on the family
+/// (not on a modulation tensor being present) so a served request without
+/// one still traces honestly; `DcnV1` emits nothing extra and stays
+/// byte-identical to the pre-family kernels.
+pub(crate) fn trace_tap_prologue(
+    sink: &mut TraceSink,
+    shape: &DeformLayerShape,
+    family: OpFamily,
+    lanes: &[(usize, usize)],
+    ni: usize,
+    g: usize,
+    tap: usize,
+) {
+    let (oh, ow) = shape.out_hw();
+    let kk = shape.kernel * shape.kernel;
+    // Lane addresses of plane `ch` of an `[N, channels, outH, outW]` tensor.
+    let plane = |base: u64, channels: usize, ch: usize| {
+        lanes
+            .iter()
+            .map(move |&(oy, ox)| base + 4 * (((ni * channels + ch) * oh + oy) * ow + ox) as u64)
+    };
+    let ch = 2 * (g * kk + tap);
+    sink.global_load_into(plane(address_map::OFFSETS, shape.offset_channels(), ch));
+    sink.global_load_into(plane(address_map::OFFSETS, shape.offset_channels(), ch + 1));
+    let nl = lanes.len() as u64;
+    sink.alu(4 * nl);
+    sink.flop(4 * nl); // p = p_o + p_i + Δp (fp adds, x and y)
+    let (flops, alus) = match family {
+        OpFamily::DcnV1 => return,
+        // The per-lane mask multiply.
+        OpFamily::DcnV2 => (nl, 0),
+        // The tap's share of the grouped softmax: exp, normalizing
+        // accumulate, weighted multiply (≈3 flops/lane) and the
+        // max-subtract bookkeeping.
+        OpFamily::DcnV3 => (3 * nl, nl),
+    };
+    // One coalesced mask (v2) or logit (v3) load.
+    sink.global_load_into(plane(
+        address_map::MODULATION,
+        shape.deform_groups * kk,
+        g * kk + tap,
+    ));
+    sink.flop(flops);
+    sink.alu(alus);
+}
+
+/// The sampling coordinate of `tap` at output `(oy, ox)` for deformable
+/// group `g` of batch item `ni`: `p = p_o + p_i + Δp_i`, with `transform`
+/// applied to the raw offsets.
+#[inline]
+pub(crate) fn sample_coord(
+    shape: &DeformLayerShape,
+    offsets: &Tensor,
+    transform: OffsetTransform,
+    ni: usize,
+    g: usize,
+    tap: usize,
+    (oy, ox): (usize, usize),
+) -> (f32, f32) {
+    let (ki, kj) = (tap / shape.kernel, tap % shape.kernel);
+    let ch = 2 * (g * shape.kernel * shape.kernel + tap);
+    let dy = transform.apply(offsets.at4(ni, ch, oy, ox));
+    let dx = transform.apply(offsets.at4(ni, ch + 1, oy, ox));
+    let py = (oy * shape.stride + ki) as f32 - shape.pad as f32 + dy;
+    let px = (ox * shape.stride + kj) as f32 - shape.pad as f32 + dx;
+    (py, px)
 }
 
 /// The deformable im2col kernel: grid = `N × C_in × output tiles`, one
@@ -62,10 +204,10 @@ pub struct Im2colDeformKernel<'a> {
     pub offsets: &'a Tensor,
     /// Transform applied to raw offsets when computing sample coordinates.
     pub offset_transform: OffsetTransform,
-    /// Sampling implementation.
-    pub sampling: Sampling,
-    /// The layered texture holding `x` (required iff `sampling` is
-    /// `Texture`).
+    /// Sampling implementation (names the launch).
+    pub method: SamplingMethod,
+    /// The layered texture holding `x` for the texture methods; `None`
+    /// samples in software from global memory.
     pub texture: Option<LayeredTexture2d>,
     /// Operator generation; gates the modulation loads and arithmetic
     /// (v1 traces are byte-identical to the pre-family kernel).
@@ -78,56 +220,28 @@ pub struct Im2colDeformKernel<'a> {
 }
 
 impl<'a> Im2colDeformKernel<'a> {
-    /// Builds the kernel for `family`, constructing the layered texture
-    /// when needed. `max_layers` / `max_dim` are the device texture limits;
-    /// `modulation` is the optional borrowed mask (v2) or logits (v3).
-    #[allow(clippy::too_many_arguments)]
+    /// The sampling stage of `op` over `x` and `offsets`. The texture
+    /// methods bind `x` as a layered texture within the device's
+    /// `(max layers, max extent)` texture limits
+    /// ([`defcon_gpusim::DeviceConfig::texture_limits`]); a texture the
+    /// limits cannot hold is the degradable `texture-limit` constraint.
     pub fn new(
-        shape: DeformLayerShape,
-        tile: TileConfig,
+        op: &'a DeformConvOp,
         x: &'a Tensor,
         offsets: &'a Tensor,
-        offset_transform: OffsetTransform,
-        sampling: Sampling,
-        max_layers: usize,
-        max_dim: usize,
-        family: OpFamily,
-        modulation: Option<&'a Tensor>,
-    ) -> Result<Self, defcon_gpusim::texture::TextureLimitError> {
-        let texture = match sampling {
-            Sampling::Software => None,
-            Sampling::Texture { frac_bits } => {
-                let (n, c, h, w) = x.shape().nchw();
-                let mut t = LayeredTexture2d::new(
-                    x.data().to_vec(),
-                    n * c,
-                    h,
-                    w,
-                    address_map::TEXTURE,
-                    max_layers,
-                    max_dim,
-                )?;
-                t.filter_mode = defcon_gpusim::texture::FilterMode::Linear { frac_bits };
-                t.address_mode = defcon_gpusim::texture::AddressMode::Border;
-                Some(t)
-            }
-        };
+        texture_limits: (usize, usize),
+    ) -> Result<Self, DefconError> {
         Ok(Im2colDeformKernel {
-            shape,
-            tile,
+            shape: op.shape,
+            tile: op.tile,
             x,
             offsets,
-            offset_transform,
-            sampling,
-            texture,
-            family,
-            modulation,
+            offset_transform: op.offset_transform,
+            method: op.method,
+            texture: bind_texture(op, x, texture_limits)?,
+            family: op.family,
+            modulation: op.modulation.as_ref(),
         })
-    }
-
-    fn tiles_xy(&self) -> (usize, usize) {
-        let (oh, ow) = self.shape.out_hw();
-        (oh.div_ceil(self.tile.h), ow.div_ceil(self.tile.w))
     }
 
     #[inline]
@@ -137,24 +251,10 @@ impl<'a> Im2colDeformKernel<'a> {
     }
 
     #[inline]
-    fn offset_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let oc = self.shape.offset_channels();
-        address_map::OFFSETS + 4 * (((ni * oc + ch) * oh + oy) * ow + ox) as u64
-    }
-
-    #[inline]
     fn col_addr(&self, ni: usize, row: usize, col: usize) -> u64 {
         let (oh, ow) = self.shape.out_hw();
         let rows = self.shape.c_in * self.shape.kernel * self.shape.kernel;
         address_map::COLUMNS + 4 * ((ni * rows + row) * oh * ow + col) as u64
-    }
-
-    #[inline]
-    fn modulation_addr(&self, ni: usize, ch: usize, oy: usize, ox: usize) -> u64 {
-        let (oh, ow) = self.shape.out_hw();
-        let mc = self.shape.deform_groups * self.shape.kernel * self.shape.kernel;
-        address_map::MODULATION + 4 * (((ni * mc + ch) * oh + oy) * ow + ox) as u64
     }
 
     /// The numeric per-tap modulation factor: `1` for v1, the mask value
@@ -177,30 +277,12 @@ impl<'a> Im2colDeformKernel<'a> {
             }
         }
     }
-
-    /// The sampling coordinate of `tap` at output `(oy, ox)` for deformable
-    /// group `g`: `p = p_o + p_i + Δp_i` with the offset transform applied.
-    fn sample_coord(&self, ni: usize, g: usize, tap: usize, oy: usize, ox: usize) -> (f32, f32) {
-        let s = self.shape;
-        let kk = s.kernel * s.kernel;
-        let (ki, kj) = (tap / s.kernel, tap % s.kernel);
-        let ch = 2 * (g * kk + tap);
-        let dy = self
-            .offset_transform
-            .apply(self.offsets.at4(ni, ch, oy, ox));
-        let dx = self
-            .offset_transform
-            .apply(self.offsets.at4(ni, ch + 1, oy, ox));
-        let py = (oy * s.stride + ki) as f32 - s.pad as f32 + dy;
-        let px = (ox * s.stride + kj) as f32 - s.pad as f32 + dx;
-        (py, px)
-    }
 }
 
 impl BlockTrace for Im2colDeformKernel<'_> {
     fn grid_blocks(&self) -> usize {
-        let (ty, tx) = self.tiles_xy();
-        self.shape.n * self.shape.c_in * ty * tx
+        let (rows, columns) = OutputTile::grid(&self.shape, self.tile);
+        self.shape.n * self.shape.c_in * rows * columns
     }
 
     fn block_threads(&self) -> usize {
@@ -208,103 +290,40 @@ impl BlockTrace for Im2colDeformKernel<'_> {
     }
 
     fn label(&self) -> String {
-        let base = match self.sampling {
-            Sampling::Software => "deform_im2col_sw",
-            Sampling::Texture { frac_bits } if frac_bits <= 10 => "deform_im2col_tex2dpp",
-            Sampling::Texture { .. } => "deform_im2col_tex2d",
-        };
-        format!("{base}{}", self.family.label_suffix())
+        format!(
+            "deform_im2col_{}{}",
+            self.method.label_stem(),
+            self.family.label_suffix()
+        )
     }
 
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {
         let s = self.shape;
-        let (oh, ow) = s.out_hw();
-        let (ty_count, tx_count) = self.tiles_xy();
-        let blocks_per_channel = ty_count * tx_count;
+        let ow = s.out_hw().1;
+        let (rows, columns) = OutputTile::grid(&s, self.tile);
+        let blocks_per_channel = rows * columns;
         let ci = (block / blocks_per_channel) % s.c_in;
         let ni = block / (s.c_in * blocks_per_channel);
-        let t = block % blocks_per_channel;
-        let (tile_y, tile_x) = (t / tx_count, t % tx_count);
         let g = ci / (s.c_in / s.deform_groups);
         let kk = s.kernel * s.kernel;
 
-        // Threads cover the tile row-major; lanes of one warp are
-        // consecutive threads (so consecutive output columns, wrapping at
-        // tile width — the standard CUDA mapping). All warp-level event
-        // staging goes through fixed-capacity `LaneBuf`s / sink iterators:
-        // this loop performs no heap allocation (see `tests/zero_alloc.rs`).
-        let threads = self.tile.threads();
-        let mut lanes: LaneBuf<(usize, usize)> = LaneBuf::new();
-        for warp_start in (0..threads).step_by(32) {
-            // Gather the warp's valid output positions.
-            lanes.fill_from(
-                (warp_start..(warp_start + 32).min(threads)).filter_map(|tid| {
-                    let oy = tile_y * self.tile.h + tid / self.tile.w;
-                    let ox = tile_x * self.tile.w + tid % self.tile.w;
-                    (oy < oh && ox < ow).then_some((oy, ox))
-                }),
-            );
-            if lanes.is_empty() {
-                continue;
-            }
+        // All warp-level event staging goes through fixed-capacity
+        // `LaneBuf`s / sink iterators: this loop performs no heap
+        // allocation (see `tests/zero_alloc.rs`).
+        let out_tile = OutputTile::nth(&s, self.tile, block % blocks_per_channel);
+        out_tile.for_each_warp(|lanes| {
             let nl = lanes.len() as u64;
-
             for tap in 0..kk {
-                let ch = 2 * (g * kk + tap);
-                // Two warp loads for (Δy, Δx) — coalesced along ox.
-                sink.global_load_into(
-                    lanes
-                        .iter()
-                        .map(|&(oy, ox)| self.offset_addr(ni, ch, oy, ox)),
-                );
-                sink.global_load_into(
-                    lanes
-                        .iter()
-                        .map(|&(oy, ox)| self.offset_addr(ni, ch + 1, oy, ox)),
-                );
-                // Address arithmetic for the sampling position.
-                sink.alu(4 * nl);
-                sink.flop(4 * nl); // p = p_o + p_i + Δp (fp adds, x and y)
-
-                // Family-specific modulation traffic and arithmetic. Gated
-                // on the family (not on `modulation` being present) so a
-                // served request without a tensor still traces honestly;
-                // `DcnV1` emits nothing and stays byte-identical to the
-                // pre-family kernel.
-                match self.family {
-                    OpFamily::DcnV1 => {}
-                    OpFamily::DcnV2 => {
-                        // One coalesced mask load per (group, tap) and the
-                        // per-lane modulation multiply.
-                        sink.global_load_into(
-                            lanes
-                                .iter()
-                                .map(|&(oy, ox)| self.modulation_addr(ni, g * kk + tap, oy, ox)),
-                        );
-                        sink.flop(nl);
-                    }
-                    OpFamily::DcnV3 => {
-                        // Logit load plus the tap's share of the grouped
-                        // softmax: exp, normalizing accumulate, weighted
-                        // multiply (≈3 flops/lane) and the max-subtract
-                        // bookkeeping.
-                        sink.global_load_into(
-                            lanes
-                                .iter()
-                                .map(|&(oy, ox)| self.modulation_addr(ni, g * kk + tap, oy, ox)),
-                        );
-                        sink.flop(3 * nl);
-                        sink.alu(nl);
-                    }
-                }
-
-                match self.sampling {
-                    Sampling::Software => {
+                trace_tap_prologue(sink, &s, self.family, lanes, ni, g, tap);
+                let coord = |&p: &(usize, usize)| {
+                    sample_coord(&s, self.offsets, self.offset_transform, ni, g, tap, p)
+                };
+                match &self.texture {
+                    None => {
                         // 4 neighbour loads; out-of-bounds neighbours are
                         // branched around (no load, but branch ALU cost).
                         let mut neigh: [LaneBuf<u64>; 4] = [LaneBuf::new(); 4];
-                        for &(oy, ox) in lanes.iter() {
-                            let (py, px) = self.sample_coord(ni, g, tap, oy, ox);
+                        for (py, px) in lanes.iter().map(coord) {
                             let (y0, x0) = (py.floor() as isize, px.floor() as isize);
                             for (slot, (qy, qx)) in
                                 [(y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1)]
@@ -331,19 +350,8 @@ impl BlockTrace for Im2colDeformKernel<'_> {
                         sink.flop(8 * nl);
                         sink.alu(6 * nl);
                     }
-                    Sampling::Texture { .. } => {
-                        let tex = self
-                            .texture
-                            .as_ref()
-                            .expect("texture sampling without texture");
-                        let layer = ni * s.c_in + ci;
-                        sink.tex_fetch_warp_into(
-                            tex,
-                            layer,
-                            lanes
-                                .iter()
-                                .map(|&(oy, ox)| self.sample_coord(ni, g, tap, oy, ox)),
-                        );
+                    Some(tex) => {
+                        sink.tex_fetch_warp_into(tex, ni * s.c_in + ci, lanes.iter().map(coord));
                     }
                 }
 
@@ -355,65 +363,28 @@ impl BlockTrace for Im2colDeformKernel<'_> {
                         .map(|&(oy, ox)| self.col_addr(ni, row, oy * ow + ox)),
                 );
             }
-        }
+        });
     }
 }
 
-/// Numeric companion of [`Im2colDeformKernel`]: materializes the column
-/// matrix `[C_in·k², outH·outW]` for batch item `ni`, using exactly the same
-/// sampling semantics as the trace (including texture filter precision).
+/// Numeric companion of [`Im2colDeformKernel`]: materializes the columns
+/// of the output window `[oy0, oy0+th) × [ox0, ox0+tw)` for batch item
+/// `ni` as a `[C_in·k², th·tw]` row-major matrix (window-local column
+/// index `ty·tw + tx`), with exactly the trace's sampling semantics
+/// (including texture filter precision). The full output plane is the
+/// one-tile window `(0, 0, outH, outW)` — how `DeformConvOp::execute`
+/// calls it — while the accel backend walks its tile plan.
 ///
 /// For v2/v3 each column value is pre-multiplied by the tap's modulation
 /// factor (mask / grouped-softmax weight), so the GEMM epilogue is family
 /// agnostic. A v2 all-ones mask multiplies by exactly `1.0` and therefore
 /// reproduces the v1 columns byte-for-byte.
-pub fn im2col_deform_numeric(kernel: &Im2colDeformKernel<'_>, ni: usize) -> Vec<f32> {
-    let s = kernel.shape;
-    let (oh, ow) = s.out_hw();
-    let kk = s.kernel * s.kernel;
-    let neutral = kernel.family == OpFamily::DcnV1;
-    let mut cols = vec![0.0f32; s.c_in * kk * oh * ow];
-    for ci in 0..s.c_in {
-        let g = ci / (s.c_in / s.deform_groups);
-        for tap in 0..kk {
-            let row = ci * kk + tap;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let (py, px) = kernel.sample_coord(ni, g, tap, oy, ox);
-                    let v = match (&kernel.sampling, &kernel.texture) {
-                        (Sampling::Software, _) => {
-                            defcon_tensor::sample::bilinear_sample(kernel.x, ni, ci, py, px)
-                        }
-                        (Sampling::Texture { .. }, Some(tex)) => {
-                            tex.fetch(ni * s.c_in + ci, py, px).value
-                        }
-                        _ => unreachable!("texture sampling without texture"),
-                    };
-                    let v = if neutral {
-                        v
-                    } else {
-                        kernel.modulation_factor(ni, g, tap, oy, ox) * v
-                    };
-                    cols[row * oh * ow + oy * ow + ox] = v;
-                }
-            }
-        }
-    }
-    cols
-}
-
-/// Tiled form of [`im2col_deform_numeric`]: materializes only the columns
-/// of the output window `[oy0, oy0+th) × [ox0, ox0+tw)` for batch item
-/// `ni`, as a `[C_in·k², th·tw]` row-major matrix (window-local column
-/// index `ty·tw + tx`).
 ///
-/// Every element is computed by **exactly** the per-element pipeline of
-/// the full-plane function — same `sample_coord`, same sampler, same
-/// modulation factor, same v1 neutral-skip — so a GEMM over a tile's
-/// columns produces byte-identical output values to the corresponding
-/// columns of a full-plane GEMM (the blocked GEMM's per-element reduction
-/// order is independent of which columns are present; see
-/// `defcon_tensor::gemm`). This is the accel backend's tile kernel.
+/// Every element goes through the same per-element pipeline whatever the
+/// window, and the blocked GEMM's per-element reduction order is
+/// independent of which columns are present (see `defcon_tensor::gemm`),
+/// so a GEMM over a tile's columns produces byte-identical output values
+/// to the corresponding columns of a full-plane GEMM.
 pub fn im2col_deform_numeric_tile(
     kernel: &Im2colDeformKernel<'_>,
     ni: usize,
@@ -434,15 +405,18 @@ pub fn im2col_deform_numeric_tile(
                 let oy = oy0 + ty;
                 for tx in 0..tw {
                     let ox = ox0 + tx;
-                    let (py, px) = kernel.sample_coord(ni, g, tap, oy, ox);
-                    let v = match (&kernel.sampling, &kernel.texture) {
-                        (Sampling::Software, _) => {
-                            defcon_tensor::sample::bilinear_sample(kernel.x, ni, ci, py, px)
-                        }
-                        (Sampling::Texture { .. }, Some(tex)) => {
-                            tex.fetch(ni * s.c_in + ci, py, px).value
-                        }
-                        _ => unreachable!("texture sampling without texture"),
+                    let (py, px) = sample_coord(
+                        &s,
+                        kernel.offsets,
+                        kernel.offset_transform,
+                        ni,
+                        g,
+                        tap,
+                        (oy, ox),
+                    );
+                    let v = match &kernel.texture {
+                        None => bilinear_sample(kernel.x, ni, ci, py, px),
+                        Some(tex) => tex.fetch(ni * s.c_in + ci, py, px).value,
                     };
                     let v = if neutral {
                         v
@@ -462,49 +436,41 @@ mod tests {
     use super::*;
     use defcon_gpusim::{DeviceConfig, Gpu};
 
-    fn small_kernel(sampling: Sampling) -> (Tensor, Tensor, DeformLayerShape) {
+    fn small() -> (Tensor, Tensor, DeformLayerShape) {
         let shape = DeformLayerShape::same3x3(4, 4, 12, 12);
         let x = Tensor::randn(&[1, 4, 12, 12], 0.0, 1.0, 100);
         let offsets = Tensor::rand_uniform(&[1, 18, 12, 12], -2.0, 2.0, 101);
-        let _ = sampling;
         (x, offsets, shape)
     }
 
-    /// The DCNv1 kernel under Xavier's texture limits.
-    fn v1<'a>(
-        shape: DeformLayerShape,
-        tile: TileConfig,
-        x: &'a Tensor,
-        off: &'a Tensor,
-        transform: OffsetTransform,
-        sampling: Sampling,
-    ) -> Im2colDeformKernel<'a> {
-        Im2colDeformKernel::new(
-            shape,
-            tile,
-            x,
-            off,
-            transform,
-            sampling,
-            2048,
-            32768,
-            OpFamily::DcnV1,
-            None,
-        )
-        .unwrap()
+    /// The baseline operator on `shape` with `method` sampling.
+    fn with_method(shape: DeformLayerShape, method: SamplingMethod) -> DeformConvOp {
+        DeformConvOp {
+            method,
+            ..DeformConvOp::baseline(shape)
+        }
+    }
+
+    /// `op`'s sampling kernel under Xavier's texture limits.
+    fn kernel<'a>(op: &'a DeformConvOp, x: &'a Tensor, off: &'a Tensor) -> Im2colDeformKernel<'a> {
+        let limits = DeviceConfig::xavier_agx().texture_limits();
+        Im2colDeformKernel::new(op, x, off, limits).unwrap()
+    }
+
+    /// The full-plane columns of batch item 0 (the one-tile window).
+    fn columns(op: &DeformConvOp, x: &Tensor, off: &Tensor) -> Vec<f32> {
+        let (oh, ow) = op.shape.out_hw();
+        im2col_deform_numeric_tile(&kernel(op, x, off), 0, 0, 0, oh, ow)
     }
 
     #[test]
     fn grid_covers_output() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let k = v1(
-            shape,
-            TileConfig { h: 8, w: 8 },
-            &x,
-            &off,
-            OffsetTransform::Identity,
-            Sampling::Software,
-        );
+        let (x, off, shape) = small();
+        let op = DeformConvOp {
+            tile: TileConfig { h: 8, w: 8 },
+            ..DeformConvOp::baseline(shape)
+        };
+        let k = kernel(&op, &x, &off);
         // 12x12 output with 8x8 tiles -> 2x2 tiles per channel, 4 channels.
         assert_eq!(k.grid_blocks(), 16);
         assert_eq!(k.block_threads(), 64);
@@ -512,41 +478,25 @@ mod tests {
 
     #[test]
     fn numeric_software_matches_reference_columns() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let k = v1(
-            shape,
-            TileConfig::default16(),
-            &x,
-            &off,
-            OffsetTransform::Identity,
-            Sampling::Software,
-        );
-        let cols = im2col_deform_numeric(&k, 0);
+        let (x, off, shape) = small();
+        let cols = columns(&DeformConvOp::baseline(shape), &x, &off);
         // Spot-check one element against the reference bilinear sampler.
         let (oh, ow) = shape.out_hw();
         let (ci, tap, oy, ox) = (2usize, 4usize, 5usize, 7usize);
-        let (py, px) = k.sample_coord(0, 0, tap, oy, ox);
+        let (py, px) = sample_coord(&shape, &off, OffsetTransform::Identity, 0, 0, tap, (oy, ox));
         let expect = defcon_tensor::sample::bilinear_sample(&x, 0, ci, py, px);
         assert_eq!(cols[(ci * 9 + tap) * oh * ow + oy * ow + ox], expect);
     }
 
     #[test]
     fn texture_numeric_matches_software_at_full_precision() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let mk = |sampling| {
-            v1(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &off,
-                OffsetTransform::Identity,
-                sampling,
-            )
-        };
-        let sw = mk(Sampling::Software);
-        let tx = mk(Sampling::Texture { frac_bits: 23 });
-        let a = im2col_deform_numeric(&sw, 0);
-        let b = im2col_deform_numeric(&tx, 0);
+        let (x, off, shape) = small();
+        let a = columns(
+            &with_method(shape, SamplingMethod::SoftwareBilinear),
+            &x,
+            &off,
+        );
+        let b = columns(&with_method(shape, SamplingMethod::Tex2d), &x, &off);
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
             assert!((x - y).abs() < 1e-5, "col[{i}]: {x} vs {y}");
         }
@@ -554,21 +504,13 @@ mod tests {
 
     #[test]
     fn tex2dpp_numeric_error_is_small() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let mk = |sampling| {
-            v1(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &off,
-                OffsetTransform::Identity,
-                sampling,
-            )
-        };
-        let sw = mk(Sampling::Software);
-        let pp = mk(Sampling::Texture { frac_bits: 8 });
-        let a = im2col_deform_numeric(&sw, 0);
-        let b = im2col_deform_numeric(&pp, 0);
+        let (x, off, shape) = small();
+        let a = columns(
+            &with_method(shape, SamplingMethod::SoftwareBilinear),
+            &x,
+            &off,
+        );
+        let b = columns(&with_method(shape, SamplingMethod::Tex2dPlusPlus), &x, &off);
         let max_err = a
             .iter()
             .zip(b.iter())
@@ -580,20 +522,12 @@ mod tests {
 
     #[test]
     fn software_kernel_produces_global_loads_texture_kernel_does_not_sample_input_globally() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
+        let (x, off, shape) = small();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let mk = |sampling| {
-            v1(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &off,
-                OffsetTransform::Identity,
-                sampling,
-            )
-        };
-        let sw_report = gpu.launch(&mk(Sampling::Software));
-        let tx_report = gpu.launch(&mk(Sampling::Texture { frac_bits: 23 }));
+        let sw = with_method(shape, SamplingMethod::SoftwareBilinear);
+        let tx = with_method(shape, SamplingMethod::Tex2d);
+        let sw_report = gpu.launch(&kernel(&sw, &x, &off));
+        let tx_report = gpu.launch(&kernel(&tx, &x, &off));
         assert!(sw_report.counters.tex_requests == 0);
         assert!(tx_report.counters.tex_requests > 0);
         // Texture kernel still loads offsets from global memory, but far
@@ -605,20 +539,14 @@ mod tests {
 
     #[test]
     fn bounded_offsets_do_not_change_in_range_numerics() {
-        let (x, off, shape) = small_kernel(Sampling::Software);
-        let mk = |tr| {
-            v1(
-                shape,
-                TileConfig::default16(),
-                &x,
-                &off,
-                tr,
-                Sampling::Software,
-            )
+        let (x, off, shape) = small();
+        let bounded = DeformConvOp {
+            offset_transform: OffsetTransform::Bounded(7.0),
+            ..DeformConvOp::baseline(shape)
         };
         // Offsets are within [-2, 2]; bounding at 7 is a no-op.
-        let a = im2col_deform_numeric(&mk(OffsetTransform::Identity), 0);
-        let b = im2col_deform_numeric(&mk(OffsetTransform::Bounded(7.0)), 0);
+        let a = columns(&DeformConvOp::baseline(shape), &x, &off);
+        let b = columns(&bounded, &x, &off);
         assert_eq!(a, b);
     }
 }

@@ -9,25 +9,16 @@
 //! `tex_fetch_warp_into`), so a simulated block allocates nothing on the
 //! heap. `tests/zero_alloc.rs` pins that contract for each family.
 
+use crate::fused::FusedTexDeformKernel;
 use crate::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
-use crate::im2col::{im2col_deform_numeric, Im2colDeformKernel, Sampling};
+use crate::im2col::{im2col_deform_numeric_tile, Im2colDeformKernel};
 use crate::layer::{DeformLayerShape, TileConfig};
-use defcon_gpusim::texture::TextureLimitError;
 use defcon_gpusim::{Gpu, KernelReport};
 use defcon_support::error::DefconError;
 use defcon_support::json::Json;
 use defcon_support::obs;
 use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::{gemm, Tensor};
-
-/// Maps a texture-setup failure to the typed constraint error the
-/// degradation layer dispatches on.
-fn texture_constraint(e: TextureLimitError) -> DefconError {
-    DefconError::Constraint {
-        what: "texture-limit".into(),
-        detail: e.message,
-    }
-}
 
 /// The three sampling implementations of the paper's comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,12 +33,25 @@ pub enum SamplingMethod {
 }
 
 impl SamplingMethod {
-    /// The im2col sampling configuration for this method.
-    pub fn sampling(&self) -> Sampling {
+    /// Binary places the texture filter keeps in its interpolation
+    /// fractions — 23 (full fp32) for `tex2D`, 8 (the reduced 16-bit filter
+    /// arithmetic) for `tex2D++` — and `None` for software sampling, which
+    /// binds no texture.
+    pub fn frac_bits(&self) -> Option<u32> {
         match self {
-            SamplingMethod::SoftwareBilinear => Sampling::Software,
-            SamplingMethod::Tex2d => Sampling::Texture { frac_bits: 23 },
-            SamplingMethod::Tex2dPlusPlus => Sampling::Texture { frac_bits: 8 },
+            SamplingMethod::SoftwareBilinear => None,
+            SamplingMethod::Tex2d => Some(23),
+            SamplingMethod::Tex2dPlusPlus => Some(8),
+        }
+    }
+
+    /// Stem of the kernel labels this method launches under
+    /// (`deform_im2col_sw`, `deform_fused_tex2dpp`, `accel_deform_tex2d`…).
+    pub fn label_stem(&self) -> &'static str {
+        match self {
+            SamplingMethod::SoftwareBilinear => "sw",
+            SamplingMethod::Tex2d => "tex2d",
+            SamplingMethod::Tex2dPlusPlus => "tex2dpp",
         }
     }
 
@@ -198,25 +202,14 @@ impl DeformConvOp {
     pub fn execute(&self, x: &Tensor, offsets: &Tensor, weight: &Tensor, gpu: &Gpu) -> Tensor {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
-        let cfg = gpu.config();
-        let kernel = Im2colDeformKernel::new(
-            s,
-            self.tile,
-            x,
-            offsets,
-            self.offset_transform,
-            self.method.sampling(),
-            cfg.max_texture_layers,
-            cfg.max_texture_dim,
-            self.family,
-            self.modulation.as_ref(),
-        )
-        .expect("texture limits exceeded");
+        let kernel = Im2colDeformKernel::new(self, x, offsets, gpu.config().texture_limits())
+            .expect("texture limits exceeded");
         let krows = s.c_in * s.kernel * s.kernel;
         let cols_n = oh * ow;
         let mut out = Tensor::zeros(&[s.n, s.c_out, oh, ow]);
         for ni in 0..s.n {
-            let cols = im2col_deform_numeric(&kernel, ni);
+            // The full plane is the one-tile window.
+            let cols = im2col_deform_numeric_tile(&kernel, ni, 0, 0, oh, ow);
             let dst = &mut out.data_mut()[ni * s.c_out * cols_n..(ni + 1) * s.c_out * cols_n];
             gemm::gemm(weight.data(), &cols, dst, s.c_out, krows, cols_n);
         }
@@ -318,42 +311,12 @@ impl DeformConvOp {
         let cfg = gpu.config();
         match self.method {
             SamplingMethod::SoftwareBilinear => {
-                let im2col = Im2colDeformKernel::new(
-                    self.shape,
-                    self.tile,
-                    x,
-                    offsets,
-                    self.offset_transform,
-                    self.method.sampling(),
-                    cfg.max_texture_layers,
-                    cfg.max_texture_dim,
-                    self.family,
-                    self.modulation.as_ref(),
-                )
-                .map_err(texture_constraint)?;
+                let im2col = Im2colDeformKernel::new(self, x, offsets, cfg.texture_limits())?;
                 let gemm_stage = GemmKernel::for_conv(&self.shape);
                 Ok(vec![gpu.try_launch(&im2col)?, gpu.try_launch(&gemm_stage)?])
             }
             SamplingMethod::Tex2d | SamplingMethod::Tex2dPlusPlus => {
-                let frac_bits = match self.method.sampling() {
-                    Sampling::Texture { frac_bits } => frac_bits,
-                    Sampling::Software => unreachable!(),
-                };
-                let mut fused = crate::fused::FusedTexDeformKernel::new(
-                    self.shape,
-                    self.tile,
-                    x,
-                    offsets,
-                    self.offset_transform,
-                    frac_bits,
-                    cfg.max_texture_layers,
-                    cfg.max_texture_dim,
-                    self.family,
-                    self.modulation.as_ref(),
-                )
-                .map_err(texture_constraint)?;
-                fused.co_blocks =
-                    crate::fused::FusedTexDeformKernel::pick_co_blocks(&self.shape, self.tile, cfg);
+                let fused = FusedTexDeformKernel::new(self, x, offsets, cfg)?;
                 Ok(vec![gpu.try_launch(&fused)?])
             }
         }

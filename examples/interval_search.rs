@@ -10,8 +10,9 @@
 use defcon::core::lut::LatencyLut;
 use defcon::models::trainer::{prepare, DetectorSuperNet};
 use defcon::prelude::*;
+use defcon_support::error::DefconError;
 
-fn main() {
+fn main() -> Result<(), DefconError> {
     let fast = defcon_support::env::or_die(defcon_support::env::flag(defcon_support::env::FAST));
     let dataset = DeformedShapesConfig {
         deformation: 1.0,
@@ -41,7 +42,7 @@ fn main() {
         gpu.config().name
     );
     for k in &keys {
-        println!("  {k:?} -> DCN overhead {:.4} ms", lut.dcn_overhead_ms(k));
+        println!("  {k:?} -> DCN overhead {:.4} ms", lut.dcn_overhead_ms(k)?);
     }
 
     // 3. Run Algorithm 1 with a latency budget.
@@ -63,4 +64,5 @@ fn main() {
         outcome.dcn_overhead_ms
     );
     println!("loss trajectory : {:?}", outcome.loss_history);
+    Ok(())
 }

@@ -22,38 +22,21 @@ use defcon_support::json::ToJson;
 /// interface so each runs through both engine paths.
 fn layer_kernels(shape: DeformLayerShape, gpu: &Gpu) -> Vec<Box<dyn BlockTrace + '_>> {
     let cfg = gpu.config();
-    // Inputs are leaked so the kernels (which borrow tensors) can be
-    // returned; the test process owns a handful of layers only.
+    // The inputs and the im2col kernel's operator are leaked so the
+    // kernels (which borrow them) can be returned; the test process owns a
+    // handful of layers only.
     let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xDEFC);
     let x: &'static _ = Box::leak(Box::new(x));
     let offsets: &'static _ = Box::leak(Box::new(offsets));
-    let im2col = Im2colDeformKernel::new(
-        shape,
-        TileConfig::default16(),
-        x,
-        offsets,
-        OffsetTransform::Identity,
-        SamplingMethod::SoftwareBilinear.sampling(),
-        cfg.max_texture_layers,
-        cfg.max_texture_dim,
-        OpFamily::DcnV1,
-        None,
-    )
-    .expect("texture limits exceeded");
-    let mut fused = FusedTexDeformKernel::new(
-        shape,
-        TileConfig::default16(),
-        x,
-        offsets,
-        OffsetTransform::Identity,
-        23, // tex2D fp32 filter precision
-        cfg.max_texture_layers,
-        cfg.max_texture_dim,
-        OpFamily::DcnV1,
-        None,
-    )
-    .expect("texture limits exceeded");
-    fused.co_blocks = FusedTexDeformKernel::pick_co_blocks(&shape, TileConfig::default16(), cfg);
+    let software: &'static _ = Box::leak(Box::new(DeformConvOp::baseline(shape)));
+    let tex2d = DeformConvOp {
+        method: SamplingMethod::Tex2d,
+        ..DeformConvOp::baseline(shape)
+    };
+    let im2col = Im2colDeformKernel::new(software, x, offsets, cfg.texture_limits())
+        .expect("texture limits exceeded");
+    let fused =
+        FusedTexDeformKernel::new(&tex2d, x, offsets, cfg).expect("texture limits exceeded");
     vec![
         Box::new(im2col),
         Box::new(fused),

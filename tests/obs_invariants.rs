@@ -9,18 +9,17 @@
 //! two independent arming locks can never deadlock.
 
 use defcon::gpusim::{DeviceConfig, Gpu, SamplePolicy};
-use defcon::kernels::im2col::{Im2colDeformKernel, Sampling};
-use defcon::kernels::op::{synthetic_inputs, DeformConvOp, OpFamily, SamplingMethod};
-use defcon::kernels::{DeformLayerShape, TileConfig};
-use defcon::tensor::sample::OffsetTransform;
+use defcon::kernels::im2col::Im2colDeformKernel;
+use defcon::kernels::op::{synthetic_inputs, DeformConvOp, SamplingMethod};
+use defcon::kernels::DeformLayerShape;
 use defcon_support::fault::{self, FaultPlan, Schedule};
 use defcon_support::obs::{self, find_spans, ObsConfig, SpanNode};
 
 /// A small deformable layer whose launch splits into several bands at
 /// `threads = 4` without sampling (grid ≤ the default 96-block cap). Owns
-/// the inputs the kernel borrows.
+/// the operator and inputs the kernel borrows.
 struct Layer {
-    shape: DeformLayerShape,
+    op: DeformConvOp,
     x: defcon::tensor::Tensor,
     off: defcon::tensor::Tensor,
 }
@@ -28,25 +27,14 @@ struct Layer {
 fn layer(h: usize, w: usize) -> Layer {
     let shape = DeformLayerShape::same3x3(8, 8, h, w);
     let (x, off) = synthetic_inputs(&shape, 2.0, 21);
-    Layer { shape, x, off }
+    let op = DeformConvOp::baseline(shape);
+    Layer { op, x, off }
 }
 
 impl Layer {
     fn kernel(&self) -> Im2colDeformKernel<'_> {
-        let cfg = DeviceConfig::xavier_agx();
-        Im2colDeformKernel::new(
-            self.shape,
-            TileConfig::default16(),
-            &self.x,
-            &self.off,
-            OffsetTransform::Identity,
-            Sampling::Software,
-            cfg.max_texture_layers,
-            cfg.max_texture_dim,
-            OpFamily::DcnV1,
-            None,
-        )
-        .unwrap()
+        let limits = DeviceConfig::xavier_agx().texture_limits();
+        Im2colDeformKernel::new(&self.op, &self.x, &self.off, limits).unwrap()
     }
 }
 

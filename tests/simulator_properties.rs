@@ -64,35 +64,73 @@ fn bilinear_within_neighbour_hull() {
     );
 }
 
-/// Zero offsets reduce deformable conv to regular conv for any shape.
+/// Zero offsets reduce deformable conv to regular conv for any shape (Dai
+/// et al.) — an oracle independent of the deformable pipeline. Checked on
+/// strided and grouped shapes for the CPU v1 reference and for every
+/// simulated path: gpusim's `execute` and the accel backend, each sampling
+/// method, DCNv1 and DCNv2 with an all-ones mask. DCNv3 with neutral
+/// logits averages the `k²` taps: the rigid conv with weights scaled by
+/// `1/k²`.
 #[test]
 fn zero_offsets_are_rigid() {
+    use defcon::tensor::conv::conv2d;
+    use defcon::tensor::sample::deform_conv2d_ref;
+    let gpu = Gpu::new(DeviceConfig::xavier_agx());
+    let accel = Accel::new(AccelConfig::edge());
     prop::check(
         "zero_offsets_are_rigid",
         &Config::new(CASES, 0xDEFC_0003),
         |rng| {
+            let groups = rng.gen_range(1usize..3);
             (
-                rng.gen_range(1usize..4),
+                groups * rng.gen_range(1usize..3),
                 rng.gen_range(5usize..9),
                 rng.gen_range(0u64..500),
+                rng.gen_range(1usize..3),
+                groups,
             )
         },
-        |&(c, hw, seed)| {
-            let p = defcon::tensor::sample::DeformConv2dParams::same3x3();
+        |&(c, hw, seed, stride, groups)| {
+            let shape = DeformLayerShape {
+                stride,
+                deform_groups: groups,
+                ..DeformLayerShape::same3x3(c, 2, hw, hw)
+            };
+            let (oh, ow) = shape.out_hw();
             let x = Tensor::randn(&[1, c, hw, hw], 0.0, 1.0, seed);
             let w = Tensor::randn(&[2, c, 3, 3], 0.0, 0.4, seed ^ 1);
-            let off = Tensor::zeros(&[1, 18, hw, hw]);
-            let a = defcon::tensor::sample::deform_conv2d_ref(
-                &x,
-                &off,
-                &w,
-                None,
-                &p,
-                OffsetTransform::Identity,
-            );
-            let b = defcon::tensor::conv::conv2d(&x, &w, None, &p.conv);
-            for (p, q) in a.data().iter().zip(b.data().iter()) {
-                prop_assert!((p - q).abs() < 1e-4);
+            let off = Tensor::zeros(&[1, shape.offset_channels(), oh, ow]);
+            let rigid = conv2d(&x, &w, None, &shape.conv_params());
+            let tap_average = conv2d(&x, &w.scale(1.0 / 9.0), None, &shape.conv_params());
+            let close = |got: &Tensor, expect: &Tensor| {
+                got.dims() == expect.dims()
+                    && got
+                        .data()
+                        .iter()
+                        .zip(expect.data())
+                        .all(|(p, q)| (p - q).abs() < 1e-4)
+            };
+            let p = shape.deform_params();
+            let reference = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
+            prop_assert!(close(&reference, &rigid), "CPU v1 reference");
+            let ones = Tensor::full(&[1, groups * 9, oh, ow], 1.0);
+            for (family, modulation, expect) in [
+                (OpFamily::DcnV1, None, &rigid),
+                (OpFamily::DcnV2, Some(ones), &rigid),
+                (OpFamily::DcnV3, None, &tap_average),
+            ] {
+                for method in SamplingMethod::ladder() {
+                    let op = DeformConvOp {
+                        method,
+                        family,
+                        modulation: modulation.clone(),
+                        ..DeformConvOp::baseline(shape)
+                    };
+                    let gpusim = op.execute(&x, &off, &w, &gpu);
+                    prop_assert!(close(&gpusim, expect), "gpusim {family:?} {method:?}");
+                    let accel_out = accel.execute(&op, &x, &off, &w);
+                    prop_assert!(close(&accel_out, expect), "accel {family:?} {method:?}");
+                }
             }
             Ok(())
         },

@@ -16,10 +16,11 @@ use defcon::gpusim::device::DeviceConfig;
 use defcon::gpusim::trace::{BlockTrace, TraceSink};
 use defcon::kernels::fused::FusedTexDeformKernel;
 use defcon::kernels::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
-use defcon::kernels::im2col::{Im2colDeformKernel, Sampling};
-use defcon::kernels::op::{synthetic_inputs, synthetic_modulation, OpFamily};
-use defcon::kernels::{DeformLayerShape, TileConfig};
-use defcon::tensor::sample::OffsetTransform;
+use defcon::kernels::im2col::Im2colDeformKernel;
+use defcon::kernels::op::{
+    synthetic_inputs, synthetic_modulation, DeformConvOp, OpFamily, SamplingMethod,
+};
+use defcon::kernels::DeformLayerShape;
 use defcon_support::testalloc::{thread_allocations, CountingAllocator};
 
 #[global_allocator]
@@ -44,6 +45,15 @@ fn allocations_tracing(kernel: &dyn BlockTrace, cfg: &DeviceConfig, max_blocks: 
 
 fn table2_shape() -> DeformLayerShape {
     DeformLayerShape::same3x3(16, 16, 550, 550)
+}
+
+/// A `family` operator with `method` sampling on the Table II layer.
+fn table2_op(method: SamplingMethod, family: OpFamily) -> DeformConvOp {
+    DeformConvOp {
+        method,
+        family,
+        ..DeformConvOp::baseline(table2_shape())
+    }
 }
 
 /// The disarmed observability layer is part of the zero-allocation
@@ -91,64 +101,28 @@ fn retry_backoff_schedule_does_not_allocate() {
 
 #[test]
 fn im2col_software_traces_without_allocating() {
-    let shape = table2_shape();
-    let (x, off) = synthetic_inputs(&shape, 2.0, 11);
+    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 11);
     let cfg = DeviceConfig::xavier_agx();
-    let k = Im2colDeformKernel::new(
-        shape,
-        TileConfig::default16(),
-        &x,
-        &off,
-        OffsetTransform::Identity,
-        Sampling::Software,
-        cfg.max_texture_layers,
-        cfg.max_texture_dim,
-        OpFamily::DcnV1,
-        None,
-    )
-    .unwrap();
+    let op = table2_op(SamplingMethod::SoftwareBilinear, OpFamily::DcnV1);
+    let k = Im2colDeformKernel::new(&op, &x, &off, cfg.texture_limits()).unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 4), 0);
 }
 
 #[test]
 fn im2col_texture_traces_without_allocating() {
-    let shape = table2_shape();
-    let (x, off) = synthetic_inputs(&shape, 2.0, 12);
+    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 12);
     let cfg = DeviceConfig::xavier_agx();
-    let k = Im2colDeformKernel::new(
-        shape,
-        TileConfig::default16(),
-        &x,
-        &off,
-        OffsetTransform::Identity,
-        Sampling::Texture { frac_bits: 23 },
-        cfg.max_texture_layers,
-        cfg.max_texture_dim,
-        OpFamily::DcnV1,
-        None,
-    )
-    .unwrap();
+    let op = table2_op(SamplingMethod::Tex2d, OpFamily::DcnV1);
+    let k = Im2colDeformKernel::new(&op, &x, &off, cfg.texture_limits()).unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 4), 0);
 }
 
 #[test]
 fn fused_texture_traces_without_allocating() {
-    let shape = table2_shape();
-    let (x, off) = synthetic_inputs(&shape, 2.0, 13);
+    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 13);
     let cfg = DeviceConfig::xavier_agx();
-    let k = FusedTexDeformKernel::new(
-        shape,
-        TileConfig::default16(),
-        &x,
-        &off,
-        OffsetTransform::Identity,
-        8,
-        cfg.max_texture_layers,
-        cfg.max_texture_dim,
-        OpFamily::DcnV1,
-        None,
-    )
-    .unwrap();
+    let op = table2_op(SamplingMethod::Tex2dPlusPlus, OpFamily::DcnV1);
+    let k = FusedTexDeformKernel::new(&op, &x, &off, &cfg).unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 2), 0);
 }
 
@@ -162,38 +136,21 @@ fn modulated_and_sparse_kernels_trace_without_allocating() {
     let (x, off) = synthetic_inputs(&shape, 2.0, 14);
     let cfg = DeviceConfig::xavier_agx();
     for family in [OpFamily::DcnV2, OpFamily::DcnV3] {
-        let m = synthetic_modulation(&shape, family, 14);
-        let im2col = Im2colDeformKernel::new(
-            shape,
-            TileConfig::default16(),
-            &x,
-            &off,
-            OffsetTransform::Identity,
-            Sampling::Texture { frac_bits: 23 },
-            cfg.max_texture_layers,
-            cfg.max_texture_dim,
-            family,
-            m.as_ref(),
-        )
-        .unwrap();
+        let tex2d = DeformConvOp {
+            modulation: synthetic_modulation(&shape, family, 14),
+            ..table2_op(SamplingMethod::Tex2d, family)
+        };
+        let im2col = Im2colDeformKernel::new(&tex2d, &x, &off, cfg.texture_limits()).unwrap();
         assert_eq!(
             allocations_tracing(&im2col, &cfg, 2),
             0,
             "{family:?} im2col"
         );
-        let fused = FusedTexDeformKernel::new(
-            shape,
-            TileConfig::default16(),
-            &x,
-            &off,
-            OffsetTransform::Identity,
-            8,
-            cfg.max_texture_layers,
-            cfg.max_texture_dim,
-            family,
-            m.as_ref(),
-        )
-        .unwrap();
+        let tex2dpp = DeformConvOp {
+            method: SamplingMethod::Tex2dPlusPlus,
+            ..tex2d.clone()
+        };
+        let fused = FusedTexDeformKernel::new(&tex2dpp, &x, &off, &cfg).unwrap();
         assert_eq!(allocations_tracing(&fused, &cfg, 2), 0, "{family:?} fused");
     }
 }
