@@ -83,20 +83,28 @@ unset DEFCON_THREADS
 echo "==> obs-disarmed allocation ratchet"
 cargo test -q --offline --test zero_alloc disarmed_obs_layer_does_not_allocate
 
-# Trace determinism, end to end on the release binary: two back-to-back
+# Trace determinism, end to end on the release binaries: two back-to-back
 # traced runs must write byte-identical DEFCON_TRACE files (the logical
-# clock makes timestamps a pure function of the event sequence).
-echo "==> DEFCON_TRACE byte-determinism (release repro_table2_xavier)"
-trace_a="$(mktemp)" trace_b="$(mktemp)"
-DEFCON_TINY=1 DEFCON_THREADS=1 DEFCON_TRACE="$trace_a" \
-    ./target/release/repro_table2_xavier > /dev/null
-DEFCON_TINY=1 DEFCON_THREADS=1 DEFCON_TRACE="$trace_b" \
-    ./target/release/repro_table2_xavier > /dev/null
-cmp "$trace_a" "$trace_b" || {
-    echo "trace determinism FAIL: DEFCON_TRACE output differs between runs" >&2
-    exit 1
+# clock makes timestamps a pure function of the event sequence). The
+# simulator sweep runs at DEFCON_TINY; the interval search (Fig. 6) and
+# the detector trainer (Table V) run at DEFCON_FAST, and their traces carry
+# every search step's losses and every training epoch's mean loss.
+trace_twice() {
+    bin="$1"
+    shift
+    echo "==> DEFCON_TRACE byte-determinism (release $bin, $*)"
+    trace_a="$(mktemp)" trace_b="$(mktemp)"
+    env "$@" DEFCON_THREADS=1 DEFCON_TRACE="$trace_a" "./target/release/$bin" > /dev/null
+    env "$@" DEFCON_THREADS=1 DEFCON_TRACE="$trace_b" "./target/release/$bin" > /dev/null
+    cmp "$trace_a" "$trace_b" || {
+        echo "trace determinism FAIL: $bin DEFCON_TRACE output differs between runs" >&2
+        exit 1
+    }
+    rm -f "$trace_a" "$trace_b"
 }
-rm -f "$trace_a" "$trace_b"
+trace_twice repro_table2_xavier DEFCON_TINY=1
+trace_twice repro_fig6_interval DEFCON_FAST=1
+trace_twice repro_table5 DEFCON_FAST=1
 
 echo "==> cargo check --all-targets --offline (benches + bins compile)"
 cargo check --all-targets --offline
@@ -128,7 +136,7 @@ check_ratchet() {
 check_ratchet crates/support/src/ckpt.rs     14 0
 check_ratchet crates/support/src/env.rs       0 0
 check_ratchet crates/core/src/lut.rs          6 0
-check_ratchet crates/core/src/search.rs      11 1
+check_ratchet crates/core/src/search.rs       2 1
 check_ratchet crates/core/src/autotune.rs     4 0
 check_ratchet crates/core/src/pipeline.rs     0 0
 check_ratchet crates/core/src/serve.rs        0 2
@@ -141,7 +149,8 @@ check_ratchet crates/kernels/src/im2col.rs    1 0
 check_ratchet crates/kernels/src/fused.rs     1 0
 check_ratchet crates/kernels/src/backend.rs   4 0
 check_ratchet crates/accel/src/lib.rs         7 0
-check_ratchet crates/models/src/trainer.rs    7 0
+check_ratchet crates/models/src/trainer.rs    1 0
+check_ratchet crates/nn/src/optim.rs          0 0
 
 # Hot-path tex2D byte-equivalence gate: the legacy (pre-optimization
 # sampler + allocating trace path) and current (branch-free plan/replay +

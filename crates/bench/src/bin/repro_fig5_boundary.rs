@@ -14,9 +14,11 @@ use defcon_models::dataset::DeformedShapesConfig;
 use defcon_models::trainer::{evaluate_detector, prepare, train_detector, TrainConfig};
 use defcon_models::YolactLite;
 use defcon_nn::graph::ParamStore;
+use defcon_nn::optim::RobustConfig;
+use defcon_support::error::DefconError;
 use defcon_tensor::sample::OffsetTransform;
 
-fn main() {
+fn main() -> Result<(), DefconError> {
     // Must be first and live for the whole run: the guard writes the
     // DEFCON_TRACE Chrome trace when it drops.
     let _obs = defcon_bench::obs_scope();
@@ -40,7 +42,7 @@ fn main() {
     bb.lightweight_offsets = false;
     let mut store = ParamStore::new();
     let mut det = YolactLite::new(&mut store, bb);
-    train_detector(&mut det, &mut store, &cfg);
+    train_detector(&mut det, &mut store, &cfg, 0.0, &RobustConfig::default())?;
     let val = prepare(&cfg.dataset, cfg.val_size, cfg.seed ^ 0xFFFF_0000).samples;
 
     println!("# Fig. 5 — accuracy vs. deformation bound P (evaluated with the offsets of one trained model clamped)\n");
@@ -59,4 +61,5 @@ fn main() {
     }
     table.print();
     println!("\n(the paper picks P = 7: bounds ≥ 7 are accuracy-neutral)");
+    Ok(())
 }

@@ -16,8 +16,10 @@ use defcon_models::backbone::{BackboneConfig, SlotKind};
 use defcon_models::dataset::DeformedShapesConfig;
 use defcon_models::trainer::{prepare, DetectorSuperNet, TrainConfig};
 use defcon_nn::graph::ParamStore;
+use defcon_nn::optim::RobustConfig;
+use defcon_support::error::DefconError;
 
-fn main() {
+fn main() -> Result<(), DefconError> {
     // Must be first and live for the whole run: the guard writes the
     // DEFCON_TRACE Chrome trace when it drops.
     let _obs = defcon_bench::obs_scope();
@@ -76,7 +78,8 @@ fn main() {
         lr: cfg.lr,
         ..Default::default()
     };
-    let outcome = IntervalSearch::new(search_cfg, lut).run(&mut net, &mut store);
+    let outcome =
+        IntervalSearch::new(search_cfg, lut).run(&mut net, &mut store, &RobustConfig::default())?;
     println!("searched:       {}", net.detector.backbone.layout());
     println!(
         "\nsearched placement: {} DCNs, DCN latency overhead {:.3} ms (budget T = 0.05 ms)",
@@ -84,4 +87,5 @@ fn main() {
         outcome.dcn_overhead_ms
     );
     println!("loss trajectory (per epoch): {:?}", outcome.loss_history);
+    Ok(())
 }

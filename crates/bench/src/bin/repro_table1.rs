@@ -21,8 +21,10 @@ use defcon_models::trainer::{
     evaluate_detector, prepare, train_and_eval, DetectorSuperNet, TrainConfig,
 };
 use defcon_nn::graph::ParamStore;
+use defcon_nn::optim::RobustConfig;
+use defcon_support::error::DefconError;
 
-fn main() {
+fn main() -> Result<(), DefconError> {
     // Must be first and live for the whole run: the guard writes the
     // DEFCON_TRACE Chrome trace when it drops.
     let _obs = defcon_bench::obs_scope();
@@ -43,7 +45,7 @@ fn main() {
     println!("# Table I — accuracy vs. DCN count/placement on deformed-shapes (backbone: mini, 5 slots)\n");
 
     let mut table = Table::new(&["Method", "# of DCNs", "Box mAP", "Mask mAP", "Mask AP50"]);
-    let run = |name: &str, slots: Vec<SlotKind>, table: &mut Table| {
+    let run = |name: &str, slots: Vec<SlotKind>, table: &mut Table| -> Result<(), DefconError> {
         let mut bb = BackboneConfig::mini(48, slots);
         bb.lightweight_offsets = false;
         let n_dcn = bb
@@ -51,7 +53,7 @@ fn main() {
             .iter()
             .filter(|s| **s == SlotKind::Deformable)
             .count();
-        let (_, _, map) = train_and_eval(bb, &cfg);
+        let (_, _, map) = train_and_eval(bb, &cfg)?;
         table.row(&[
             name.into(),
             n_dcn.to_string(),
@@ -59,23 +61,24 @@ fn main() {
             f2(map.mask_map),
             f2(map.mask_ap50),
         ]);
+        Ok(())
     };
 
     run(
         "YOLACT-like (rigid)",
         BackboneConfig::uniform_slots(5, SlotKind::Regular),
         &mut table,
-    );
+    )?;
     run(
         "YOLACT++-like (dense DCN)",
         BackboneConfig::uniform_slots(5, SlotKind::Deformable),
         &mut table,
-    );
+    )?;
     run(
         "YOLACT++-like (interval 3)",
         BackboneConfig::interval_slots(5, 3),
         &mut table,
-    );
+    )?;
 
     // Ours: interval-searched placement, then fine-tuned (the searched
     // architecture is trained with the same budget as the baselines).
@@ -105,7 +108,11 @@ fn main() {
             lr: cfg.lr,
             ..Default::default()
         };
-        let outcome = IntervalSearch::new(search_cfg, lut).run(&mut net, &mut store);
+        let outcome = IntervalSearch::new(search_cfg, lut).run(
+            &mut net,
+            &mut store,
+            &RobustConfig::default(),
+        )?;
         let val = prepare(&cfg.dataset, cfg.val_size, cfg.seed ^ 0xFFFF_0000).samples;
         let map = evaluate_detector(&mut net.detector, &store, &val, 0.05);
         table.row(&[
@@ -117,4 +124,5 @@ fn main() {
         ]);
     }
     table.print();
+    Ok(())
 }

@@ -12,12 +12,14 @@
 use defcon_bench::{f2, Table};
 use defcon_models::backbone::BackboneConfig;
 use defcon_models::dataset::DeformedShapesConfig;
-use defcon_models::trainer::{evaluate_detector, prepare, train_detector_reg, TrainConfig};
+use defcon_models::trainer::{evaluate_detector, prepare, train_detector, TrainConfig};
 use defcon_models::YolactLite;
 use defcon_nn::graph::ParamStore;
+use defcon_nn::optim::RobustConfig;
+use defcon_support::error::DefconError;
 use defcon_tensor::sample::OffsetTransform;
 
-fn main() {
+fn main() -> Result<(), DefconError> {
     // Must be first and live for the whole run: the guard writes the
     // DEFCON_TRACE Chrome trace when it drops.
     let _obs = defcon_bench::obs_scope();
@@ -49,7 +51,14 @@ fn main() {
         };
         let mut store = ParamStore::new();
         let mut det = YolactLite::new(&mut store, bb);
-        train_detector_reg(&mut det, &mut store, &cfg, if reg { 0.01 } else { 0.0 });
+        let offset_reg = if reg { 0.01 } else { 0.0 };
+        train_detector(
+            &mut det,
+            &mut store,
+            &cfg,
+            offset_reg,
+            &RobustConfig::default(),
+        )?;
         let val = prepare(&cfg.dataset, cfg.val_size, cfg.seed ^ 0xFFFF_0000).samples;
         let map = evaluate_detector(&mut det, &store, &val, 0.05);
         table.row(&[
@@ -61,4 +70,5 @@ fn main() {
         ]);
     }
     table.print();
+    Ok(())
 }

@@ -16,14 +16,18 @@ use defcon_nn::graph::{ParamId, ParamStore, Tape, Var};
 use defcon_nn::gumbel::TemperatureSchedule;
 use defcon_nn::modules::LayerChoice;
 use defcon_nn::ops;
-use defcon_nn::optim::Sgd;
-use defcon_support::ckpt;
+use defcon_nn::optim::{GuardedLoop, LoopSite, RobustConfig, Sgd};
 use defcon_support::error::DefconError;
-use defcon_support::fault;
-use defcon_support::json::{Json, JsonError};
+use defcon_support::json::Json;
 use defcon_support::obs;
-use defcon_tensor::Tensor;
-use std::path::PathBuf;
+
+/// The search's fault points and obs events on the shared [`GuardedLoop`].
+const SEARCH_SITE: LoopSite = LoopSite {
+    loss_fault: "search.loss",
+    grad_fault: "search.alpha_grad",
+    rollback_event: "search.rollback",
+    checkpoint_event: "search.checkpoint",
+};
 
 /// What the search needs from a supernet.
 pub trait SearchModel {
@@ -81,34 +85,6 @@ impl Default for SearchConfig {
     }
 }
 
-/// Robustness knobs for [`IntervalSearch::run_robust`].
-#[derive(Clone, Debug)]
-pub struct RobustSearchConfig {
-    /// Where to checkpoint after every epoch (atomic write + CRC). `None`
-    /// disables checkpointing. On start, an existing valid checkpoint at
-    /// this path is resumed; a corrupt/truncated one is discarded and the
-    /// run restarts from scratch (deterministic models then reproduce the
-    /// uninterrupted run exactly).
-    pub checkpoint: Option<PathBuf>,
-    /// How many times one step may be retried after a non-finite
-    /// loss/gradient before the run fails with
-    /// [`DefconError::RetriesExhausted`].
-    pub max_step_retries: usize,
-    /// LR backoff factor applied (multiplicatively, via [`Sgd::backoff`])
-    /// on every rollback.
-    pub lr_backoff: f32,
-}
-
-impl Default for RobustSearchConfig {
-    fn default() -> Self {
-        RobustSearchConfig {
-            checkpoint: None,
-            max_step_retries: 3,
-            lr_backoff: 0.5,
-        }
-    }
-}
-
 /// The outcome of a search run.
 #[derive(Clone, Debug)]
 pub struct SearchOutcome {
@@ -161,46 +137,28 @@ impl IntervalSearch {
         IntervalSearch { config, lut }
     }
 
-    /// Runs Algorithm 1 on `model`, updating `store` in place.
+    /// Runs Algorithm 1 on `model`, updating `store` in place, on the
+    /// shared [`GuardedLoop`] (step rollback with LR backoff, per-epoch
+    /// checkpoints, resume).
     ///
-    /// Thin wrapper over [`IntervalSearch::run_robust`] with the default
-    /// robustness knobs (no checkpointing); when no step ever produces a
-    /// non-finite loss or gradient the arithmetic is identical to the
-    /// historical unguarded loop. Panics on any error `run_robust`
-    /// returns.
-    pub fn run<M: SearchModel>(&self, model: &mut M, store: &mut ParamStore) -> SearchOutcome {
-        self.run_robust(model, store, &RobustSearchConfig::default())
-            .expect("interval search failed (run_robust has the typed error)")
-    }
-
-    /// Algorithm 1 with graceful degradation:
+    /// Every slot's `t(w_n)` is looked up before training starts: a slot
+    /// whose key the LUT never collected is [`DefconError::MissingKey`]. A
+    /// `robust.lr_backoff` outside `(0, 1]` is a `robust-config`
+    /// [`DefconError::Constraint`] before the first step, and a step still
+    /// non-finite after `robust.max_step_retries` retries is
+    /// [`DefconError::RetriesExhausted`]. Unfaulted, the arithmetic is that
+    /// of the plain unguarded loop.
     ///
-    /// - every slot's `t(w_n)` is looked up before training starts: a slot
-    ///   whose key the LUT never collected is [`DefconError::MissingKey`];
-    /// - every optimization step is guarded: a non-finite task loss or any
-    ///   non-finite parameter gradient rolls the store back to the
-    ///   pre-step snapshot, backs off the learning rate
-    ///   ([`Sgd::backoff`]), and retries, up to
-    ///   `robust.max_step_retries` extra attempts before surfacing
-    ///   [`DefconError::RetriesExhausted`];
-    /// - with `robust.checkpoint` set, the full optimization state is
-    ///   written atomically (CRC-framed) after every epoch, and an
-    ///   existing valid checkpoint is resumed from; a corrupt or
-    ///   truncated checkpoint is discarded and the run restarts from
-    ///   scratch.
-    ///
-    /// Resume replays nothing: completed epochs are skipped and training
-    /// continues from the stored parameters, momentum, and LR schedule.
-    /// For models whose `forward_loss` is a pure function of
-    /// `(store, batch, temperature)` this makes a resumed run
-    /// byte-identical to an uninterrupted one; models holding private RNG
-    /// state (e.g. Gumbel noise streams) resume correctly but reproduce
-    /// the uninterrupted trajectory only up to that noise.
-    pub fn run_robust<M: SearchModel>(
+    /// A resumed run is byte-identical to an uninterrupted one for models
+    /// whose `forward_loss` is a pure function of `(store, batch,
+    /// temperature)`; models holding private RNG state (e.g. Gumbel noise
+    /// streams) reproduce the uninterrupted trajectory only up to that
+    /// noise.
+    pub fn run<M: SearchModel>(
         &self,
         model: &mut M,
         store: &mut ParamStore,
-        robust: &RobustSearchConfig,
+        robust: &RobustConfig,
     ) -> Result<SearchOutcome, DefconError> {
         let run_span = obs::span_with("search.run", || {
             vec![
@@ -217,32 +175,14 @@ impl IntervalSearch {
         let lat: Vec<f32> = (0..model.num_slots())
             .map(|i| Ok(self.lut.dcn_overhead_ms(&model.latency_key(i))? as f32))
             .collect::<Result<_, DefconError>>()?;
-        let mut opt = Sgd::new(self.config.lr, 0.9, 0.0);
-        let mut loss_history: Vec<f32> = Vec::new();
-        let mut final_loss = f32::NAN;
-
-        // --- Resume from a checkpoint when one is present and intact. ---
-        if let Some(path) = &robust.checkpoint {
-            if let Some(payload) = ckpt::load_or_discard(path)? {
-                let pre = store.snapshot();
-                match parse_search_checkpoint(&payload, store) {
-                    Ok(state) => {
-                        loss_history = state.loss_history;
-                        final_loss = state.final_loss;
-                        opt.restore_schedule(state.opt_steps, state.opt_lr_scale);
-                    }
-                    // A CRC-valid but semantically stale checkpoint (e.g.
-                    // from a different model) degrades to a fresh start;
-                    // the store must not keep a partial load.
-                    Err(_) => store.restore(&pre),
-                }
-            }
-        }
+        let opt = Sgd::new(self.config.lr, 0.9, 0.0);
+        let poison = (model.num_slots() > 0).then(|| model.alpha(0));
+        let mut run = GuardedLoop::start(SEARCH_SITE, robust, opt, store, poison)?;
 
         // --- Interval search phase (Algorithm 1, top loop). ---
         for epoch in 0..self.config.search_epochs {
-            if loss_history.len() > epoch {
-                continue; // resumed past this epoch
+            if run.done(epoch) {
+                continue;
             }
             let tau = self.config.temperature.at(epoch);
             model.set_temperature(tau);
@@ -253,17 +193,11 @@ impl IntervalSearch {
                     ("tau", Json::from(tau as f64)),
                 ]
             });
-            let mut epoch_loss = 0.0f32;
             for iter in 0..self.config.iters_per_epoch {
                 let batch = epoch * self.config.iters_per_epoch + iter;
-                epoch_loss +=
-                    self.robust_step(model, store, &mut opt, &lat, true, batch, robust)?;
+                self.step(&mut run, model, store, Some(&lat), batch)?;
             }
-            let mean_loss = epoch_loss / self.config.iters_per_epoch as f32;
-            epoch_span.record("loss", Json::from(mean_loss as f64));
-            drop(epoch_span);
-            loss_history.push(mean_loss);
-            self.save_checkpoint(robust, store, &opt, &loss_history, final_loss)?;
+            run.end_epoch(store, epoch_span)?;
         }
 
         // --- Select layer type by the magnitude of α. ---
@@ -279,8 +213,8 @@ impl IntervalSearch {
 
         // --- Fine-tune the result architecture (Algorithm 1, bottom loop). ---
         for epoch in 0..self.config.finetune_epochs {
-            if loss_history.len() > self.config.search_epochs + epoch {
-                continue; // resumed past this epoch
+            if run.done(self.config.search_epochs + epoch) {
+                continue;
             }
             let epoch_span = obs::span_with("search.epoch", || {
                 vec![
@@ -288,198 +222,66 @@ impl IntervalSearch {
                     ("phase", Json::str("finetune")),
                 ]
             });
-            let mut epoch_loss = 0.0f32;
             for iter in 0..self.config.iters_per_epoch {
                 let batch = epoch * self.config.iters_per_epoch + iter;
-                final_loss =
-                    self.robust_step(model, store, &mut opt, &lat, false, batch, robust)?;
-                epoch_loss += final_loss;
+                run.final_loss = self.step(&mut run, model, store, None, batch)?;
             }
-            let mean_loss = epoch_loss / self.config.iters_per_epoch as f32;
-            epoch_span.record("loss", Json::from(mean_loss as f64));
-            drop(epoch_span);
-            loss_history.push(mean_loss);
-            self.save_checkpoint(robust, store, &opt, &loss_history, final_loss)?;
+            run.end_epoch(store, epoch_span)?;
         }
 
-        run_span.record("final_loss", Json::from(final_loss as f64));
+        run_span.record("final_loss", Json::from(run.final_loss as f64));
         run_span.record("dcn_overhead_ms", Json::from(dcn_overhead_ms));
         Ok(SearchOutcome {
             choices,
-            final_loss,
+            final_loss: run.final_loss,
             dcn_overhead_ms,
-            loss_history,
+            loss_history: run.loss_history,
         })
     }
 
-    /// One guarded optimization step; returns the task-loss value.
-    #[allow(clippy::too_many_arguments)]
-    fn robust_step<M: SearchModel>(
+    /// One guarded step on mini-batch `batch`; in the search phase `lat`
+    /// holds the per-slot latencies the penalty is computed over. Returns
+    /// the task-loss value.
+    fn step<M: SearchModel>(
         &self,
+        run: &mut GuardedLoop,
         model: &mut M,
         store: &mut ParamStore,
-        opt: &mut Sgd,
-        lat: &[f32],
-        with_penalty: bool,
+        lat: Option<&[f32]>,
         batch: usize,
-        robust: &RobustSearchConfig,
     ) -> Result<f32, DefconError> {
-        for attempt in 0..=robust.max_step_retries {
-            let snap = store.snapshot();
-            store.zero_grads();
-            let mut tape = Tape::new();
-            let task = model.forward_loss(&mut tape, store, batch);
-            let (total, penalty_val) = if with_penalty {
+        let mut penalty_val = None;
+        let task_val = run.step(
+            store,
+            ("batch", batch),
+            || format!("interval-search step on batch {batch}"),
+            |tape, store| {
+                let task = model.forward_loss(tape, store, batch);
+                let Some(lat) = lat else {
+                    return (task, task);
+                };
                 let alphas: Vec<Var> = (0..model.num_slots())
                     .map(|i| tape.param(store, model.alpha(i)))
                     .collect();
                 let penalty =
-                    ops::latency_penalty(&mut tape, &alphas, lat, self.config.target_latency_ms);
-                let penalty_val = tape.value(penalty).data()[0];
-                let weighted = ops::scale(&mut tape, penalty, self.config.beta);
-                (ops::add(&mut tape, task, weighted), Some(penalty_val))
-            } else {
-                (task, None)
-            };
-            let mut task_val = tape.value(task).data()[0];
-            fault::nonfinite_f32("search.loss", &mut task_val);
-            if task_val.is_finite() {
-                tape.backward(total);
-                tape.write_param_grads(store);
-                if fault::fires("search.alpha_grad") && model.num_slots() > 0 {
-                    // Inject a poisoned α gradient (offset-gradient blow-up
-                    // surrogate) for the guard below to catch.
-                    let nan = Tensor::from_vec(vec![f32::NAN, f32::NAN], &[2]);
-                    store.accumulate_grad(model.alpha(0), &nan);
-                }
-                if store.grads_finite() {
-                    opt.step(store);
-                    obs::event_with("search.step", || {
-                        let mut args = vec![
-                            ("batch", Json::from(batch)),
-                            ("task_loss", Json::from(task_val as f64)),
-                        ];
-                        if let Some(p) = penalty_val {
-                            args.push(("lut_penalty", Json::from(p as f64)));
-                        }
-                        args
-                    });
-                    return Ok(task_val);
-                }
+                    ops::latency_penalty(tape, &alphas, lat, self.config.target_latency_ms);
+                penalty_val = Some(tape.value(penalty).data()[0]);
+                let weighted = ops::scale(tape, penalty, self.config.beta);
+                (task, ops::add(tape, task, weighted))
+            },
+        )?;
+        obs::event_with("search.step", || {
+            let mut args = vec![
+                ("batch", Json::from(batch)),
+                ("task_loss", Json::from(task_val as f64)),
+            ];
+            if let Some(p) = penalty_val {
+                args.push(("lut_penalty", Json::from(p as f64)));
             }
-            // Degradation path: the step diverged — roll back parameters and
-            // momentum, gear the LR down, and retry the same mini-batch.
-            store.restore(&snap);
-            opt.backoff(robust.lr_backoff);
-            obs::event_with("search.rollback", || {
-                vec![
-                    ("batch", Json::from(batch)),
-                    ("attempt", Json::from(attempt)),
-                    ("lr_backoff", Json::from(robust.lr_backoff as f64)),
-                ]
-            });
-        }
-        Err(DefconError::RetriesExhausted {
-            what: format!("interval-search step on batch {batch} (non-finite loss/gradient)"),
-            attempts: robust.max_step_retries + 1,
-        })
-    }
-
-    /// Writes the post-epoch checkpoint when checkpointing is enabled.
-    fn save_checkpoint(
-        &self,
-        robust: &RobustSearchConfig,
-        store: &ParamStore,
-        opt: &Sgd,
-        loss_history: &[f32],
-        final_loss: f32,
-    ) -> Result<(), DefconError> {
-        let Some(path) = &robust.checkpoint else {
-            return Ok(());
-        };
-        let doc = Json::obj(vec![
-            ("epochs_done", Json::from(loss_history.len())),
-            (
-                "final_loss",
-                if final_loss.is_finite() {
-                    Json::from(final_loss as f64)
-                } else {
-                    Json::Null
-                },
-            ),
-            (
-                "loss_history",
-                Json::Arr(loss_history.iter().map(|&v| Json::from(v as f64)).collect()),
-            ),
-            ("opt_steps", Json::from(opt.steps())),
-            ("opt_lr_scale", Json::from(opt.lr_scale() as f64)),
-            ("params", store.state_to_json()),
-        ]);
-        ckpt::save(path, &doc.to_string())?;
-        obs::event_with("search.checkpoint", || {
-            vec![("epochs_done", Json::from(loss_history.len()))]
+            args
         });
-        Ok(())
+        Ok(task_val)
     }
-}
-
-/// Decoded search checkpoint (see [`IntervalSearch::run_robust`]).
-struct SearchCheckpoint {
-    loss_history: Vec<f32>,
-    final_loss: f32,
-    opt_steps: usize,
-    opt_lr_scale: f32,
-}
-
-/// Parses a CRC-valid checkpoint payload and loads the parameter state
-/// into `store`. On error the caller must restore `store` from a
-/// pre-parse snapshot (the load may have been partial).
-fn parse_search_checkpoint(
-    payload: &str,
-    store: &mut ParamStore,
-) -> Result<SearchCheckpoint, JsonError> {
-    let doc = Json::parse(payload)?;
-    let epochs_done = doc
-        .field("epochs_done")?
-        .as_usize()
-        .ok_or_else(|| JsonError::msg("epochs_done must be a non-negative integer"))?;
-    let final_loss = match doc.field("final_loss")? {
-        Json::Null => f32::NAN,
-        v => v
-            .as_f64()
-            .ok_or_else(|| JsonError::msg("final_loss must be a number or null"))?
-            as f32,
-    };
-    let hist = doc
-        .field("loss_history")?
-        .as_arr()
-        .ok_or_else(|| JsonError::msg("loss_history must be an array"))?;
-    let mut loss_history = Vec::with_capacity(hist.len());
-    for v in hist {
-        loss_history.push(
-            v.as_f64()
-                .ok_or_else(|| JsonError::msg("loss_history entries must be numbers"))?
-                as f32,
-        );
-    }
-    if loss_history.len() != epochs_done {
-        return Err(JsonError::msg("epochs_done disagrees with loss_history"));
-    }
-    let opt_steps = doc
-        .field("opt_steps")?
-        .as_usize()
-        .ok_or_else(|| JsonError::msg("opt_steps must be a non-negative integer"))?;
-    let opt_lr_scale =
-        doc.field("opt_lr_scale")?
-            .as_f64()
-            .ok_or_else(|| JsonError::msg("opt_lr_scale must be a number"))? as f32;
-    store.load_state_json(doc.field("params")?)?;
-    Ok(SearchCheckpoint {
-        loss_history,
-        final_loss,
-        opt_steps,
-        opt_lr_scale,
-    })
 }
 
 #[cfg(test)]
@@ -489,6 +291,8 @@ mod tests {
     use defcon_kernels::op::{OffsetPredictorKind, OpFamily, SamplingMethod};
     use defcon_nn::loss;
     use defcon_nn::modules::{DualPathConv, Module};
+    use defcon_support::ckpt;
+    use defcon_support::fault;
     use defcon_tensor::sample::DeformConv2dParams;
     use defcon_tensor::Tensor;
 
@@ -593,7 +397,7 @@ mod tests {
             ..Default::default()
         };
         let search = IntervalSearch::new(cfg, tiny_lut());
-        let out = search.run(&mut net, &mut store);
+        let out = search.run(&mut net, &mut store, &RobustConfig::default())?;
         assert_eq!(out.choices.len(), 2);
         assert_eq!(out.loss_history.len(), 5);
         assert_eq!(out.layout().len(), 2);
@@ -616,7 +420,7 @@ mod tests {
         };
         let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let err = search
-            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
+            .run(&mut net, &mut store, &RobustConfig::default())
             .err();
         assert!(
             matches!(&err, Some(DefconError::MissingKey { what }) if what.contains("stride: 2")),
@@ -625,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn loss_improves_over_search() {
+    fn loss_improves_over_search() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let mut store = ParamStore::new();
         let mut net = ToyNet::new(&mut store);
@@ -637,10 +441,11 @@ mod tests {
             ..Default::default()
         };
         let search = IntervalSearch::new(cfg, tiny_lut());
-        let out = search.run(&mut net, &mut store);
+        let out = search.run(&mut net, &mut store, &RobustConfig::default())?;
         let first = out.loss_history[0];
         let last = *out.loss_history.last().unwrap();
         assert!(last < first, "loss should fall: {first} -> {last}");
+        Ok(())
     }
 
     /// The search space is operator-family aware: a LUT built with
@@ -664,7 +469,7 @@ mod tests {
             let mut store = ParamStore::new();
             let mut net = ToyNet::new(&mut store);
             let search = IntervalSearch::new(small_cfg(), lut);
-            let out = search.run(&mut net, &mut store);
+            let out = search.run(&mut net, &mut store, &RobustConfig::default())?;
             let per_slot = search.lut.dcn_overhead_ms(&net.latency_key(0))?;
             // The driver prices slots through the f32 `lat` vector, so the
             // accounting identity holds at f32 resolution.
@@ -683,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn tight_latency_budget_suppresses_dcns() {
+    fn tight_latency_budget_suppresses_dcns() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         // With a zero-latency target and a huge β, the penalty should push
         // α¹ below α⁰ everywhere → no deformable layers survive.
@@ -701,8 +506,9 @@ mod tests {
             ..Default::default()
         };
         let search = IntervalSearch::new(cfg, tiny_lut());
-        let out = search.run(&mut net, &mut store);
+        let out = search.run(&mut net, &mut store, &RobustConfig::default())?;
         assert_eq!(out.num_dcn(), 0, "layout {}", out.layout());
+        Ok(())
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -721,54 +527,32 @@ mod tests {
     }
 
     #[test]
-    fn run_and_run_robust_agree_bitwise_when_unfaulted() {
-        let _quiet = fault::quiesce();
-        let mk = || {
-            let mut store = ParamStore::new();
-            let net = ToyNet::new(&mut store);
-            (store, net)
-        };
-        let search = IntervalSearch::new(small_cfg(), tiny_lut());
-        let (mut s1, mut n1) = mk();
-        let a = search.run(&mut n1, &mut s1);
-        let (mut s2, mut n2) = mk();
-        let b = search
-            .run_robust(&mut n2, &mut s2, &RobustSearchConfig::default())
-            .unwrap();
-        assert_eq!(a.loss_history, b.loss_history);
-        assert_eq!(a.final_loss, b.final_loss);
-        assert_eq!(a.choices, b.choices);
-    }
-
-    #[test]
-    fn injected_nan_loss_rolls_back_and_recovers() {
+    fn injected_nan_loss_rolls_back_and_recovers() -> Result<(), DefconError> {
         use defcon_support::fault::{FaultPlan, Schedule};
         let mut store = ParamStore::new();
         let mut net = ToyNet::new(&mut store);
         let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let _armed = fault::arm(FaultPlan::new(31).point("search.loss", Schedule::Nth(1)));
-        let out = search
-            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
-            .unwrap();
+        let out = search.run(&mut net, &mut store, &RobustConfig::default())?;
         assert_eq!(fault::log(), vec!["search.loss#1"]);
         assert!(out.loss_history.iter().all(|l| l.is_finite()));
         assert!(out.final_loss.is_finite());
+        Ok(())
     }
 
     #[test]
-    fn injected_alpha_grad_nan_rolls_back_and_recovers() {
+    fn injected_alpha_grad_nan_rolls_back_and_recovers() -> Result<(), DefconError> {
         use defcon_support::fault::{FaultPlan, Schedule};
         let mut store = ParamStore::new();
         let mut net = ToyNet::new(&mut store);
         let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let _armed = fault::arm(FaultPlan::new(32).point("search.alpha_grad", Schedule::Nth(0)));
-        let out = search
-            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
-            .unwrap();
+        let out = search.run(&mut net, &mut store, &RobustConfig::default())?;
         assert_eq!(fault::log(), vec!["search.alpha_grad#0"]);
         assert!(out.final_loss.is_finite());
         // The rollback path backed the LR off; the store must hold no NaNs.
         assert!(store.values_finite());
+        Ok(())
     }
 
     #[test]
@@ -780,7 +564,7 @@ mod tests {
         let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let _armed = fault::arm(FaultPlan::new(33).point("search.loss", Schedule::Always));
         let err = search
-            .run_robust(&mut net, &mut store, &RobustSearchConfig::default())
+            .run(&mut net, &mut store, &RobustConfig::default())
             .unwrap_err();
         match err {
             DefconError::RetriesExhausted { attempts, .. } => assert_eq!(attempts, 4),
@@ -788,52 +572,75 @@ mod tests {
         }
     }
 
+    /// A backoff factor `Sgd::backoff` would reject is a typed config error
+    /// before the first step — never a panic at the first rollback.
     #[test]
-    fn completed_checkpoint_short_circuits_resume() {
+    fn zero_lr_backoff_is_a_typed_constraint_before_any_step() {
+        use defcon_support::fault::{FaultPlan, Schedule};
+        let mut store = ParamStore::new();
+        let mut net = ToyNet::new(&mut store);
+        let search = IntervalSearch::new(small_cfg(), tiny_lut());
+        let _armed = fault::arm(FaultPlan::new(34).point("search.loss", Schedule::Nth(0)));
+        let robust = RobustConfig {
+            lr_backoff: 0.0,
+            ..Default::default()
+        };
+        let err = search.run(&mut net, &mut store, &robust).err();
+        assert!(
+            matches!(&err, Some(DefconError::Constraint { what, .. }) if what == "robust-config"),
+            "{err:?}"
+        );
+        assert!(fault::log().is_empty(), "no step may run");
+    }
+
+    #[test]
+    fn completed_checkpoint_short_circuits_resume() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let path = tmp_path("complete");
         let _ = std::fs::remove_file(&path);
-        let robust = RobustSearchConfig {
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
         let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let mut store = ParamStore::new();
         let mut net = ToyNet::new(&mut store);
-        let first = search.run_robust(&mut net, &mut store, &robust).unwrap();
+        let first = search.run(&mut net, &mut store, &robust)?;
         // Resume from the completed checkpoint: every epoch is skipped, so
         // the outcome is reproduced exactly even though the model's Gumbel
         // noise stream was never replayed.
         let mut store2 = ParamStore::new();
         let mut net2 = ToyNet::new(&mut store2);
-        let second = search.run_robust(&mut net2, &mut store2, &robust).unwrap();
+        let second = search.run(&mut net2, &mut store2, &robust)?;
         assert_eq!(first.loss_history, second.loss_history);
         assert_eq!(first.final_loss, second.final_loss);
         assert_eq!(first.choices, second.choices);
         let _ = std::fs::remove_file(&path);
+        Ok(())
     }
 
     #[test]
-    fn corrupt_checkpoint_is_discarded_and_run_restarts() {
+    fn corrupt_checkpoint_is_discarded_and_run_restarts() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         let path = tmp_path("corrupt");
         std::fs::write(&path, "deadbeef\nnot the payload").unwrap();
-        let robust = RobustSearchConfig {
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
         let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let mut store = ParamStore::new();
         let mut net = ToyNet::new(&mut store);
-        let out = search.run_robust(&mut net, &mut store, &robust).unwrap();
+        let out = search.run(&mut net, &mut store, &robust)?;
         assert_eq!(out.loss_history.len(), 4);
         // The run overwrote the corrupt file with a valid checkpoint.
-        assert!(ckpt::load(&path).unwrap().is_some());
+        assert!(ckpt::load(&path)?.is_some());
         let _ = std::fs::remove_file(&path);
+        Ok(())
     }
 
     #[test]
-    fn stale_checkpoint_from_other_model_restarts_cleanly() {
+    fn stale_checkpoint_from_other_model_restarts_cleanly() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         // CRC-valid but for a different parameter set: resume must degrade
         // to a fresh start without leaving a partial load in the store.
@@ -848,22 +655,23 @@ mod tests {
             ("opt_lr_scale", Json::from(1.0)),
             ("params", other_store.state_to_json()),
         ]);
-        ckpt::save(&path, &doc.to_string()).unwrap();
-        let robust = RobustSearchConfig {
+        ckpt::save(&path, &doc.to_string())?;
+        let robust = RobustConfig {
             checkpoint: Some(path.clone()),
             ..Default::default()
         };
         let search = IntervalSearch::new(small_cfg(), tiny_lut());
         let mut store = ParamStore::new();
         let mut net = ToyNet::new(&mut store);
-        let out = search.run_robust(&mut net, &mut store, &robust).unwrap();
+        let out = search.run(&mut net, &mut store, &robust)?;
         assert_eq!(out.loss_history.len(), 4, "must run all epochs fresh");
         assert!(store.values_finite());
         let _ = std::fs::remove_file(&path);
+        Ok(())
     }
 
     #[test]
-    fn loose_budget_lets_dcns_win_on_deformed_task() {
+    fn loose_budget_lets_dcns_win_on_deformed_task() -> Result<(), DefconError> {
         let _quiet = fault::quiesce();
         // With no pressure (β=0) on a task built around spatial shift, at
         // least one slot should pick the deformable path.
@@ -878,11 +686,12 @@ mod tests {
             ..Default::default()
         };
         let search = IntervalSearch::new(cfg, tiny_lut());
-        let out = search.run(&mut net, &mut store);
+        let out = search.run(&mut net, &mut store, &RobustConfig::default())?;
         assert!(
             out.num_dcn() >= 1,
             "expected DCN to win somewhere, layout {}",
             out.layout()
         );
+        Ok(())
     }
 }

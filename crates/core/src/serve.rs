@@ -99,16 +99,8 @@ use defcon_support::{env, fault, obs};
 
 use crate::lut::{LatencyKey, LatencyLut};
 
-/// FNV-1a 64-bit hash — the content-address function for cache keys and
-/// report digests. Stable across platforms, runs, and Rust versions.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The content-address function for cache keys and report digests.
+pub use defcon_support::rng::fnv1a64;
 
 /// A simulated device a request can target, addressed by canonical name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -522,11 +514,6 @@ impl ServeConfig {
             self.default_deadline_cycles = d;
         }
         Ok(self)
-    }
-
-    /// The default configuration with env overrides applied.
-    pub fn from_env() -> Result<Self, DefconError> {
-        ServeConfig::default().with_env_overrides()
     }
 }
 

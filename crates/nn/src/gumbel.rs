@@ -13,11 +13,6 @@ pub fn sample_gumbel<R: Rng>(rng: &mut R) -> f32 {
     -(-u.ln()).ln()
 }
 
-/// A vector of `n` Gumbel samples.
-pub fn gumbel_noise<R: Rng>(rng: &mut R, n: usize) -> Vec<f32> {
-    (0..n).map(|_| sample_gumbel(rng)).collect()
-}
-
 /// A vector of `n` U(0,1) samples (the paper's literal `ε ~ U(0,1)`).
 pub fn uniform_noise<R: Rng>(rng: &mut R, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(0.0..1.0)).collect()

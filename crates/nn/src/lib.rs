@@ -11,7 +11,8 @@
 //!   paper §III-A-b),
 //! * the dual-path Gumbel-Softmax layer used by the interval search
 //!   (paper Eq. 5, Fig. 4c),
-//! * SGD with momentum and step-decay learning rates (paper §IV-A).
+//! * SGD with momentum and step-decay learning rates (paper §IV-A), and
+//!   the guarded, checkpointed epoch loop both training drivers run on.
 //!
 //! ## Design
 //!

@@ -11,8 +11,7 @@ use defcon_tensor::conv::{
 };
 use defcon_tensor::norm::{batch_norm2d_backward, batch_norm2d_train};
 use defcon_tensor::pool::{
-    global_avg_pool, global_avg_pool_backward, max_pool2x2, max_pool2x2_backward,
-    upsample_nearest_2x, upsample_nearest_2x_backward,
+    global_avg_pool, global_avg_pool_backward, upsample_nearest_2x, upsample_nearest_2x_backward,
 };
 use defcon_tensor::sample::{
     deform_conv2d_backward_ref, deform_conv2d_ref, DeformConv2dParams, OffsetTransform,
@@ -63,12 +62,6 @@ pub fn mul(t: &mut Tape, a: Var, b: Var) -> Var {
 pub fn scale(t: &mut Tape, a: Var, s: f32) -> Var {
     let v = t.value(a).scale(s);
     t.push(v, vec![a], Some(Box::new(move |gy| vec![gy.scale(s)])))
-}
-
-/// `a + s` for a constant scalar.
-pub fn add_scalar(t: &mut Tape, a: Var, s: f32) -> Var {
-    let v = t.value(a).map(|x| x + s);
-    t.push(v, vec![a], Some(Box::new(move |gy| vec![gy.clone()])))
 }
 
 /// Elementwise square.
@@ -379,20 +372,6 @@ pub fn batch_norm2d_op(
         Some(Box::new(move |gy| {
             let (gx, gg, gb) = batch_norm2d_backward(gy, &gv, &cache);
             vec![gx, gg, gb]
-        })),
-    )
-}
-
-/// 2×2 max pooling, stride 2.
-pub fn max_pool2x2_op(t: &mut Tape, x: Var) -> Var {
-    let xv = t.value(x).clone();
-    let (y, arg) = max_pool2x2(&xv);
-    let in_dims = xv.dims().to_vec();
-    t.push(
-        y,
-        vec![x],
-        Some(Box::new(move |gy| {
-            vec![max_pool2x2_backward(gy, &arg, &in_dims)]
         })),
     )
 }

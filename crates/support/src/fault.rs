@@ -26,6 +26,7 @@
 //!   process; everything disarms (and unlocks) on drop, even across a
 //!   panic.
 
+use crate::rng::fnv1a64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -54,7 +55,7 @@ impl Schedule {
             Schedule::Nth(k) => n == k,
             Schedule::EveryNth(k) => k != 0 && n.is_multiple_of(k),
             Schedule::Prob(p) => {
-                let h = mix(seed, fnv1a(point.as_bytes()), n);
+                let h = mix(seed, fnv1a64(point.as_bytes()), n);
                 (h as f64 / u64::MAX as f64) < p
             }
         }
@@ -241,7 +242,7 @@ pub fn corrupt_string(point: &str, s: &mut String) -> bool {
     let h = {
         let reg = registry();
         let seed = reg.as_ref().map(|r| r.seed).unwrap_or(0);
-        mix(seed, fnv1a(point.as_bytes()), s.len() as u64)
+        mix(seed, fnv1a64(point.as_bytes()), s.len() as u64)
     };
     if s.is_empty() {
         s.push('!');
@@ -281,15 +282,6 @@ pub fn panic_at(point: &str, index: u64) {
 // ---------------------------------------------------------------------------
 // Deterministic mixing
 // ---------------------------------------------------------------------------
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// splitmix64-style avalanche over the three decision inputs.
 fn mix(seed: u64, point_hash: u64, n: u64) -> u64 {

@@ -132,14 +132,6 @@ impl Json {
         }
     }
 
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Typed field access: `obj.num_field("x")?`.
     pub fn num_field(&self, key: &str) -> Result<f64, JsonError> {
         self.field(key)?

@@ -22,6 +22,8 @@
 //! schedule allocates nothing (pinned by an allocation-counting test), so
 //! the disarmed/fast path of a serving loop pays only the arithmetic.
 
+use crate::rng::splitmix64;
+
 /// A deterministic retry policy. All fields are plain integers so the
 /// schedule is exactly reproducible (no float rounding, no clock).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,15 +53,6 @@ impl Default for RetryPolicy {
             seed: 0xDEFC_0DE5,
         }
     }
-}
-
-/// splitmix64 — the standard 64-bit finalizer; a pure function of its
-/// input, used to turn `(seed, attempt)` into a jitter draw.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

@@ -7,6 +7,10 @@
 //! and Rust versions, which is what the reproduction needs (the statistical
 //! quality bar here is "good enough for initialization, sampling and
 //! property tests", not cryptography).
+//!
+//! The workspace's two stateless hashes live here too, once each:
+//! [`splitmix64`] (seeding, retry jitter) and [`fnv1a64`] (cache keys,
+//! report digests, fault-point names).
 
 /// A source of raw 64-bit randomness.
 pub trait RngCore {
@@ -30,24 +34,36 @@ pub struct StdRng {
     s: [u64; 4],
 }
 
-/// One SplitMix64 step: advances `state` and returns the mixed output.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// The SplitMix64 increment (2⁶⁴ / φ).
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step as a pure function: the output for state `z`,
+/// i.e. the standard 64-bit finalizer applied to `z + 0x9E37_79B9_7F4A_7C15`.
+/// Output `k` of a SplitMix64 stream seeded with `s` is
+/// `splitmix64(s + k·0x9E37_79B9_7F4A_7C15)`.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
+/// FNV-1a 64-bit hash — the content-address function for cache keys and
+/// report digests. Stable across platforms, runs, and Rust versions.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 impl SeedableRng for StdRng {
     fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s = std::array::from_fn(|k| {
+            splitmix64(seed.wrapping_add((k as u64).wrapping_mul(GOLDEN_GAMMA)))
+        });
         StdRng { s }
     }
 }

@@ -2,48 +2,6 @@
 
 use crate::Tensor;
 
-/// 2×2 max pooling with stride 2 (floor semantics). Returns the pooled tensor
-/// and the flat argmax indices (into the input buffer) needed for backward.
-pub fn max_pool2x2(x: &Tensor) -> (Tensor, Vec<usize>) {
-    let (n, c, h, w) = x.shape().nchw();
-    let (oh, ow) = (h / 2, w / 2);
-    let mut out = Tensor::zeros(&[n, c, oh, ow]);
-    let mut arg = vec![0usize; n * c * oh * ow];
-    for ni in 0..n {
-        for ci in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let idx = x.shape().offset4(ni, ci, oy * 2 + dy, ox * 2 + dx);
-                            let v = x.data()[idx];
-                            if v > best {
-                                best = v;
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = out.shape().offset4(ni, ci, oy, ox);
-                    out.data_mut()[o] = best;
-                    arg[o] = best_idx;
-                }
-            }
-        }
-    }
-    (out, arg)
-}
-
-/// Backward of [`max_pool2x2`]: routes each upstream gradient to its argmax.
-pub fn max_pool2x2_backward(gy: &Tensor, arg: &[usize], input_dims: &[usize]) -> Tensor {
-    let mut gx = Tensor::zeros(input_dims);
-    for (g, &idx) in gy.data().iter().zip(arg.iter()) {
-        gx.data_mut()[idx] += g;
-    }
-    gx
-}
-
 /// Global average pooling `[N, C, H, W] -> [N, C]`.
 pub fn global_avg_pool(x: &Tensor) -> Tensor {
     let (n, c, h, w) = x.shape().nchw();
@@ -112,23 +70,6 @@ pub fn upsample_nearest_2x_backward(gy: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn max_pool_picks_max_and_routes_grad() {
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let (y, arg) = max_pool2x2(&x);
-        assert_eq!(y.data(), &[4.0]);
-        let gy = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]);
-        let gx = max_pool2x2_backward(&gy, &arg, &[1, 1, 2, 2]);
-        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn max_pool_odd_extent_floors() {
-        let x = Tensor::ones(&[1, 1, 5, 5]);
-        let (y, _) = max_pool2x2(&x);
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
-    }
 
     #[test]
     fn gap_averages() {

@@ -106,11 +106,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access by 4-D index (NCHW tensors).
     #[inline]
     pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
@@ -137,13 +132,6 @@ impl Tensor {
         Tensor {
             data: self.data.clone(),
             shape,
-        }
-    }
-
-    /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

@@ -11,8 +11,9 @@
 use defcon::models::detector::decode_detections;
 use defcon::models::trainer::{evaluate_detector, prepare, train_detector};
 use defcon::prelude::*;
+use defcon_support::error::DefconError;
 
-fn main() {
+fn main() -> Result<(), DefconError> {
     let fast = defcon_support::env::or_die(defcon_support::env::flag(defcon_support::env::FAST));
     let dataset = DeformedShapesConfig {
         deformation: 1.0,
@@ -37,7 +38,7 @@ fn main() {
         store.num_scalars()
     );
 
-    let history = train_detector(&mut det, &mut store, &cfg);
+    let history = train_detector(&mut det, &mut store, &cfg, 0.0, &RobustConfig::default())?;
     println!("per-epoch loss: {history:?}");
 
     let val = prepare(&cfg.dataset, cfg.val_size, 0xFACE).samples;
@@ -95,4 +96,5 @@ fn main() {
     } else {
         println!("no detections above threshold (increase the training budget)");
     }
+    Ok(())
 }

@@ -55,7 +55,8 @@ fn main() -> Result<(), DefconError> {
         lr: 0.02,
         ..Default::default()
     };
-    let outcome = IntervalSearch::new(cfg, lut).run(&mut net, &mut store);
+    let outcome =
+        IntervalSearch::new(cfg, lut).run(&mut net, &mut store, &RobustConfig::default())?;
 
     println!("\nsearched layout : {}", net.detector.backbone.layout());
     println!("#DCN            : {}", outcome.num_dcn());

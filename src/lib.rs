@@ -73,6 +73,7 @@ pub mod prelude {
     pub use defcon_models::trainer::TrainConfig;
     pub use defcon_models::YolactLite;
     pub use defcon_nn::graph::{ParamStore, Tape};
+    pub use defcon_nn::optim::RobustConfig;
     pub use defcon_tensor::sample::OffsetTransform;
     pub use defcon_tensor::Tensor;
 }

@@ -7,9 +7,7 @@
 //! tests against each other without any ordering assumptions.
 
 use defcon::core::lut::{LatencyKey, LatencyLut};
-use defcon::core::search::{
-    IntervalSearch, RobustSearchConfig, SearchConfig, SearchModel, SearchOutcome,
-};
+use defcon::core::search::{IntervalSearch, SearchConfig, SearchModel, SearchOutcome};
 use defcon::gpusim::{BlockTrace, DeviceConfig, Gpu, TraceSink};
 use defcon::kernels::op::{
     synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
@@ -18,6 +16,7 @@ use defcon::kernels::DeformLayerShape;
 use defcon::nn::graph::{ParamId, ParamStore, Tape, Var};
 use defcon::nn::loss;
 use defcon::nn::modules::LayerChoice;
+use defcon::nn::optim::RobustConfig;
 use defcon::tensor::Tensor;
 use defcon_support::ckpt;
 use defcon_support::error::DefconError;
@@ -353,11 +352,11 @@ fn pure_cfg(finetune_epochs: usize) -> SearchConfig {
 
 /// Runs `PureNet` through the search; returns the outcome and the exact
 /// serialized parameter state (the "byte-identical" witness).
-fn run_pure(cfg: SearchConfig, robust: &RobustSearchConfig) -> (SearchOutcome, String) {
+fn run_pure(cfg: SearchConfig, robust: &RobustConfig) -> (SearchOutcome, String) {
     let mut store = ParamStore::new();
     let mut net = PureNet::new(&mut store);
     let out = IntervalSearch::new(cfg, tiny_lut())
-        .run_robust(&mut net, &mut store, robust)
+        .run(&mut net, &mut store, robust)
         .unwrap();
     (out, store.state_to_json().to_string())
 }
@@ -377,12 +376,12 @@ fn search_resume_after_mid_run_interrupt_is_byte_identical() {
     let path = tmp_path("search-midrun");
     let _ = std::fs::remove_file(&path);
     // Reference: the uninterrupted run, no checkpointing.
-    let reference = run_pure(pure_cfg(2), &RobustSearchConfig::default());
+    let reference = run_pure(pure_cfg(2), &RobustConfig::default());
     // "Interrupted" run: the process dies right after the search phase —
     // simulated by running only the search epochs against the checkpoint
     // path (the post-epoch checkpoint on disk is byte-identical to the one
     // the uninterrupted run writes at the same point).
-    let with_ckpt = RobustSearchConfig {
+    let with_ckpt = RobustConfig {
         checkpoint: Some(path.clone()),
         ..Default::default()
     };
@@ -401,8 +400,8 @@ fn truncated_search_checkpoint_restarts_and_reproduces_the_run() {
     let path = tmp_path("search-trunc");
     // A torn write: CRC header present, payload cut off mid-token.
     std::fs::write(&path, "0c0ffee0\n{\"epochs_done\":").unwrap();
-    let reference = run_pure(pure_cfg(2), &RobustSearchConfig::default());
-    let with_ckpt = RobustSearchConfig {
+    let reference = run_pure(pure_cfg(2), &RobustConfig::default());
+    let with_ckpt = RobustConfig {
         checkpoint: Some(path.clone()),
         ..Default::default()
     };
@@ -637,7 +636,7 @@ fn breaker_trip_fault_reroutes_only_texture_rungs() {
 fn ckpt_write_fault_degrades_the_next_resume_to_a_fresh_start() {
     let path = tmp_path("search-torn-write");
     let _ = std::fs::remove_file(&path);
-    let with_ckpt = RobustSearchConfig {
+    let with_ckpt = RobustConfig {
         checkpoint: Some(path.clone()),
         ..Default::default()
     };
