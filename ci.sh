@@ -152,32 +152,27 @@ check_ratchet crates/accel/src/lib.rs         7 0
 check_ratchet crates/models/src/trainer.rs    1 0
 check_ratchet crates/nn/src/optim.rs          0 0
 
-# Hot-path tex2D byte-equivalence gate: the legacy (pre-optimization
-# sampler + allocating trace path) and current (branch-free plan/replay +
-# staged zero-allocation) pipelines must produce byte-identical launch
-# reports for every operator family (DCNv1/v2/v3) on both kernels. The
-# bench pins the engine to 1 and then 4 worker threads internally for each
-# family, so one DEFCON_TINY invocation enforces the gate at both thread
-# counts without rewriting the committed BENCH_hotpath.json.
-echo "==> hot_path tex2D byte-equivalence gate (DEFCON_TINY, threads 1 and 4)"
-DEFCON_TINY=1 cargo bench --offline -p defcon-bench --bench hot_path
-
-# Ratcheted tex2D speedup floor (DESIGN.md §11): the full hot_path bench
-# re-times the legacy hot path against the current one and asserts the
-# blessed floors itself — software im2col ≥ 1.5x, fused tex2D ≥ 1.4x.
-# Hardware-gated like the engine_parallel ≥2x check: on a starved
-# single-CPU container the serial wall-clock is too noisy to ratchet, so
-# the timed run is skipped (the byte-equivalence gate above still ran).
-# DEFCON_BENCH_OUT keeps the committed BENCH_hotpath.json untouched in CI.
+# Hot-path throughput bars (DESIGN.md §11). The hot-path byte gate (the
+# tiny-layer launch reports at 1 and 4 engine threads plus counters +
+# latency fingerprints, against digests frozen from the deleted
+# pre-optimization path) runs in tests/frozen_oracles.rs with the root
+# suites above. The full hot_path bench times each shipped kernel on the
+# 550x550 layer in blocks per reference-loop second, checks every timed
+# pass's fingerprint against its frozen digest, and asserts the bars over
+# the pre-optimization rates frozen in BENCH_hotpath.json: software im2col
+# DCNv1 >= 1.5x, fused tex2D DCNv1 >= 1.4x. Hardware-gated like the
+# engine_parallel >=2x check: on a starved single-CPU container the timed
+# run is skipped (the byte gate still ran). DEFCON_BENCH_OUT keeps the
+# committed BENCH_hotpath.json untouched in CI.
 cores=$(nproc 2>/dev/null || echo 1)
 if [ "$cores" -ge 2 ]; then
-    echo "==> hot_path ratcheted speedup floors (full layer, $cores cores)"
+    echo "==> hot_path throughput bars over frozen pre-optimization rates (full layer, $cores cores)"
     hot_out="$(mktemp)"
     DEFCON_BENCH_OUT="$hot_out" \
         cargo bench --offline -p defcon-bench --bench hot_path
     rm -f "$hot_out"
 else
-    echo "==> hot_path ratcheted speedup floors: skipped ($cores core(s) — starved container)"
+    echo "==> hot_path throughput bars: skipped ($cores core(s) — starved container)"
 fi
 
 # Serving-report determinism: two serving-bench runs must agree byte for

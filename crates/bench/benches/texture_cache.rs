@@ -3,7 +3,7 @@
 
 use defcon_gpusim::cache::Cache;
 use defcon_gpusim::device::DeviceConfig;
-use defcon_gpusim::texture::{FilterMode, LayeredTexture2d};
+use defcon_gpusim::texture::LayeredTexture2d;
 use defcon_support::bench::Bench;
 
 fn bench_fetch(bench: &mut Bench) {
@@ -11,7 +11,7 @@ fn bench_fetch(bench: &mut Bench) {
     let mut group = bench.group("texture_fetch");
     for (name, frac_bits) in [("fp32", 23u32), ("fp16", 8)] {
         let mut tex = LayeredTexture2d::new(data.clone(), 1, 256, 256, 0, 2048, 32768).unwrap();
-        tex.filter_mode = FilterMode::Linear { frac_bits };
+        tex.frac_bits = frac_bits;
         group.bench_with_input(name, &tex, |b, tex| {
             b.iter(|| {
                 let mut acc = 0.0f32;

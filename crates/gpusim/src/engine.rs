@@ -646,8 +646,7 @@ mod tests {
             for w in 0..warps {
                 for l in 0..self.loads_per_thread {
                     let base = ((block * warps + w) * self.loads_per_thread + l) as u64 * 128;
-                    let addrs: Vec<u64> = (0..32).map(|i| base + i * 4).collect();
-                    sink.global_load(&addrs);
+                    sink.global_load_into((0..32).map(|i| base + i * 4));
                 }
                 sink.fma((32 * self.fma_per_thread) as u64);
             }
@@ -911,7 +910,6 @@ mod tests {
         fn trace_block(&self, block: usize, sink: &mut TraceSink) {
             // Each warp's 32 lanes cover consecutive output pixels; every
             // tap is one warp instruction.
-            let mut out = Vec::with_capacity(32);
             for w in 0..4usize {
                 let lane_pos: Vec<(f32, f32)> = (0..32)
                     .map(|lane| {
@@ -929,32 +927,24 @@ mod tests {
                         (dy, dx)
                     };
                     if self.use_texture {
-                        let coords: Vec<(f32, f32)> = lane_pos
-                            .iter()
-                            .enumerate()
-                            .map(|(lane, &(y, x))| {
-                                let (dy, dx) = jitter(lane);
-                                (y + dy, x + dx)
-                            })
-                            .collect();
-                        out.clear();
-                        sink.tex_fetch_warp(&self.tex, 0, &coords, &mut out);
+                        let coords = lane_pos.iter().enumerate().map(|(lane, &(y, x))| {
+                            let (dy, dx) = jitter(lane);
+                            (y + dy, x + dx)
+                        });
+                        sink.tex_fetch_warp_into(&self.tex, 0, coords);
                         sink.fma(32);
                     } else {
                         // Software bilinear: 4 warp loads (one per
                         // neighbour), scattered per lane, + ~8 flops/lane.
                         for (oy, ox) in [(0u64, 0u64), (0, 1), (1, 0), (1, 1)] {
-                            let addrs: Vec<u64> = lane_pos
-                                .iter()
-                                .enumerate()
-                                .map(|(lane, &(y, x))| {
+                            sink.global_load_into(lane_pos.iter().enumerate().map(
+                                |(lane, &(y, x))| {
                                     let (dy, dx) = jitter(lane);
                                     let yy = (y + dy).max(0.0) as u64 + oy;
                                     let xx = (x + dx).max(0.0) as u64 + ox;
                                     (yy * 64 + xx) * 4
-                                })
-                                .collect();
-                            sink.global_load(&addrs);
+                                },
+                            ));
                         }
                         sink.flop(8 * 32);
                         sink.fma(32);

@@ -9,9 +9,9 @@
 //! * set-associative, LRU **L1 / L2 / texture caches** with a
 //!   bandwidth-limited DRAM behind them,
 //! * a **texture unit** implementing *2-D layered textures* in a
-//!   block-linear texel layout with border / clamp / wrap / mirror
-//!   addressing and hardware bilinear filtering at full (`tex2D`) or
-//!   reduced (`tex2D++`) filter precision,
+//!   block-linear texel layout with border addressing (out-of-bounds
+//!   texels read as zero) and hardware bilinear filtering at full
+//!   (`tex2D`) or reduced (`tex2D++`) filter precision,
 //! * a **roofline-with-latency** timing model per thread block: block time
 //!   is the max of its compute-, memory- and texture-pipe occupancies plus
 //!   exposed latency scaled by warp-level parallelism, and kernel time is
@@ -44,7 +44,6 @@ pub mod cache;
 pub mod coalesce;
 pub mod device;
 pub mod engine;
-pub mod mipmap;
 pub mod report;
 pub mod texture;
 pub mod trace;
@@ -52,5 +51,5 @@ pub mod trace;
 pub use device::DeviceConfig;
 pub use engine::{default_threads, DeadlineBudget, Gpu, SamplePolicy};
 pub use report::{Counters, KernelReport};
-pub use texture::{AddressMode, FilterMode, LayeredTexture2d};
+pub use texture::LayeredTexture2d;
 pub use trace::{BlockTrace, TraceSink};

@@ -1,43 +1,18 @@
-//! 2-D layered textures: block-linear texel layout, addressing modes and
-//! hardware (bi)linear filtering (paper §III-B).
+//! 2-D layered textures: block-linear texel layout, border addressing and
+//! hardware bilinear filtering (paper §III-B).
 //!
 //! A *layered* texture is a stack of same-sized 2-D textures; DEFCON maps
 //! one (batch, channel) feature-map slice to each layer and lets the texture
 //! unit perform the bilinear interpolation that deformable convolution
 //! otherwise does in software. Out-of-bounds handling (the boundary branches
-//! of the software kernel) is absorbed by the addressing mode.
-
-/// How out-of-range coordinates are resolved (paper §III-B).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AddressMode {
-    /// Out-of-bounds texels read as zero — the default, and the semantics
-    /// deformable convolution needs (paper: "the value of out-of-bounds
-    /// neighbors is taken as zero").
-    Border,
-    /// Clamp to the edge texel.
-    Clamp,
-    /// `x → frac(x)` tiling (normalized-coordinate wrap).
-    Wrap,
-    /// Mirrored tiling.
-    Mirror,
-}
-
-/// Texture filtering mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FilterMode {
-    /// Nearest-texel lookup.
-    Point,
-    /// Hardware bilinear filtering with interpolation-weight fractions
-    /// quantized to `frac_bits` binary places. `frac_bits = 23` models full
-    /// fp32 filtering (`tex2D`); `frac_bits = 8` models the reduced 16-bit
-    /// filter arithmetic of `tex2D++` (a half-precision weight keeps ~8
-    /// fractional bits over the `[0,1)` range). The paper stresses this is
-    /// *not* quantization of the feature map — texel values stay fp32.
-    Linear {
-        /// Binary places kept in the interpolation fraction.
-        frac_bits: u32,
-    },
-}
+//! of the software kernel) is absorbed by border addressing: "the value of
+//! out-of-bounds neighbors is taken as zero".
+//!
+//! That is the one texture configuration DEFCON binds, so it is the only one
+//! modelled. §III-B rejects the other layered storage, mipmapped arrays,
+//! because every level of the pyramid is a low-passed copy of the feature
+//! map; `tests::box_filtered_level_moves_sampled_values` keeps that argument
+//! as a test.
 
 /// Texel tile geometry of the block-linear layout: 8×4 texels × 4 bytes =
 /// 128 bytes = exactly one cache line, so 2-D locality maps to line reuse.
@@ -81,10 +56,13 @@ pub struct LayeredTexture2d {
     layer_texels: usize,
     /// Base byte address of the texture in the simulated address space.
     base_addr: u64,
-    /// Addressing mode for both coordinates.
-    pub address_mode: AddressMode,
-    /// Filtering mode.
-    pub filter_mode: FilterMode,
+    /// Binary places kept in the bilinear interpolation fraction.
+    /// `23` models full fp32 filtering (`tex2D`, the default); `8` models
+    /// the reduced 16-bit filter arithmetic of `tex2D++` (a half-precision
+    /// weight keeps ~8 fractional bits over the `[0,1)` range). The paper
+    /// stresses this is *not* quantization of the feature map — texel
+    /// values stay fp32.
+    pub frac_bits: u32,
 }
 
 /// One texture fetch: the filtered value plus the byte addresses of every
@@ -104,7 +82,7 @@ pub struct Fetch {
 /// texel the filter will read, in contribution order.
 ///
 /// A plan is computed once per coordinate by [`LayeredTexture2d::plan_fetch`]
-/// (floor/quantize/address-mode resolution — the expensive part) and then
+/// (floor/quantize/border resolution — the expensive part) and then
 /// replayed against any layer by [`LayeredTexture2d::eval_plan`], which is a
 /// weighted sum plus a base-address add. The deformable kernels exploit this:
 /// every channel of a deform group shares the same sampling coordinate, so
@@ -128,8 +106,7 @@ impl std::fmt::Debug for LayeredTexture2d {
             .field("layers", &self.layers)
             .field("height", &self.height)
             .field("width", &self.width)
-            .field("address_mode", &self.address_mode)
-            .field("filter_mode", &self.filter_mode)
+            .field("frac_bits", &self.frac_bits)
             .finish_non_exhaustive()
     }
 }
@@ -188,8 +165,7 @@ impl LayeredTexture2d {
             layer_bytes: (tiles_x * tiles_y * TILE_BYTES) as u64,
             layer_texels: height * width,
             base_addr,
-            address_mode: AddressMode::Border,
-            filter_mode: FilterMode::Linear { frac_bits: 23 },
+            frac_bits: 23,
         })
     }
 
@@ -218,8 +194,7 @@ impl LayeredTexture2d {
     /// The full address decomposes exactly into
     /// `base + layer·layer_bytes + rel(y, x)`; splitting it this way lets
     /// [`FetchPlan`]s stay layer-independent and keeps the per-texel math to
-    /// two divides/mods and two multiply-adds (all integer — bit-exact
-    /// against the legacy single-expression form).
+    /// two divides/mods and two multiply-adds.
     #[inline]
     fn rel_addr(&self, y: usize, x: usize) -> u64 {
         let (ty, tx) = (y / TILE_H, x / TILE_W);
@@ -234,118 +209,77 @@ impl LayeredTexture2d {
         self.base_addr + layer as u64 * self.layer_bytes + self.rel_addr(y, x)
     }
 
-    /// Raw texel value (no filtering, in-bounds only).
-    #[inline]
-    pub fn texel(&self, layer: usize, y: usize, x: usize) -> f32 {
-        self.data[layer * self.layer_texels + y * self.width + x]
-    }
-
-    /// Resolves one integer coordinate through the addressing mode.
-    /// Returns `None` when the texel reads as zero (border mode).
-    #[inline]
-    fn resolve(&self, coord: isize, extent: usize) -> Option<usize> {
-        let n = extent as isize;
-        match self.address_mode {
-            AddressMode::Border => {
-                if coord < 0 || coord >= n {
-                    None
-                } else {
-                    Some(coord as usize)
-                }
-            }
-            AddressMode::Clamp => Some(coord.clamp(0, n - 1) as usize),
-            AddressMode::Wrap => Some(coord.rem_euclid(n) as usize),
-            AddressMode::Mirror => {
-                let period = (2 * n) as usize;
-                let m = coord.rem_euclid(period as isize) as usize;
-                Some(if m < extent { m } else { period - 1 - m })
-            }
-        }
-    }
-
     /// Computes the layer-independent [`FetchPlan`] for fractional
     /// coordinates `(y, x)` (texel centers at integer coordinates).
     ///
     /// This is the expensive half of a fetch — floor, fraction
-    /// quantization, and address-mode resolution — restructured so the
-    /// addressing mode is resolved once per *axis endpoint* (≤ 4 calls)
-    /// instead of once per texel visit, and each surviving row's tile/index
-    /// components are computed once and reused across its columns. Texel
-    /// visit order, the zero-weight skips, and the weight products are
-    /// exactly those of the legacy path, so the plan replays to
-    /// bit-identical values and addresses.
+    /// quantization and border resolution — done once per *axis endpoint*
+    /// (≤ 4 checks) instead of once per texel visit, with each surviving
+    /// row's tile/index components computed once and reused across its
+    /// columns. Texels are visited row-major over the 2×2 quad, skipping
+    /// zero weights and out-of-bounds texels, so at 23 fraction bits the
+    /// replayed value is bit-identical to `tensor::sample::bilinear_sample`
+    /// (`tests/texture_boundary_props.rs` pins this).
     pub fn plan_fetch(&self, y: f32, x: f32) -> FetchPlan {
         let mut plan = FetchPlan::default();
-        match self.filter_mode {
-            FilterMode::Point => {
-                let qy = self.resolve(y.round() as isize, self.height);
-                let qx = self.resolve(x.round() as isize, self.width);
-                if let (Some(ry), Some(rx)) = (qy, qx) {
-                    plan.weights[0] = 1.0;
-                    plan.rel_addrs[0] = self.rel_addr(ry, rx);
-                    plan.indices[0] = (ry * self.width + rx) as u32;
-                    plan.len = 1;
-                }
+        let y0 = y.floor();
+        let x0 = x.floor();
+        let (dy, dx) = if self.frac_bits >= 23 {
+            (y - y0, x - x0)
+        } else {
+            let scale = (1u32 << self.frac_bits) as f32;
+            let inv = 1.0 / scale; // 2^-k: exact, so `· inv ≡ / scale`
+            (
+                ((y - y0) * scale).round() * inv,
+                ((x - x0) * scale).round() * inv,
+            )
+        };
+        let (y0, x0) = (y0 as isize, x0 as isize);
+        // Border addressing: an out-of-range texel reads as zero, so it
+        // is simply left out of the plan.
+        let inside = |coord: isize, extent: usize| {
+            (0..extent as isize)
+                .contains(&coord)
+                .then_some(coord as usize)
+        };
+        let rows = [
+            (inside(y0, self.height), 1.0 - dy),
+            (inside(y0 + 1, self.height), dy),
+        ];
+        let cols = [
+            (inside(x0, self.width), 1.0 - dx),
+            (inside(x0 + 1, self.width), dx),
+        ];
+        for (ry, wy) in rows {
+            if wy == 0.0 {
+                continue;
             }
-            FilterMode::Linear { frac_bits } => {
-                let y0 = y.floor();
-                let x0 = x.floor();
-                let (dy, dx) = if frac_bits >= 23 {
-                    (y - y0, x - x0)
-                } else {
-                    let scale = (1u32 << frac_bits) as f32;
-                    let inv = 1.0 / scale; // 2^-k: exact, so `· inv ≡ / scale`
-                    (
-                        ((y - y0) * scale).round() * inv,
-                        ((x - x0) * scale).round() * inv,
-                    )
-                };
-                let (y0, x0) = (y0 as isize, x0 as isize);
-                // Address-mode resolution hoisted out of the 2×2 texel loop:
-                // each axis endpoint resolves once, rows precompute their
-                // tile/index components once.
-                let rows = [
-                    (self.resolve(y0, self.height), 1.0 - dy),
-                    (self.resolve(y0 + 1, self.height), dy),
-                ];
-                let cols = [
-                    (self.resolve(x0, self.width), 1.0 - dx),
-                    (self.resolve(x0 + 1, self.width), dx),
-                ];
-                for (ry, wy) in rows {
-                    if wy == 0.0 {
-                        continue;
-                    }
-                    let Some(ry) = ry else {
-                        continue;
-                    };
-                    let (ty, iy) = (ry / TILE_H, ry % TILE_H);
-                    let row_rel =
-                        (ty * self.tiles_x * TILE_BYTES + iy * TILE_W * TEXEL_BYTES) as u64;
-                    let row_idx = ry * self.width;
-                    for (rx, wx) in cols {
-                        if wx == 0.0 {
-                            continue;
-                        }
-                        let Some(rx) = rx else {
-                            continue;
-                        };
-                        let (tx, ix) = (rx / TILE_W, rx % TILE_W);
-                        let n = plan.len as usize;
-                        plan.weights[n] = wy * wx;
-                        plan.rel_addrs[n] = row_rel + (tx * TILE_BYTES + ix * TEXEL_BYTES) as u64;
-                        plan.indices[n] = (row_idx + rx) as u32;
-                        plan.len += 1;
-                    }
+            let Some(ry) = ry else {
+                continue;
+            };
+            let (ty, iy) = (ry / TILE_H, ry % TILE_H);
+            let row_rel = (ty * self.tiles_x * TILE_BYTES + iy * TILE_W * TEXEL_BYTES) as u64;
+            let row_idx = ry * self.width;
+            for (rx, wx) in cols {
+                if wx == 0.0 {
+                    continue;
                 }
+                let Some(rx) = rx else {
+                    continue;
+                };
+                let (tx, ix) = (rx / TILE_W, rx % TILE_W);
+                let n = plan.len as usize;
+                plan.weights[n] = wy * wx;
+                plan.rel_addrs[n] = row_rel + (tx * TILE_BYTES + ix * TEXEL_BYTES) as u64;
+                plan.indices[n] = (row_idx + rx) as u32;
+                plan.len += 1;
             }
         }
         plan
     }
 
     /// Replays a [`FetchPlan`] against one layer: weighted sum of the
-    /// planned texels plus the layer's base-address offset. Accumulation
-    /// order and products match the legacy per-texel loop bit for bit.
+    /// planned texels, in plan order, plus the layer's base-address offset.
     #[inline]
     pub fn eval_plan(&self, plan: &FetchPlan, layer: usize) -> Fetch {
         let layer_base = self.base_addr + layer as u64 * self.layer_bytes;
@@ -369,95 +303,18 @@ impl LayeredTexture2d {
     pub fn fetch(&self, layer: usize, y: f32, x: f32) -> Fetch {
         self.eval_plan(&self.plan_fetch(y, x), layer)
     }
-
-    /// Verbatim pre-rewrite fetch path (per-texel address-mode resolution,
-    /// stride math rebuilt per texel, branchy 2×2 walk). Retained as the
-    /// oracle for the hot-path equivalence bench and the boundary property
-    /// tests — [`LayeredTexture2d::fetch`] must match it bit for bit.
-    pub fn fetch_legacy(&self, layer: usize, y: f32, x: f32) -> Fetch {
-        match self.filter_mode {
-            FilterMode::Point => {
-                let qy = self.resolve(y.round() as isize, self.height);
-                let qx = self.resolve(x.round() as isize, self.width);
-                match (qy, qx) {
-                    (Some(qy), Some(qx)) => Fetch {
-                        value: self.texel(layer, qy, qx),
-                        addresses: [self.texel_addr_legacy(layer, qy, qx), 0, 0, 0],
-                        len: 1,
-                    },
-                    _ => Fetch {
-                        value: 0.0,
-                        addresses: [0; 4],
-                        len: 0,
-                    },
-                }
-            }
-            FilterMode::Linear { frac_bits } => {
-                let y0 = y.floor();
-                let x0 = x.floor();
-                let quant = |f: f32| -> f32 {
-                    if frac_bits >= 23 {
-                        f
-                    } else {
-                        let scale = (1u32 << frac_bits) as f32;
-                        (f * scale).round() / scale
-                    }
-                };
-                let dy = quant(y - y0);
-                let dx = quant(x - x0);
-                let (y0, x0) = (y0 as isize, x0 as isize);
-                let mut value = 0.0f32;
-                let mut addresses = [0u64; 4];
-                let mut len = 0u8;
-                for (qy, wy) in [(y0, 1.0 - dy), (y0 + 1, dy)] {
-                    if wy == 0.0 {
-                        continue;
-                    }
-                    let Some(ry) = self.resolve(qy, self.height) else {
-                        continue;
-                    };
-                    for (qx, wx) in [(x0, 1.0 - dx), (x0 + 1, dx)] {
-                        if wx == 0.0 {
-                            continue;
-                        }
-                        let Some(rx) = self.resolve(qx, self.width) else {
-                            continue;
-                        };
-                        value += wy * wx * self.texel(layer, ry, rx);
-                        addresses[len as usize] = self.texel_addr_legacy(layer, ry, rx);
-                        len += 1;
-                    }
-                }
-                Fetch {
-                    value,
-                    addresses,
-                    len,
-                }
-            }
-        }
-    }
-
-    /// The pre-rewrite texel address computation (layer stride rebuilt on
-    /// every call), kept for [`LayeredTexture2d::fetch_legacy`].
-    #[inline]
-    fn texel_addr_legacy(&self, layer: usize, y: usize, x: usize) -> u64 {
-        let (ty, tx) = (y / TILE_H, x / TILE_W);
-        let (iy, ix) = (y % TILE_H, x % TILE_W);
-        let layer_bytes = (self.tiles_x * self.tiles_y * TILE_BYTES) as u64;
-        self.base_addr
-            + layer as u64 * layer_bytes
-            + ((ty * self.tiles_x + tx) * TILE_BYTES) as u64
-            + ((iy * TILE_W + ix) * TEXEL_BYTES) as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tex(h: usize, w: usize) -> LayeredTexture2d {
-        let data: Vec<f32> = (0..h * w).map(|v| v as f32).collect();
+    fn tex_from(data: Vec<f32>, h: usize, w: usize) -> LayeredTexture2d {
         LayeredTexture2d::new(data, 1, h, w, 0, 2048, 32768).unwrap()
+    }
+
+    fn tex(h: usize, w: usize) -> LayeredTexture2d {
+        tex_from((0..h * w).map(|v| v as f32).collect(), h, w)
     }
 
     #[test]
@@ -504,36 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn clamp_mode_repeats_edge() {
-        let mut t = tex(3, 3);
-        t.address_mode = AddressMode::Clamp;
-        assert_eq!(t.fetch(0, -5.0, 0.0).value, t.texel(0, 0, 0));
-        assert_eq!(t.fetch(0, 10.0, 2.0).value, t.texel(0, 2, 2));
-    }
-
-    #[test]
-    fn wrap_mode_tiles() {
-        let mut t = tex(4, 4);
-        t.address_mode = AddressMode::Wrap;
-        assert_eq!(t.fetch(0, 5.0, 1.0).value, t.texel(0, 1, 1));
-        assert_eq!(t.fetch(0, -1.0, 0.0).value, t.texel(0, 3, 0));
-    }
-
-    #[test]
-    fn mirror_mode_reflects() {
-        let mut t = tex(4, 4);
-        t.address_mode = AddressMode::Mirror;
-        assert_eq!(t.fetch(0, 4.0, 0.0).value, t.texel(0, 3, 0)); // 4 reflects to 3
-        assert_eq!(t.fetch(0, -1.0, 0.0).value, t.texel(0, 0, 0)); // -1 reflects to 0
-    }
-
-    #[test]
     fn reduced_precision_error_is_bounded() {
         // tex2D++ (8 fractional bits) must stay within one quantum of full
         // precision: |err| ≤ 2^-8 · (range of neighbours).
         let t_full = tex(16, 16);
         let mut t_red = tex(16, 16);
-        t_red.filter_mode = FilterMode::Linear { frac_bits: 8 };
+        t_red.frac_bits = 8;
         for i in 0..200 {
             let y = (i as f32 * 0.073) % 14.0;
             let x = (i as f32 * 0.117) % 14.0;
@@ -582,5 +415,40 @@ mod tests {
     fn size_bytes_padded_to_tiles() {
         let t = tex(5, 9); // tiles: 2 (y) x 2 (x) = 4 tiles = 512B
         assert_eq!(t.size_bytes(), 512);
+    }
+
+    /// Paper §III-B rejects mipmapped arrays for deformable sampling: each
+    /// pyramid level is built from the one below, and any level above 0 is
+    /// a low-passed copy of the feature map. Sampling the 2×2 box-filtered
+    /// level 1 at the same points (coordinates halved, as a mipmap fetch at
+    /// LOD 1 does) moves the sampled values by more than half a unit on an
+    /// image whose texels are integers in `[0, 19)` — level 0, a plain
+    /// layered texture, is the only exact choice.
+    #[test]
+    fn box_filtered_level_moves_sampled_values() {
+        let data: Vec<f32> = (0..256).map(|i| ((i * 37) % 19) as f32).collect();
+        let level1: Vec<f32> = (0..64)
+            .map(|i| {
+                let (y, x) = (i / 8, i % 8);
+                let quad = [(0, 0), (0, 1), (1, 0), (1, 1)];
+                quad.iter()
+                    .map(|&(dy, dx)| data[(2 * y + dy) * 16 + 2 * x + dx])
+                    .sum::<f32>()
+                    / 4.0
+            })
+            .collect();
+        let (flat, coarse) = (tex_from(data, 16, 16), tex_from(level1, 8, 8));
+        let max_err = (0..50)
+            .map(|i| {
+                let y = (i as f32 * 0.29) % 14.0;
+                let x = (i as f32 * 0.53) % 14.0;
+                let exact = flat.fetch(0, y, x).value;
+                (coarse.fetch(0, y * 0.5, x * 0.5).value - exact).abs()
+            })
+            .fold(0.0f32, f32::max);
+        assert!(
+            max_err > 0.5,
+            "level 1 should visibly low-pass the features (err {max_err})"
+        );
     }
 }

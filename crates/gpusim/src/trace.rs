@@ -7,10 +7,10 @@
 //! accumulating pipe occupancies — so traces never materialize in memory.
 
 use crate::cache::{Access, Cache};
-use crate::coalesce::{coalesce, coalesce_into, SECTOR_BYTES};
+use crate::coalesce::{coalesce_into, SECTOR_BYTES};
 use crate::device::DeviceConfig;
 use crate::report::Counters;
-use crate::texture::{FetchPlan, FilterMode, LayeredTexture2d};
+use crate::texture::{FetchPlan, LayeredTexture2d};
 pub use defcon_support::lanebuf::LaneBuf;
 
 /// Per-fetch texture-unit statistics, kept **outside** [`Counters`] so the
@@ -115,12 +115,12 @@ pub struct BlockCost {
 ///
 /// The sink owns fixed-capacity [`LaneBuf`] scratch for every warp-level
 /// event class (lane addresses, coalesced sectors, texture fetch plans,
-/// filtered outputs). Kernels that stage their events through the `_into`
-/// entry points ([`TraceSink::global_load_into`],
+/// filtered outputs). Every warp-level entry point takes its lanes as an
+/// iterator ([`TraceSink::global_load_into`],
 /// [`TraceSink::global_store_into`], [`TraceSink::tex_fetch_warp_into`])
-/// perform **zero heap allocations per traced block** — the contract
-/// `tests/zero_alloc.rs` pins for all four kernel families. The slice-based
-/// entry points are kept as thin wrappers over the same staged path.
+/// and drains it into that scratch, so a traced block performs **zero heap
+/// allocations** — the contract `tests/zero_alloc.rs` pins for all four
+/// kernel families.
 pub struct TraceSink<'a> {
     cfg: &'a DeviceConfig,
     l1: &'a mut Cache,
@@ -209,21 +209,12 @@ impl<'a> TraceSink<'a> {
         self.cost.alu_units += n;
     }
 
-    /// One warp-level global **load** instruction over the given lane byte
-    /// addresses (4-byte accesses). Coalesces into sectors, walks
-    /// L1 → L2 → DRAM, accumulates latency of the slowest sector.
-    pub fn global_load(&mut self, lane_addrs: &[u64]) {
-        if lane_addrs.is_empty() {
-            return;
-        }
-        let requested = coalesce_into(lane_addrs, 4, &mut self.sectors);
-        self.global_load_coalesced(requested);
-    }
-
-    /// [`TraceSink::global_load`] fed by an iterator of lane addresses, so
-    /// kernels can stream addresses straight from their index math without
-    /// collecting a `Vec` first. The iterator may borrow the kernel freely —
-    /// it is drained into the sink's scratch before any cache work starts.
+    /// One warp-level global **load** instruction over the lane byte
+    /// addresses `lane_addrs` yields (4-byte accesses). Coalesces into
+    /// sectors, walks L1 → L2 → DRAM, accumulates latency of the slowest
+    /// sector. Kernels stream addresses straight from their index math; the
+    /// iterator may borrow the kernel freely — it is drained into the sink's
+    /// scratch before any cache work starts.
     pub fn global_load_into(&mut self, lane_addrs: impl IntoIterator<Item = u64>) {
         self.lane_addrs.fill_from(lane_addrs);
         if self.lane_addrs.is_empty() {
@@ -233,32 +224,9 @@ impl<'a> TraceSink<'a> {
         self.global_load_coalesced(requested);
     }
 
-    /// Reference-path load used as the oracle by the hot-path benchmark:
-    /// identical accounting to [`TraceSink::global_load`] but through the
-    /// allocating [`coalesce`] (sort + dedup). Counters, cost and cache
-    /// state evolve byte-identically on either path.
-    pub fn global_load_ref(&mut self, lane_addrs: &[u64]) {
-        if lane_addrs.is_empty() {
-            return;
-        }
-        let r = coalesce(lane_addrs, 4);
-        self.counters.gld_requests += 1;
-        self.counters.gld_transactions += r.transactions();
-        self.counters.gld_requested_bytes += r.requested_bytes;
-        let mut worst = 0u32;
-        for &sector in &r.sectors {
-            // Sectors are 32B; the caches track 128B lines.
-            let line = sector * SECTOR_BYTES / self.l1.line_bytes() as u64;
-            let lat = self.global_line_access(line);
-            worst = worst.max(lat);
-        }
-        self.cost.lsu_sectors += r.transactions();
-        self.cost.latency_cycles += worst as u64;
-    }
-
     /// Load path over the coalesced `sectors`: the L1 → L2 → DRAM walk in
-    /// ascending sector order (the same order the reference path visits,
-    /// which the golden snapshots depend on).
+    /// ascending sector order (the order [`crate::coalesce::coalesce`]
+    /// returns them in, which the golden snapshots depend on).
     fn global_load_coalesced(&mut self, requested: u64) {
         let transactions = self.sectors.len() as u64;
         self.counters.gld_requests += 1;
@@ -294,19 +262,9 @@ impl<'a> TraceSink<'a> {
         self.cost.latency_cycles += worst as u64;
     }
 
-    /// One warp-level global **store** instruction. Stores are modelled as
-    /// write-through to DRAM (no allocate), which matches how NVIDIA L1s
-    /// treat global writes.
-    pub fn global_store(&mut self, lane_addrs: &[u64]) {
-        if lane_addrs.is_empty() {
-            return;
-        }
-        let requested = coalesce_into(lane_addrs, 4, &mut self.sectors);
-        self.global_store_coalesced(requested);
-    }
-
-    /// [`TraceSink::global_store`] fed by an iterator of lane addresses;
-    /// the store-side twin of [`TraceSink::global_load_into`].
+    /// One warp-level global **store** instruction over the lane addresses
+    /// `lane_addrs` yields. Stores are modelled as write-through to DRAM
+    /// (no allocate), which matches how NVIDIA L1s treat global writes.
     pub fn global_store_into(&mut self, lane_addrs: impl IntoIterator<Item = u64>) {
         self.lane_addrs.fill_from(lane_addrs);
         if self.lane_addrs.is_empty() {
@@ -314,20 +272,6 @@ impl<'a> TraceSink<'a> {
         }
         let requested = coalesce_into(&self.lane_addrs, 4, &mut self.sectors);
         self.global_store_coalesced(requested);
-    }
-
-    /// Reference-path store (allocating coalesce); see
-    /// [`TraceSink::global_load_ref`].
-    pub fn global_store_ref(&mut self, lane_addrs: &[u64]) {
-        if lane_addrs.is_empty() {
-            return;
-        }
-        let r = coalesce(lane_addrs, 4);
-        self.counters.gst_requests += 1;
-        self.counters.gst_transactions += r.transactions();
-        self.counters.gst_requested_bytes += r.requested_bytes;
-        self.counters.dram_write_bytes += r.moved_bytes();
-        self.cost.lsu_sectors += r.transactions();
     }
 
     /// Store path over the coalesced `sectors`.
@@ -357,24 +301,12 @@ impl<'a> TraceSink<'a> {
 
     /// One warp-level texture instruction: every lane fetches a
     /// hardware-filtered sample of `tex` in `layer` at its own fractional
-    /// coordinates. Filtered values are *appended* to `out` (one per
-    /// coordinate). All cache traffic and filter-pipe occupancy is
-    /// accounted here; the warp stalls once on the slowest footprint line,
-    /// mirroring how a `TLD` instruction retires. Border handling costs
-    /// nothing — that is the point of the texture path.
-    pub fn tex_fetch_warp(
-        &mut self,
-        tex: &LayeredTexture2d,
-        layer: usize,
-        coords: &[(f32, f32)],
-        out: &mut Vec<f32>,
-    ) {
-        out.extend_from_slice(self.tex_fetch_warp_into(tex, layer, coords.iter().copied()));
-    }
-
-    /// [`TraceSink::tex_fetch_warp`] fed by an iterator of lane coordinates;
-    /// returns the filtered values (one per coordinate) as a slice of the
-    /// sink's scratch — valid until the next sink call, no allocation.
+    /// coordinates. Returns the filtered values (one per coordinate) as a
+    /// slice of the sink's scratch — valid until the next sink call, no
+    /// allocation. All cache traffic and filter-pipe occupancy is accounted
+    /// here; the warp stalls once on the slowest footprint line, mirroring
+    /// how a `TLD` instruction retires. Border handling costs nothing —
+    /// that is the point of the texture path.
     pub fn tex_fetch_warp_into(
         &mut self,
         tex: &LayeredTexture2d,
@@ -424,11 +356,10 @@ impl<'a> TraceSink<'a> {
             return;
         }
         self.counters.tex_requests += 1;
-        match tex.filter_mode {
-            FilterMode::Linear { frac_bits } if frac_bits <= 10 => {
-                self.cost.tex_fetches_fp16 += self.plans.len() as u64
-            }
-            _ => self.cost.tex_fetches_fp32 += self.plans.len() as u64,
+        if tex.frac_bits <= 10 {
+            self.cost.tex_fetches_fp16 += self.plans.len() as u64
+        } else {
+            self.cost.tex_fetches_fp32 += self.plans.len() as u64
         }
         self.tex_stats.plan_evals += 1;
         self.tex_stats.fetch_lanes += self.plans.len() as u64;
@@ -504,8 +435,7 @@ mod tests {
     fn coalesced_load_counts_four_sectors() {
         let (cfg, mut l1, mut tex, mut l2) = harness();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut tex, &mut l2, 8);
-        let addrs: Vec<u64> = (0..32).map(|i| i * 4).collect();
-        sink.global_load(&addrs);
+        sink.global_load_into((0..32).map(|i| i * 4));
         assert_eq!(sink.counters.gld_requests, 1);
         assert_eq!(sink.counters.gld_transactions, 4);
         assert!((sink.counters.gld_efficiency() - 100.0).abs() < 1e-9);
@@ -515,8 +445,7 @@ mod tests {
     fn scattered_load_hurts_efficiency_and_latency() {
         let (cfg, mut l1, mut tex, mut l2) = harness();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut tex, &mut l2, 8);
-        let addrs: Vec<u64> = (0..32).map(|i| i * 4096).collect();
-        sink.global_load(&addrs);
+        sink.global_load_into((0..32).map(|i| i * 4096));
         assert_eq!(sink.counters.gld_transactions, 32);
         assert!(sink.counters.gld_efficiency() < 13.0);
         assert!(sink.cost.latency_cycles >= cfg.dram_latency as u64);
@@ -526,10 +455,9 @@ mod tests {
     fn repeated_load_hits_l1_and_is_fast() {
         let (cfg, mut l1, mut tex, mut l2) = harness();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut tex, &mut l2, 8);
-        let addrs: Vec<u64> = (0..32).map(|i| i * 4).collect();
-        sink.global_load(&addrs);
+        sink.global_load_into((0..32).map(|i| i * 4));
         let lat_cold = sink.cost.latency_cycles;
-        sink.global_load(&addrs);
+        sink.global_load_into((0..32).map(|i| i * 4));
         let lat_warm = sink.cost.latency_cycles - lat_cold;
         assert!(lat_warm < lat_cold, "warm {lat_warm} vs cold {lat_cold}");
         assert!(sink.counters.l1_hits > 0);
@@ -556,7 +484,7 @@ mod tests {
         let (cfg, mut l1, mut texc, mut l2) = harness();
         let data = vec![1.0f32; 64];
         let mut t = LayeredTexture2d::new(data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
-        t.filter_mode = FilterMode::Linear { frac_bits: 8 };
+        t.frac_bits = 8;
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
         sink.tex_fetch_warp_into(&t, 0, [(2.5, 2.5)]);
         assert_eq!(sink.cost.tex_fetches_fp16, 1);

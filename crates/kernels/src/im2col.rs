@@ -10,7 +10,7 @@
 
 use crate::layer::{DeformLayerShape, TileConfig};
 use crate::op::{DeformConvOp, OpFamily, SamplingMethod};
-use defcon_gpusim::texture::{AddressMode, FilterMode, LayeredTexture2d};
+use defcon_gpusim::texture::LayeredTexture2d;
 use defcon_gpusim::trace::{BlockTrace, LaneBuf, TraceSink};
 use defcon_support::error::DefconError;
 use defcon_tensor::sample::{bilinear_sample, tap_softmax, OffsetTransform};
@@ -63,8 +63,7 @@ pub(crate) fn bind_texture(
         what: "texture-limit".into(),
         detail: e.message,
     })?;
-    texture.filter_mode = FilterMode::Linear { frac_bits };
-    texture.address_mode = AddressMode::Border;
+    texture.frac_bits = frac_bits;
     Ok(Some(texture))
 }
 
@@ -320,29 +319,23 @@ impl BlockTrace for Im2colDeformKernel<'_> {
                 };
                 match &self.texture {
                     None => {
-                        // 4 neighbour loads; out-of-bounds neighbours are
+                        // 4 neighbour loads, one per corner of the
+                        // bilinear quad; out-of-bounds neighbours are
                         // branched around (no load, but branch ALU cost).
-                        let mut neigh: [LaneBuf<u64>; 4] = [LaneBuf::new(); 4];
-                        for (py, px) in lanes.iter().map(coord) {
-                            let (y0, x0) = (py.floor() as isize, px.floor() as isize);
-                            for (slot, (qy, qx)) in
-                                [(y0, x0), (y0, x0 + 1), (y0 + 1, x0), (y0 + 1, x0 + 1)]
-                                    .iter()
-                                    .enumerate()
-                            {
-                                if *qy >= 0 && *qy < s.h as isize && *qx >= 0 && *qx < s.w as isize
-                                {
-                                    neigh[slot].push(self.input_addr(
-                                        ni,
-                                        ci,
-                                        *qy as usize,
-                                        *qx as usize,
-                                    ));
-                                }
-                            }
-                        }
-                        for addrs in &neigh {
-                            sink.global_load(addrs);
+                        let mut corner: LaneBuf<(isize, isize)> = LaneBuf::new();
+                        corner.fill_from(
+                            lanes
+                                .iter()
+                                .map(coord)
+                                .map(|(py, px)| (py.floor() as isize, px.floor() as isize)),
+                        );
+                        for (dy, dx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                            sink.global_load_into(corner.iter().filter_map(|&(y0, x0)| {
+                                let (qy, qx) = (y0 + dy, x0 + dx);
+                                let inside = (0..s.h as isize).contains(&qy)
+                                    && (0..s.w as isize).contains(&qx);
+                                inside.then(|| self.input_addr(ni, ci, qy as usize, qx as usize))
+                            }));
                         }
                         // Software bilinear: weight computation (2 sub, 2
                         // one-minus) + 4 mul + 3 add ≈ 8 flops, plus the

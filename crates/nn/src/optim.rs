@@ -426,104 +426,3 @@ mod tests {
         assert_eq!(s.milestones, vec![60, 85]);
     }
 }
-
-/// Adam optimizer (Kingma & Ba) — an alternative to [`Sgd`] for the
-/// ablation studies; maintains per-parameter first/second moment estimates
-/// inside the optimizer (not the store).
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical epsilon.
-    pub eps: f32,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-    t: i32,
-}
-
-impl Adam {
-    /// Standard Adam with the usual defaults.
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-
-    /// Applies one update from the accumulated gradients, then zeroes them.
-    pub fn step(&mut self, store: &mut crate::graph::ParamStore) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
-        for i in 0..store.len() {
-            let id = crate::graph::ParamId(i);
-            if self.m.len() <= i {
-                let n = store.value(id).numel();
-                self.m.push(vec![0.0; n]);
-                self.v.push(vec![0.0; n]);
-            }
-            let g: Vec<f32> = store.grad(id).data().to_vec();
-            let (m, v) = (&mut self.m[i], &mut self.v[i]);
-            let lr = self.lr;
-            let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
-            let p = store.value_mut(id);
-            for (((pv, &gv), mv), vv) in p
-                .data_mut()
-                .iter_mut()
-                .zip(g.iter())
-                .zip(m.iter_mut())
-                .zip(v.iter_mut())
-            {
-                *mv = b1 * *mv + (1.0 - b1) * gv;
-                *vv = b2 * *vv + (1.0 - b2) * gv * gv;
-                let mhat = *mv / bc1;
-                let vhat = *vv / bc2;
-                *pv -= lr * mhat / (vhat.sqrt() + eps);
-            }
-        }
-        store.zero_grads();
-    }
-}
-
-#[cfg(test)]
-mod adam_tests {
-    use super::*;
-    use crate::graph::ParamStore;
-    use defcon_tensor::Tensor;
-
-    #[test]
-    fn adam_minimizes_quadratic() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::from_vec(vec![3.0, -2.0], &[2]), false);
-        let mut opt = Adam::new(0.1);
-        for _ in 0..200 {
-            let g = store.value(w).scale(2.0); // d/dw ||w||^2
-            store.accumulate_grad(w, &g);
-            opt.step(&mut store);
-        }
-        assert!(
-            store.value(w).sq_norm() < 1e-3,
-            "{:?}",
-            store.value(w).data()
-        );
-    }
-
-    #[test]
-    fn adam_first_step_is_lr_sized() {
-        // With bias correction the very first step has magnitude ≈ lr.
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::from_vec(vec![1.0], &[1]), false);
-        let mut opt = Adam::new(0.05);
-        store.accumulate_grad(w, &Tensor::from_vec(vec![123.0], &[1]));
-        opt.step(&mut store);
-        assert!((store.value(w).data()[0] - (1.0 - 0.05)).abs() < 1e-4);
-    }
-}

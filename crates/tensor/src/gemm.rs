@@ -1,16 +1,17 @@
-//! Blocked, rayon-parallel single-precision GEMM.
+//! Blocked, `support::par`-parallel single-precision GEMM.
 //!
 //! The convolution path (`conv::conv2d`) lowers to `C = A * B` where `A` is
 //! the filter matrix and `B` the im2col patch matrix. This GEMM is a simple
-//! cache-blocked kernel parallelized over row panels with rayon — not a BLAS
-//! competitor, but fast enough to train the mini models in `defcon-models`
-//! and, more importantly, deterministic per thread count is *not* required:
-//! each output element is accumulated by exactly one task, so results are
-//! bitwise reproducible regardless of parallelism.
+//! cache-blocked kernel parallelized over row panels with `support::par` —
+//! not a BLAS competitor, but fast enough to train the mini models in
+//! `defcon-models`. Results are bitwise reproducible at any thread count:
+//! each output element is accumulated by exactly one task, in ascending-k
+//! order, so the same bits come out as from the naive triple loop the
+//! tests compare against.
 
 use defcon_support::par::ParallelSliceMut;
 
-/// Row-panel height processed per rayon task.
+/// Row-panel height processed per parallel task.
 const PANEL: usize = 32;
 /// K-blocking depth (inner accumulation tile) — sized so an A-panel row block
 /// plus a B block stay L1-resident.
@@ -28,10 +29,11 @@ pub(crate) const NR: usize = 8;
 /// loaded into a fixed `[f32; NR]`, every k contributes through a fully
 /// unrolled bounds-check-free inner loop, and the block stores back once.
 /// The remainder columns fall through to a scalar loop. Per output element
-/// the accumulation is the identical ascending-k product sequence of the
-/// legacy saxpy form — including the `a == 0.0` skip, which both preserves
-/// sparse-filter throughput and keeps `-0.0` contributions out of the sum —
-/// so results are bit-identical at any blocking width.
+/// the accumulation is the ascending-k product sequence of the naive triple
+/// loop, so results are bit-identical to it at any blocking width (the
+/// module's property test pins this). The `a == 0.0` skip keeps
+/// sparse-filter throughput without moving a bit: a sum that starts at
+/// `+0.0` is unchanged by a `±0.0` term.
 #[inline]
 pub(crate) fn saxpy_panel(a_col: &[f32], b_panel: &[f32], c_row: &mut [f32], n: usize) {
     let kb = a_col.len();
@@ -94,40 +96,6 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         });
 }
 
-/// Verbatim pre-rewrite `gemm` (plain saxpy inner loop, no register
-/// blocking). Oracle for the bitwise-pinning tests and the hot-path bench:
-/// [`gemm`] must match it bit for bit on every input.
-pub fn gemm_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), k * n, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    c.fill(0.0);
-
-    c.par_chunks_mut(PANEL * n)
-        .enumerate()
-        .for_each(|(panel_idx, c_panel)| {
-            let row0 = panel_idx * PANEL;
-            let rows = c_panel.len() / n;
-            for k0 in (0..k).step_by(KBLOCK) {
-                let k1 = (k0 + KBLOCK).min(k);
-                for r in 0..rows {
-                    let a_row = &a[(row0 + r) * k..(row0 + r + 1) * k];
-                    let c_row = &mut c_panel[r * n..(r + 1) * n];
-                    for kk in k0..k1 {
-                        let aik = a_row[kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[kk * n..(kk + 1) * n];
-                        for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                            *cv += aik * bv;
-                        }
-                    }
-                }
-            }
-        });
-}
-
 /// Single-accumulator ascending-k dot product: the per-element kernel of
 /// [`gemm_bt`]'s tail and of the deformable reference paths' per-pixel
 /// aggregation (`sample::deform_conv2d_ref` and friends dot each output
@@ -152,7 +120,7 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// once per column block instead of once per column, and the `NR`
 /// independent dot accumulators vectorize. Each output element is still one
 /// ascending-k dot product — a single accumulator per element, never split —
-/// so results are bit-identical to the per-column legacy form.
+/// so results are bit-identical to the naive `a·bᵀ` loop.
 pub fn gemm_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A length mismatch");
     assert_eq!(b.len(), n * k, "B length mismatch");
@@ -182,29 +150,10 @@ pub fn gemm_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     });
 }
 
-/// Verbatim pre-rewrite `gemm_bt` (one dot product per output column).
-pub fn gemm_bt_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A length mismatch");
-    assert_eq!(b.len(), n * k, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-
-    c.par_chunks_mut(n).enumerate().for_each(|(i, c_row)| {
-        let a_row = &a[i * k..(i + 1) * k];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (av, bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
-            }
-            *cv = acc;
-        }
-    });
-}
-
 /// `c = a^T * b` where `a` is `k×m`, `b` is `k×n`, output `m×n`.
 ///
 /// Same microkernel shape as [`gemm`] with the A element gathered through
-/// its transposed stride; bit-identical to the legacy loop.
+/// its transposed stride; bit-identical to the naive `aᵀ·b` loop.
 pub fn gemm_at(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "A length mismatch");
     assert_eq!(b.len(), k * n, "B length mismatch");
@@ -244,41 +193,33 @@ pub fn gemm_at(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize
     });
 }
 
-/// Verbatim pre-rewrite `gemm_at`.
-pub fn gemm_at_legacy(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), k * m, "A length mismatch");
-    assert_eq!(b.len(), k * n, "B length mismatch");
-    assert_eq!(c.len(), m * n, "C length mismatch");
-    c.fill(0.0);
-
-    c.par_chunks_mut(n).enumerate().for_each(|(i, c_row)| {
-        for kk in 0..k {
-            let aki = a[kk * m + i];
-            if aki == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                *cv += aki * bv;
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    /// The naive triple loop over element accessors `a(i, kk)` and
+    /// `b(kk, j)`, so one definition covers `a·b`, `a·bᵀ` and `aᵀ·b`: one
+    /// ascending-k sum per output element, started at `+0.0`.
+    fn naive_by(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+    ) -> Vec<f32> {
         let mut c = vec![0.0; m * n];
         for i in 0..m {
             for j in 0..n {
                 for kk in 0..k {
-                    c[i * n + j] += a[i * k + kk] * b[kk * n + j];
+                    c[i * n + j] += a(i, kk) * b(kk, j);
                 }
             }
         }
         c
+    }
+
+    fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        naive_by(m, k, n, |i, kk| a[i * k + kk], |kk, j| b[kk * n + j])
     }
 
     #[test]
@@ -373,17 +314,19 @@ mod tests {
     }
 
     #[test]
-    fn prop_blocked_gemms_are_bitwise_identical_to_legacy() {
+    fn prop_blocked_gemms_are_bitwise_identical_to_the_naive_loop() {
         use defcon_support::prop::{self, Config};
         use defcon_support::rng::Rng;
 
-        // The register-blocked microkernels accumulate the identical
-        // ascending-k product sequence per output element as the legacy
-        // loops, so every variant must agree to the bit — including
-        // odd extents that exercise the scalar tails and dimensions below
-        // one register block.
+        // The register-blocked microkernels accumulate the same
+        // ascending-k product sequence per output element as the naive
+        // triple loop, so every variant must agree with it to the bit —
+        // including odd extents that exercise the scalar tails and
+        // dimensions below one register block.
+        let same_bits =
+            |x: &[f32], y: &[f32]| x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits());
         prop::check(
-            "blocked gemm/bt/at ≡ legacy bitwise",
+            "blocked gemm/bt/at ≡ naive loop bitwise",
             &Config::cases(24),
             |rng| {
                 let m = rng.gen_range(1usize..40);
@@ -396,33 +339,23 @@ mod tests {
                 let b = sprinkle(k * n, seed ^ 0xABCD);
                 let bt = sprinkle(n * k, seed ^ 0x1234);
                 let at = sprinkle(k * m, seed ^ 0x5678);
-                let (mut c_new, mut c_old) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
-                gemm(&a, &b, &mut c_new, m, k, n);
-                gemm_legacy(&a, &b, &mut c_old, m, k, n);
+                let mut c = vec![0.0f32; m * n];
+                gemm(&a, &b, &mut c, m, k, n);
                 defcon_support::prop_assert!(
-                    c_new
-                        .iter()
-                        .zip(&c_old)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "gemm diverged from legacy at {m}x{k}x{n}"
+                    same_bits(&c, &naive(&a, &b, m, k, n)),
+                    "gemm diverged from the naive loop at {m}x{k}x{n}"
                 );
-                gemm_bt(&a, &bt, &mut c_new, m, k, n);
-                gemm_bt_legacy(&a, &bt, &mut c_old, m, k, n);
+                gemm_bt(&a, &bt, &mut c, m, k, n);
+                let expect = naive_by(m, k, n, |i, kk| a[i * k + kk], |kk, j| bt[j * k + kk]);
                 defcon_support::prop_assert!(
-                    c_new
-                        .iter()
-                        .zip(&c_old)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "gemm_bt diverged from legacy at {m}x{k}x{n}"
+                    same_bits(&c, &expect),
+                    "gemm_bt diverged from the naive loop at {m}x{k}x{n}"
                 );
-                gemm_at(&at, &b, &mut c_new, m, k, n);
-                gemm_at_legacy(&at, &b, &mut c_old, m, k, n);
+                gemm_at(&at, &b, &mut c, m, k, n);
+                let expect = naive_by(m, k, n, |i, kk| at[kk * m + i], |kk, j| b[kk * n + j]);
                 defcon_support::prop_assert!(
-                    c_new
-                        .iter()
-                        .zip(&c_old)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "gemm_at diverged from legacy at {m}x{k}x{n}"
+                    same_bits(&c, &expect),
+                    "gemm_at diverged from the naive loop at {m}x{k}x{n}"
                 );
                 Ok(())
             },

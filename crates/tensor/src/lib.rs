@@ -1,9 +1,9 @@
 //! # defcon-tensor
 //!
 //! Dense `f32` tensors and the CPU numeric kernels that back the DEFCON
-//! reproduction: im2col convolution over a rayon-parallel GEMM, depthwise and
-//! pointwise convolutions, pooling, batch normalization, bilinear sampling and
-//! the deformable-convolution forward reference.
+//! reproduction: im2col convolution over a `support::par`-parallel GEMM,
+//! depthwise and pointwise convolutions, pooling, batch normalization,
+//! bilinear sampling and the deformable-convolution forward reference.
 //!
 //! The crate is deliberately small and NCHW-only. It is the numeric ground
 //! truth that the GPU-simulator kernels in `defcon-kernels` are validated

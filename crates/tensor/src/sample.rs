@@ -216,8 +216,10 @@ pub fn deform_conv2d_ref(
             // sampling positions depend only on (g, tap) and the bilinear
             // samples only on (ci, tap), so computing them once per pixel
             // removes the c_out× recomputation of the naive loop. Each
-            // output element still sees the identical product sequence in
-            // ascending (ci, ki, kj) order, so the bits don't move.
+            // output element still sees the naive loop's product sequence
+            // in ascending (ci, ki, kj) order, so its bits are the naive
+            // loop's: `tests/frozen_oracles.rs` pins all three families to
+            // digests of that loop's outputs.
             let mut coords = vec![(0.0f32, 0.0f32); dgroups * kk];
             let mut samples = vec![0.0f32; c_in * kk];
             for oy in 0..oh {
@@ -249,78 +251,6 @@ pub fn deform_conv2d_ref(
                         let w_row = &wdata[co * c_in * kk..(co + 1) * c_in * kk];
                         dst[(co * oh + oy) * ow + ox] = crate::gemm::dot(w_row, &samples);
                     }
-                }
-            }
-        });
-    if let Some(b) = bias {
-        crate::conv::add_channel_bias(&mut out, b);
-    }
-    out
-}
-
-/// Verbatim copy of the pre-restructure [`deform_conv2d_ref`] (one task per
-/// `(n, c_out)` slab, samples recomputed for every output channel). Kept as
-/// the bitwise correctness oracle for the shared-scratch rewrite; see the
-/// `legacy_pinning` tests.
-pub fn deform_conv2d_ref_legacy(
-    x: &Tensor,
-    offsets: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, wc_in, k, _) = weight.shape().nchw();
-    assert_eq!(c_in, wc_in, "deform_conv2d channel mismatch");
-    assert_eq!(k, p.conv.kernel);
-    assert_eq!(
-        c_in % p.deform_groups,
-        0,
-        "input channels {c_in} not divisible by deform groups {}",
-        p.deform_groups
-    );
-    let (oh, ow) = p.conv.out_hw(h, w);
-    assert_eq!(
-        offsets.dims(),
-        &[n, p.offset_channels(), oh, ow],
-        "offset tensor must be [N, 2*G*k*k, outH, outW]"
-    );
-    let ch_per_group = c_in / p.deform_groups;
-    let kk = k * k;
-
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    let conv = p.conv;
-    let dgroups = p.deform_groups;
-    out.data_mut()
-        .par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(flat, dst)| {
-            let (ni, co) = (flat / c_out, flat % c_out);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ci in 0..c_in {
-                        let g = ci / ch_per_group;
-                        debug_assert!(g < dgroups);
-                        for ki in 0..k {
-                            for kj in 0..k {
-                                let tap = ki * k + kj;
-                                let oc = 2 * (g * kk + tap);
-                                let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
-                                let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
-                                let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dy;
-                                let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dx;
-                                acc +=
-                                    weight.at4(co, ci, ki, kj) * bilinear_sample(x, ni, ci, py, px);
-                            }
-                        }
-                    }
-                    dst[oy * ow + ox] = acc;
                 }
             }
         });
@@ -725,70 +655,6 @@ pub fn deform_conv2d_v2_ref(
     out
 }
 
-/// Verbatim copy of the pre-restructure [`deform_conv2d_v2_ref`]; bitwise
-/// oracle for the shared-scratch rewrite (see the `legacy_pinning` tests).
-#[allow(clippy::too_many_arguments)]
-pub fn deform_conv2d_v2_ref_legacy(
-    x: &Tensor,
-    offsets: &Tensor,
-    mask: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
-    let kk = k * k;
-    assert_eq!(
-        mask.dims(),
-        &[n, p.deform_groups * kk, oh, ow],
-        "mask tensor must be [N, G*k*k, outH, outW]"
-    );
-    let ch_per_group = c_in / p.deform_groups;
-    let conv = p.conv;
-
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    out.data_mut()
-        .par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(flat, dst)| {
-            let (ni, co) = (flat / c_out, flat % c_out);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ci in 0..c_in {
-                        let g = ci / ch_per_group;
-                        for ki in 0..k {
-                            for kj in 0..k {
-                                let tap = ki * k + kj;
-                                let oc = 2 * (g * kk + tap);
-                                let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
-                                let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
-                                let m = mask.at4(ni, g * kk + tap, oy, ox);
-                                let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dy;
-                                let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dx;
-                                acc += weight.at4(co, ci, ki, kj)
-                                    * m
-                                    * bilinear_sample(x, ni, ci, py, px);
-                            }
-                        }
-                    }
-                    dst[oy * ow + ox] = acc;
-                }
-            }
-        });
-    if let Some(b) = bias {
-        crate::conv::add_channel_bias(&mut out, b);
-    }
-    out
-}
-
 /// Gradients of [`deform_conv2d_v2_ref`] w.r.t. input, offsets, mask,
 /// weight and bias: `(gx, goff, gmask, gw, gb)`.
 #[allow(clippy::too_many_arguments)]
@@ -1003,78 +869,6 @@ pub fn deform_conv2d_v3_ref(
                         }
                         dst[(co * oh + oy) * ow + ox] = acc;
                     }
-                }
-            }
-        });
-    if let Some(b) = bias {
-        crate::conv::add_channel_bias(&mut out, b);
-    }
-    out
-}
-
-/// Verbatim copy of the pre-restructure [`deform_conv2d_v3_ref`]; bitwise
-/// oracle for the shared-scratch rewrite (see the `legacy_pinning` tests).
-#[allow(clippy::too_many_arguments)]
-pub fn deform_conv2d_v3_ref_legacy(
-    x: &Tensor,
-    offsets: &Tensor,
-    logits: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    p: &DeformConv2dParams,
-    transform: OffsetTransform,
-) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, _, k, _) = weight.shape().nchw();
-    let (oh, ow) = p.conv.out_hw(h, w);
-    let kk = k * k;
-    assert_eq!(
-        logits.dims(),
-        &[n, p.deform_groups * kk, oh, ow],
-        "logit tensor must be [N, G*k*k, outH, outW]"
-    );
-    let ch_per_group = c_in / p.deform_groups;
-    let dgroups = p.deform_groups;
-    let conv = p.conv;
-
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    out.data_mut()
-        .par_chunks_mut(oh * ow)
-        .enumerate()
-        .for_each(|(flat, dst)| {
-            let (ni, co) = (flat / c_out, flat % c_out);
-            let mut raw = vec![0.0f32; kk];
-            let mut wsoft = vec![0.0f64; dgroups * kk];
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    for g in 0..dgroups {
-                        for (tap, slot) in raw.iter_mut().enumerate() {
-                            *slot = logits.at4(ni, g * kk + tap, oy, ox);
-                        }
-                        wsoft[g * kk..(g + 1) * kk].copy_from_slice(&tap_softmax(&raw));
-                    }
-                    let mut acc = 0.0f32;
-                    for ci in 0..c_in {
-                        let g = ci / ch_per_group;
-                        for ki in 0..k {
-                            for kj in 0..k {
-                                let tap = ki * k + kj;
-                                let oc = 2 * (g * kk + tap);
-                                let dy = transform.apply(offsets.at4(ni, oc, oy, ox));
-                                let dx = transform.apply(offsets.at4(ni, oc + 1, oy, ox));
-                                let py = (oy * conv.stride + ki * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dy;
-                                let px = (ox * conv.stride + kj * conv.dilation) as f32
-                                    - conv.pad as f32
-                                    + dx;
-                                acc += weight.at4(co, ci, ki, kj)
-                                    * (wsoft[g * kk + tap] as f32)
-                                    * bilinear_sample(x, ni, ci, py, px);
-                            }
-                        }
-                    }
-                    dst[oy * ow + ox] = acc;
                 }
             }
         });
@@ -1313,57 +1107,5 @@ mod v3_tests {
         let y = deform_conv2d_v3_ref(&x, &off, &logits, &w, None, &p, OffsetTransform::Identity);
         assert_eq!(y.dims(), &[1, 2, 5, 5]);
         assert!(y.data().iter().any(|&v| v != 0.0));
-    }
-}
-
-#[cfg(test)]
-mod legacy_pinning {
-    use super::*;
-
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data().iter().map(|v| v.to_bits()).collect()
-    }
-
-    /// The shared-scratch forward rewrites must be byte-identical to the
-    /// verbatim legacy loops for every family, transform and group layout.
-    #[test]
-    fn restructured_refs_are_bitwise_identical_to_legacy() {
-        let cases = [
-            (1usize, 4usize, 3usize, 1usize, 6usize, 6usize),
-            (2, 4, 2, 2, 5, 7),
-            (1, 6, 5, 3, 4, 4),
-        ];
-        let transforms = [
-            OffsetTransform::Identity,
-            OffsetTransform::Bounded(1.25),
-            OffsetTransform::BoundedRounded(2.0),
-        ];
-        for (case, &(n, c_in, c_out, dgroups, h, w)) in cases.iter().enumerate() {
-            let p = DeformConv2dParams {
-                conv: crate::conv::Conv2dParams::same(3),
-                deform_groups: dgroups,
-            };
-            let seed = 9000 + 17 * case as u64;
-            let x = Tensor::randn(&[n, c_in, h, w], 0.0, 1.0, seed);
-            let wt = Tensor::randn(&[c_out, c_in, 3, 3], 0.0, 0.4, seed + 1);
-            let off = Tensor::rand_uniform(&[n, p.offset_channels(), h, w], -1.6, 1.6, seed + 2);
-            let mask = Tensor::rand_uniform(&[n, dgroups * 9, h, w], 0.0, 1.0, seed + 3);
-            let logits = Tensor::rand_uniform(&[n, dgroups * 9, h, w], -2.0, 2.0, seed + 4);
-            let bias = Tensor::randn(&[c_out], 0.0, 0.1, seed + 5);
-            for tr in transforms {
-                let v1 = deform_conv2d_ref(&x, &off, &wt, Some(&bias), &p, tr);
-                let v1_old = deform_conv2d_ref_legacy(&x, &off, &wt, Some(&bias), &p, tr);
-                assert_eq!(bits(&v1), bits(&v1_old), "v1 case {case} {tr:?}");
-
-                let v2 = deform_conv2d_v2_ref(&x, &off, &mask, &wt, None, &p, tr);
-                let v2_old = deform_conv2d_v2_ref_legacy(&x, &off, &mask, &wt, None, &p, tr);
-                assert_eq!(bits(&v2), bits(&v2_old), "v2 case {case} {tr:?}");
-
-                let v3 = deform_conv2d_v3_ref(&x, &off, &logits, &wt, Some(&bias), &p, tr);
-                let v3_old =
-                    deform_conv2d_v3_ref_legacy(&x, &off, &logits, &wt, Some(&bias), &p, tr);
-                assert_eq!(bits(&v3), bits(&v3_old), "v3 case {case} {tr:?}");
-            }
-        }
     }
 }

@@ -44,26 +44,19 @@ impl BlockTrace for GatherKernel {
         .into()
     }
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {
-        let mut out = Vec::with_capacity(32);
         for warp in 0..8 {
             for i in 0..16 {
                 match &self.tex {
                     Some(tex) => {
-                        let coords: Vec<(f32, f32)> = (0..32)
-                            .map(|lane| Self::position(block, warp, lane, i))
-                            .collect();
-                        out.clear();
-                        sink.tex_fetch_warp(tex, 0, &coords, &mut out);
+                        let coords = (0..32).map(|lane| Self::position(block, warp, lane, i));
+                        sink.tex_fetch_warp_into(tex, 0, coords);
                     }
                     None => {
                         for (oy, ox) in [(0u64, 0u64), (0, 1), (1, 0), (1, 1)] {
-                            let addrs: Vec<u64> = (0..32)
-                                .map(|lane| {
-                                    let (y, x) = Self::position(block, warp, lane, i);
-                                    ((y as u64 + oy) * 256 + x as u64 + ox) * 4
-                                })
-                                .collect();
-                            sink.global_load(&addrs);
+                            sink.global_load_into((0..32).map(|lane| {
+                                let (y, x) = Self::position(block, warp, lane, i);
+                                ((y as u64 + oy) * 256 + x as u64 + ox) * 4
+                            }));
                         }
                         sink.flop(8 * 32);
                         sink.alu(6 * 32);

@@ -9,7 +9,7 @@
 
 use defcon::gpusim::cache::{Access, Cache};
 use defcon::gpusim::device::{CacheGeometry, DeviceConfig};
-use defcon::gpusim::texture::{FilterMode, LayeredTexture2d};
+use defcon::gpusim::texture::LayeredTexture2d;
 use defcon::prelude::*;
 use defcon_support::prop::{self, Config};
 use defcon_support::rng::{Rng, StdRng};
@@ -32,7 +32,7 @@ fn texture_of(t: &Tensor, frac_bits: u32) -> LayeredTexture2d {
         dev.max_texture_dim,
     )
     .expect("test shapes fit device limits");
-    tex.filter_mode = FilterMode::Linear { frac_bits };
+    tex.frac_bits = frac_bits;
     tex
 }
 

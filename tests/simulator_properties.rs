@@ -64,17 +64,23 @@ fn bilinear_within_neighbour_hull() {
     );
 }
 
-/// Zero offsets reduce deformable conv to regular conv for any shape (Dai
-/// et al.) — an oracle independent of the deformable pipeline. Checked on
-/// strided and grouped shapes for the CPU v1 reference and for every
-/// simulated path: gpusim's `execute` and the accel backend, each sampling
-/// method, DCNv1 and DCNv2 with an all-ones mask. DCNv3 with neutral
-/// logits averages the `k²` taps: the rigid conv with weights scaled by
-/// `1/k²`.
+/// A constant integer offset is a rigid conv over a shifted window (Dai et
+/// al.'s definition of deformable sampling, `p = p_o + p_i + Δp`) — an
+/// oracle independent of the deformable pipeline. With the same
+/// `(dy, dx) ∈ [−2, 2]²` (zero included) on every tap and pixel, bilinear
+/// weights collapse onto one texel and out-of-bounds taps read zero, so the
+/// output is the pad-0 rigid conv over the zero-extended input window
+/// shifted by `(dy, dx)`, with the layer's padding folded into the window.
+/// Checked on strided and grouped shapes for the CPU v1 and v2 references
+/// and for every simulated path: gpusim's `execute` and the accel backend,
+/// each sampling method and family. DCNv2 runs twice: an all-ones mask
+/// expects the rigid conv, a 0.5 mask the rigid conv with weights × 0.5
+/// (which a kernel that ignored the mask would fail). DCNv3 with neutral
+/// logits averages the `k²` taps: the rigid conv with weights × `1/k²`.
 #[test]
 fn zero_offsets_are_rigid() {
-    use defcon::tensor::conv::conv2d;
-    use defcon::tensor::sample::deform_conv2d_ref;
+    use defcon::tensor::conv::{conv2d, Conv2dParams};
+    use defcon::tensor::sample::{deform_conv2d_ref, deform_conv2d_v2_ref};
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let accel = Accel::new(AccelConfig::edge());
     prop::check(
@@ -88,9 +94,10 @@ fn zero_offsets_are_rigid() {
                 rng.gen_range(0u64..500),
                 rng.gen_range(1usize..3),
                 groups,
+                (rng.gen_range(-2isize..3), rng.gen_range(-2isize..3)),
             )
         },
-        |&(c, hw, seed, stride, groups)| {
+        |&(c, hw, seed, stride, groups, (dy, dx))| {
             let shape = DeformLayerShape {
                 stride,
                 deform_groups: groups,
@@ -99,9 +106,32 @@ fn zero_offsets_are_rigid() {
             let (oh, ow) = shape.out_hw();
             let x = Tensor::randn(&[1, c, hw, hw], 0.0, 1.0, seed);
             let w = Tensor::randn(&[2, c, 3, 3], 0.0, 0.4, seed ^ 1);
-            let off = Tensor::zeros(&[1, shape.offset_channels(), oh, ow]);
-            let rigid = conv2d(&x, &w, None, &shape.conv_params());
-            let tap_average = conv2d(&x, &w.scale(1.0 / 9.0), None, &shape.conv_params());
+            let mut off = Tensor::zeros(&[1, shape.offset_channels(), oh, ow]);
+            for (ch, plane) in off.data_mut().chunks_mut(oh * ow).enumerate() {
+                plane.fill(if ch % 2 == 0 { dy } else { dx } as f32);
+            }
+            // Window row `i` holds input row `i − pad + dy` (zero outside
+            // the input), and likewise for columns.
+            let conv = shape.conv_params();
+            let (wh, ww) = ((oh - 1) * stride + 3, (ow - 1) * stride + 3);
+            let mut window = Tensor::zeros(&[1, c, wh, ww]);
+            for ci in 0..c {
+                for i in 0..wh {
+                    for j in 0..ww {
+                        let (sy, sx) = (
+                            i as isize - conv.pad as isize + dy,
+                            j as isize - conv.pad as isize + dx,
+                        );
+                        if (0..hw as isize).contains(&sy) && (0..hw as isize).contains(&sx) {
+                            *window.at4_mut(0, ci, i, j) = x.at4(0, ci, sy as usize, sx as usize);
+                        }
+                    }
+                }
+            }
+            let rigid_params = Conv2dParams { pad: 0, ..conv };
+            let rigid = conv2d(&window, &w, None, &rigid_params);
+            let half = conv2d(&window, &w.scale(0.5), None, &rigid_params);
+            let tap_average = conv2d(&window, &w.scale(1.0 / 9.0), None, &rigid_params);
             let close = |got: &Tensor, expect: &Tensor| {
                 got.dims() == expect.dims()
                     && got
@@ -114,9 +144,14 @@ fn zero_offsets_are_rigid() {
             let reference = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
             prop_assert!(close(&reference, &rigid), "CPU v1 reference");
             let ones = Tensor::full(&[1, groups * 9, oh, ow], 1.0);
+            let halves = Tensor::full(&[1, groups * 9, oh, ow], 0.5);
+            let reference_v2 =
+                deform_conv2d_v2_ref(&x, &off, &halves, &w, None, &p, OffsetTransform::Identity);
+            prop_assert!(close(&reference_v2, &half), "CPU v2 reference, 0.5 mask");
             for (family, modulation, expect) in [
                 (OpFamily::DcnV1, None, &rigid),
                 (OpFamily::DcnV2, Some(ones), &rigid),
+                (OpFamily::DcnV2, Some(halves), &half),
                 (OpFamily::DcnV3, None, &tap_average),
             ] {
                 for method in SamplingMethod::ladder() {

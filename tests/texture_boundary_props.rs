@@ -1,38 +1,34 @@
-//! Property tests pinning the branch-free texture sampler and the
-//! precomputed-reciprocal trilinear path to their verbatim legacy copies at
-//! address-mode boundaries.
+//! Property test pinning the branch-free texture sampler at the border
+//! addressing boundaries.
 //!
-//! The rewrite hoisted address-mode resolution out of the per-texel loop,
-//! replaced the quantization divide with an exact reciprocal multiply, and
-//! split the fetch into a layer-independent plan plus a per-layer replay.
-//! None of that is allowed to move a single bit: for every address mode,
-//! filter mode and a boundary-heavy coordinate grid (texel edges, the
-//! half-texel filter seams, just-outside and far-outside positions),
-//! `fetch` must agree with `fetch_legacy` on the filtered value, the texel
-//! address list and its length — and `fetch_trilinear` with
-//! `fetch_trilinear_legacy` on the blended value, across integer, fractional
-//! and out-of-range LODs.
+//! The sampler hoists border resolution out of the per-texel loop, replaces
+//! the quantization divide with an exact reciprocal multiply, and splits
+//! the fetch into a layer-independent plan plus a per-layer replay. None of
+//! that may move a bit. Over a boundary-heavy coordinate grid (texel edges,
+//! the half-texel filter seams, just-outside and far-outside positions):
+//!
+//! * at full filter precision the fetched value must equal the CPU
+//!   reference sampler `tensor::sample::bilinear_sample` bit for bit — the
+//!   definition of bilinear sampling with zero-valued out-of-bounds
+//!   neighbours (paper §II-A);
+//! * at both filter precisions the value, the texel address list and its
+//!   length must hash to the digests `crates/bench/tests/golden/
+//!   frozen_oracles.json` froze from the pre-rewrite sampler on exactly
+//!   these inputs.
 
-use defcon::gpusim::mipmap::MipmappedArray2d;
-use defcon::gpusim::texture::{AddressMode, FilterMode, LayeredTexture2d};
+use defcon::gpusim::texture::LayeredTexture2d;
+use defcon::tensor::sample::bilinear_sample;
+use defcon::tensor::Tensor;
+use defcon_support::json::Json;
 use defcon_support::prop::{self, Config};
 use defcon_support::prop_assert_eq;
-use defcon_support::rng::Rng;
+use defcon_support::rng::{fnv1a64, Rng};
+use std::cell::RefCell;
 
 const CASES: u32 = 24;
 
-const MODES: [AddressMode; 4] = [
-    AddressMode::Border,
-    AddressMode::Clamp,
-    AddressMode::Wrap,
-    AddressMode::Mirror,
-];
-
-const FILTERS: [FilterMode; 3] = [
-    FilterMode::Point,
-    FilterMode::Linear { frac_bits: 23 },
-    FilterMode::Linear { frac_bits: 8 },
-];
+/// Filter precisions the kernels bind: `tex2D` (fp32) and `tex2D++`.
+const FRAC_BITS: [u32; 2] = [23, 8];
 
 /// Deterministic pseudo-random texel data in [-2, 2).
 fn texels(n: usize, seed: u64) -> Vec<f32> {
@@ -49,8 +45,7 @@ fn texels(n: usize, seed: u64) -> Vec<f32> {
 
 /// Coordinates that straddle every interesting seam of one axis of extent
 /// `n`: texel centres and edges, the ±0.5 filter seam, epsilon inside and
-/// outside both ends, and far out of range (where the early-outs and the
-/// wrap/mirror folds all disagree in shape, if not in bits).
+/// outside both ends, and far out of range.
 fn boundary_coords(extent: usize, extra: f32) -> Vec<f32> {
     let n = extent as f32;
     vec![
@@ -77,6 +72,9 @@ fn boundary_coords(extent: usize, extra: f32) -> Vec<f32> {
 
 #[test]
 fn fetch_matches_legacy_at_address_mode_boundaries() {
+    // One byte stream per filter precision: every fetch's value bits, `len`
+    // and live addresses, little-endian, in visit order.
+    let streams = RefCell::new([Vec::<u8>::new(), Vec::<u8>::new()]);
     prop::check(
         "fetch_matches_legacy_at_address_mode_boundaries",
         &Config::new(CASES, 0xDEFC_0810),
@@ -91,31 +89,33 @@ fn fetch_matches_legacy_at_address_mode_boundaries() {
             )
         },
         |&(layers, h, w, seed, fy, fx)| {
-            for mode in MODES {
-                for filter in FILTERS {
-                    let mut tex = LayeredTexture2d::new(
-                        texels(layers * h * w, seed),
-                        layers,
-                        h,
-                        w,
-                        0x8000_0000,
-                        2048,
-                        32768,
-                    )
-                    .expect("within device limits");
-                    tex.address_mode = mode;
-                    tex.filter_mode = filter;
-                    for layer in 0..layers {
-                        for &y in &boundary_coords(h, fy) {
-                            for &x in &boundary_coords(w, fx) {
-                                let new = tex.fetch(layer, y, x);
-                                let old = tex.fetch_legacy(layer, y, x);
-                                prop_assert_eq!(new.value.to_bits(), old.value.to_bits());
-                                prop_assert_eq!(new.len, old.len);
-                                prop_assert_eq!(
-                                    &new.addresses[..new.len as usize],
-                                    &old.addresses[..old.len as usize]
-                                );
+            let reference = Tensor::from_vec(texels(layers * h * w, seed), &[1, layers, h, w]);
+            for (stream, frac_bits) in FRAC_BITS.into_iter().enumerate() {
+                let mut tex = LayeredTexture2d::new(
+                    texels(layers * h * w, seed),
+                    layers,
+                    h,
+                    w,
+                    0x8000_0000,
+                    2048,
+                    32768,
+                )
+                .expect("within device limits");
+                tex.frac_bits = frac_bits;
+                let mut streams = streams.borrow_mut();
+                let bytes = &mut streams[stream];
+                for layer in 0..layers {
+                    for &y in &boundary_coords(h, fy) {
+                        for &x in &boundary_coords(w, fx) {
+                            let f = tex.fetch(layer, y, x);
+                            if frac_bits == 23 {
+                                let want = bilinear_sample(&reference, 0, layer, y, x);
+                                prop_assert_eq!(f.value.to_bits(), want.to_bits());
+                            }
+                            bytes.extend_from_slice(&f.value.to_bits().to_le_bytes());
+                            bytes.push(f.len);
+                            for a in &f.addresses[..f.len as usize] {
+                                bytes.extend_from_slice(&a.to_le_bytes());
                             }
                         }
                     }
@@ -124,55 +124,21 @@ fn fetch_matches_legacy_at_address_mode_boundaries() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn trilinear_matches_legacy_across_lods() {
-    prop::check(
-        "trilinear_matches_legacy_across_lods",
-        &Config::new(CASES, 0xDEFC_0811),
-        |rng| {
-            (
-                rng.gen_range(1usize..3),
-                rng.gen_range(2usize..11),
-                rng.gen_range(2usize..11),
-                rng.gen_range(0u64..10_000),
-                rng.gen_range(-1.0f32..8.0),
-            )
-        },
-        |&(layers, h, w, seed, flod)| {
-            for mode in MODES {
-                for filter in FILTERS {
-                    let mut mip = MipmappedArray2d::new(
-                        texels(layers * h * w, seed),
-                        layers,
-                        h,
-                        w,
-                        0x8000_0000,
-                        2048,
-                        32768,
-                    )
-                    .expect("within device limits");
-                    mip.configure(mode, filter);
-                    let top = (mip.num_levels() - 1) as f32;
-                    // Integer LODs (the folded degenerate case), fractions,
-                    // both out-of-range ends, and a random fractional LOD.
-                    let lods = [-0.5, 0.0, 0.5, 1.0, 1.5, top - 0.25, top, top + 0.75, flod];
-                    for layer in 0..layers {
-                        for lod in lods {
-                            for &y in &boundary_coords(h, 0.75) {
-                                for &x in &boundary_coords(w, 1.25) {
-                                    prop_assert_eq!(
-                                        mip.fetch_trilinear(layer, y, x, lod).to_bits(),
-                                        mip.fetch_trilinear_legacy(layer, y, x, lod).to_bits()
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(())
-        },
-    );
+    let golden = Json::parse(include_str!(
+        "../crates/bench/tests/golden/frozen_oracles.json"
+    ))
+    .expect("frozen_oracles.json parses");
+    for (stream, frac_bits) in FRAC_BITS.into_iter().enumerate() {
+        let key = format!("frac_bits {frac_bits}");
+        let frozen = golden
+            .get("texture_fetch")
+            .and_then(|s| s.get(&key))
+            .and_then(Json::as_str)
+            .expect("frozen texture digest");
+        assert_eq!(
+            format!("{:016x}", fnv1a64(&streams.borrow()[stream])),
+            frozen,
+            "texture fetches at {key} moved off the frozen pre-rewrite sampler"
+        );
+    }
 }
