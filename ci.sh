@@ -106,6 +106,20 @@ trace_twice repro_table2_xavier DEFCON_TINY=1
 trace_twice repro_fig6_interval DEFCON_FAST=1
 trace_twice repro_table5 DEFCON_FAST=1
 
+# Table III byte gate, end to end on the release binary: the JSON line
+# (every printed cell's ms as f64 bits plus their FNV digest) must equal
+# the golden blessed from the code before the launch memo, at one engine
+# thread. A debug `cargo test` of the twelve R101 networks would take many
+# minutes, so the gate runs here instead.
+echo "==> Table III golden (release repro_table3_endtoend, DEFCON_THREADS=1)"
+t3_out="$(mktemp)"
+DEFCON_THREADS=1 DEFCON_JSON=1 ./target/release/repro_table3_endtoend | tail -n 1 > "$t3_out"
+cmp "$t3_out" crates/bench/tests/golden/table3_endtoend.json || {
+    echo "Table III FAIL: report differs from tests/golden/table3_endtoend.json" >&2
+    exit 1
+}
+rm -f "$t3_out"
+
 echo "==> cargo check --all-targets --offline (benches + bins compile)"
 cargo check --all-targets --offline
 

@@ -8,12 +8,48 @@
 //! Accuracy columns of Table III are reproduced by `repro_table1` /
 //! `repro_table5` on the trainable mini models (the full-size network is
 //! latency-only on the simulator).
+//!
+//! `DEFCON_JSON=1` appends one JSON line holding every printed cell's
+//! milliseconds as f64 bit patterns and an FNV-1a digest over them;
+//! `crates/bench/tests/golden/table3_endtoend.json` pins that line at
+//! `DEFCON_THREADS=1` (ci.sh compares it byte for byte).
 
-use defcon_bench::{f2, speedup, Table};
+use defcon_bench::{emit_json, f2, speedup, Table};
 use defcon_core::pipeline::{DefconConfig, TileChoice};
 use defcon_gpusim::{DeviceConfig, Gpu};
 use defcon_kernels::{SamplingMethod, TileConfig};
 use defcon_models::zoo::{num_dcn, resnet_3x3_slots, simulate_network, DcnLayout};
+use defcon_support::json::Json;
+use defcon_support::rng::fnv1a64;
+
+/// The JSON report: each printed cell as `(row, column, ms bits)` in print
+/// order, plus the FNV-1a digest of the bits' little-endian bytes.
+fn report_json(device: &str, cells: &[(String, &str, f64)]) -> Json {
+    let bytes: Vec<u8> = cells
+        .iter()
+        .flat_map(|(_, _, ms)| ms.to_bits().to_le_bytes())
+        .collect();
+    Json::obj(vec![
+        ("experiment", Json::str("table3")),
+        ("device", Json::str(device)),
+        (
+            "cells",
+            Json::Arr(
+                cells
+                    .iter()
+                    .map(|(row, column, ms)| {
+                        Json::obj(vec![
+                            ("row", Json::str(row)),
+                            ("column", Json::str(*column)),
+                            ("ms_bits", Json::str(format!("{:016x}", ms.to_bits()))),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        ("digest", Json::str(format!("{:016x}", fnv1a64(&bytes)))),
+    ])
+}
 
 fn main() {
     // Must be first and live for the whole run: the guard writes the
@@ -64,6 +100,7 @@ fn main() {
         "Speedup over YOLACT++",
     ]);
     let check = |b: bool| if b { "x".to_string() } else { String::new() };
+    let mut cells = vec![("baseline".to_string(), "bl", baseline_ms)];
 
     // Row: baseline itself.
     table.row(&[
@@ -103,6 +140,21 @@ fn main() {
             (f64::NAN, f64::NAN)
         };
         let best = if use_tex { tpp_ms } else { bl_ms };
+        let row: Vec<&str> = [
+            (true, "search"),
+            (bounded.is_some(), "boundary"),
+            (light, "light"),
+            (use_tex, "tex"),
+        ]
+        .into_iter()
+        .filter_map(|(on, name)| on.then_some(name))
+        .collect();
+        let row = row.join("+");
+        cells.push((row.clone(), "bl", bl_ms));
+        if use_tex {
+            cells.push((row.clone(), "tex2d", t2_ms));
+            cells.push((row, "tex2dpp", tpp_ms));
+        }
         table.row(&[
             check(true),
             check(bounded.is_some()),
@@ -120,4 +172,5 @@ fn main() {
         num_dcn(&searched_slots),
         num_dcn(&baseline_slots)
     );
+    emit_json(&report_json(&gpu.config().name, &cells));
 }
