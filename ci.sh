@@ -157,6 +157,7 @@ check_ratchet crates/core/src/serve.rs        0 2
 check_ratchet crates/core/src/chaos.rs        0 0
 check_ratchet crates/gpusim/src/device.rs     4 0
 check_ratchet crates/gpusim/src/engine.rs     8 0
+check_ratchet crates/gpusim/src/report_cache.rs 0 0
 check_ratchet crates/gpusim/src/texture.rs    1 0
 check_ratchet crates/kernels/src/op.rs        3 0
 check_ratchet crates/kernels/src/im2col.rs    1 0
@@ -164,6 +165,7 @@ check_ratchet crates/kernels/src/fused.rs     1 0
 check_ratchet crates/kernels/src/backend.rs   4 0
 check_ratchet crates/accel/src/lib.rs         7 0
 check_ratchet crates/models/src/trainer.rs    1 0
+check_ratchet crates/models/src/zoo.rs        1 1
 check_ratchet crates/nn/src/optim.rs          0 0
 
 # Hot-path throughput bars (DESIGN.md §11). The hot-path byte gate (the
@@ -206,6 +208,23 @@ cmp "$serve_a.stripped" "$serve_b.stripped" || {
     exit 1
 }
 rm -f "$serve_a" "$serve_b" "$serve_a.stripped" "$serve_b.stripped"
+
+# Whole-network report determinism: the e2e bench simulates perfbench's
+# three Table III cells and writes BENCH_e2e.json — cell totals as f64
+# bits, their digest and the launch memo's hits/misses per network under
+# "report", wall ms per network under the trailing "timing". Two runs
+# must agree byte for byte once "timing" is stripped.
+echo "==> BENCH_e2e.json report determinism (two runs, timing stripped)"
+e2e_a="$(mktemp)" e2e_b="$(mktemp)"
+DEFCON_BENCH_OUT="$e2e_a" cargo bench --offline -p defcon-bench --bench e2e > /dev/null
+DEFCON_BENCH_OUT="$e2e_b" cargo bench --offline -p defcon-bench --bench e2e > /dev/null
+sed 's/"timing":.*$//' "$e2e_a" > "$e2e_a.stripped"
+sed 's/"timing":.*$//' "$e2e_b" > "$e2e_b.stripped"
+cmp "$e2e_a.stripped" "$e2e_b.stripped" || {
+    echo "e2e determinism FAIL: report bytes differ between runs" >&2
+    exit 1
+}
+rm -f "$e2e_a" "$e2e_b" "$e2e_a.stripped" "$e2e_b.stripped"
 
 # Chaos-summary determinism, end to end on the release binary: the whole
 # chaos session — outcomes, fault log, breaker walk, digest — is a pure

@@ -41,6 +41,4 @@ pub use autotune::{AutotuneResult, Autotuner};
 pub use lut::{LatencyKey, LatencyLut};
 pub use pipeline::DefconConfig;
 pub use search::{IntervalSearch, SearchConfig, SearchModel, SearchOutcome};
-pub use serve::{
-    ReportCache, RequestPolicy, ServeConfig, ServeDevice, SimRequest, SimResponse, SimServer,
-};
+pub use serve::{RequestPolicy, ServeConfig, ServeDevice, SimRequest, SimResponse, SimServer};

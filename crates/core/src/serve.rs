@@ -17,7 +17,9 @@
 //! differently, since every request field appears verbatim); both
 //! properties are enforced by property tests. A lookup only counts as a
 //! hit when the stored canonical string matches byte-for-byte, so even a
-//! 64-bit hash collision cannot alias two requests.
+//! 64-bit hash collision cannot alias two requests. The cache is
+//! `defcon_gpusim::ReportCache`, the workspace's one content-addressed
+//! cache, which the engine's per-network launch memo uses too.
 //!
 //! A hit is byte-identical to a fresh simulation because of the PR 2
 //! determinism contract: every worker runs its engine at `threads = 1`
@@ -86,9 +88,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use defcon_accel::{Accel, AccelConfig};
-use defcon_gpusim::{DeadlineBudget, DeviceConfig, Gpu, KernelReport, SamplePolicy};
+use defcon_gpusim::{DeadlineBudget, DeviceConfig, Gpu, KernelReport, ReportCache, SamplePolicy};
 use defcon_kernels::backend::BackendKind;
-use defcon_kernels::op::{synthetic_inputs, DeformConvOp, OpFamily, SamplingMethod};
+use defcon_kernels::op::{
+    synthetic_inputs, DeformConvOp, DeformFallback, OpFamily, SamplingMethod,
+};
 use defcon_kernels::DeformLayerShape;
 use defcon_support::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use defcon_support::error::DefconError;
@@ -274,191 +278,6 @@ impl SimRequest {
     }
 }
 
-/// What a cache lookup returns on a hit.
-pub struct CachedHit {
-    /// The cached per-launch reports.
-    pub reports: Vec<KernelReport>,
-    /// The sampling method that produced them.
-    pub method: SamplingMethod,
-    /// Fallback-ladder degradations recorded at simulation time.
-    pub degradations: Vec<String>,
-    /// Wall-clock time the lookup took.
-    pub latency_ns: u64,
-}
-
-struct CacheEntry {
-    key: u64,
-    canonical: String,
-    reports: Vec<KernelReport>,
-    method: SamplingMethod,
-    degradations: Vec<String>,
-    last_used: u64,
-}
-
-/// A bounded, LRU-evicting, content-addressed launch-report cache.
-///
-/// Lookups verify the full canonical string, not just the 64-bit key, so
-/// a hash collision degrades to a miss instead of aliasing two requests.
-/// The `serve.cache` fault point drops the matching entry at lookup time
-/// (modelling corruption): the caller re-simulates and re-inserts
-/// identical bytes.
-pub struct ReportCache {
-    capacity: usize,
-    entries: Vec<CacheEntry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    drops: u64,
-    inserts: u64,
-}
-
-impl ReportCache {
-    /// An empty cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        ReportCache {
-            capacity,
-            entries: Vec::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            drops: 0,
-            inserts: 0,
-        }
-    }
-
-    /// Looks up a content address. Only a byte-identical canonical string
-    /// counts as a hit; the `serve.cache` fault point drops the matching
-    /// entry instead (forcing a deterministic re-simulation).
-    pub fn lookup(&mut self, key: u64, canonical: &str) -> Option<CachedHit> {
-        let t0 = Instant::now();
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.key == key && e.canonical == canonical);
-        let Some(i) = pos else {
-            self.misses += 1;
-            return None;
-        };
-        if fault::fires("serve.cache") {
-            // Injected corruption: the stored bytes are untrustworthy, so
-            // drop the entry and miss — the fresh simulation re-derives
-            // identical bytes and re-inserts them.
-            self.entries.remove(i);
-            self.drops += 1;
-            self.misses += 1;
-            return None;
-        }
-        self.tick += 1;
-        self.entries[i].last_used = self.tick;
-        self.hits += 1;
-        let e = &self.entries[i];
-        Some(CachedHit {
-            reports: e.reports.clone(),
-            method: e.method,
-            degradations: e.degradations.clone(),
-            latency_ns: t0.elapsed().as_nanos() as u64,
-        })
-    }
-
-    /// Inserts (or refreshes) an entry, evicting the least recently used
-    /// one when at capacity.
-    pub fn insert(
-        &mut self,
-        key: u64,
-        canonical: String,
-        reports: &[KernelReport],
-        method: SamplingMethod,
-        degradations: &[String],
-    ) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.key == key && e.canonical == canonical)
-        {
-            e.last_used = self.tick;
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            let mut lru = 0;
-            for (i, e) in self.entries.iter().enumerate() {
-                if e.last_used < self.entries[lru].last_used {
-                    lru = i;
-                }
-            }
-            self.entries.swap_remove(lru);
-            self.evictions += 1;
-        }
-        self.entries.push(CacheEntry {
-            key,
-            canonical,
-            reports: reports.to_vec(),
-            method,
-            degradations: degradations.to_vec(),
-            last_used: self.tick,
-        });
-        self.inserts += 1;
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lookups answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that required a fresh simulation.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted by the LRU bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Entries dropped by the `serve.cache` fault point.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Entries actually pushed (refreshes excluded). Every inserted entry
-    /// is still resident, was LRU-evicted, or was fault-dropped, so
-    /// `inserts == len + evictions + drops` at every quiescent point —
-    /// the chaos soak's cache-accounting invariant.
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Lifetime hit rate in `[0, 1]` (0 before any lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Server sizing and robustness tuning. The sizing knobs and the
 /// retry/deadline knobs have env overrides (see
 /// [`ServeConfig::with_env_overrides`]).
@@ -620,7 +439,11 @@ enum Plan {
     /// The deadline verdict fired (injected fault or LUT preflight)
     /// before the cache was consulted.
     Deadline(DefconError),
-    Hit(CachedHit),
+    /// Answered by the cache; `latency_ns` is the lookup's wall time.
+    Hit {
+        served: DeformFallback,
+        latency_ns: u64,
+    },
     Miss,
 }
 
@@ -637,7 +460,7 @@ struct Admitted {
 /// degradations of the rung that ran, or the error that ended it — and
 /// the wall time it took (lookup or simulation).
 struct Answer {
-    result: Result<(Vec<KernelReport>, SamplingMethod, Vec<String>), DefconError>,
+    result: Result<DeformFallback, DefconError>,
     latency_ns: u64,
 }
 
@@ -711,7 +534,7 @@ fn simulate_request(
         }
     };
     Answer {
-        result: result.map(|fb| (fb.reports, fb.method, fb.degradations)),
+        result,
         latency_ns: t0.elapsed().as_nanos() as u64,
     }
 }
@@ -865,7 +688,7 @@ pub struct SimServer {
     /// Queued requests, each with the virtual backoff cycles its
     /// admission retries already charged against its deadline budget.
     queue: Vec<(SimRequest, u64)>,
-    cache: ReportCache,
+    cache: ReportCache<DeformFallback>,
     breaker: LadderBreaker,
     sheds: u64,
     served: u64,
@@ -883,7 +706,7 @@ impl SimServer {
             .map(|d| (d, d.config()))
             .collect();
         SimServer {
-            cache: ReportCache::new(cfg.cache_capacity),
+            cache: ReportCache::new(cfg.cache_capacity).with_fault_point("serve.cache"),
             breaker: LadderBreaker::new(cfg.breaker),
             cfg,
             devices,
@@ -1041,7 +864,7 @@ impl SimServer {
         for (i, ((req, _), admitted)) in batch.into_iter().zip(admitted).enumerate() {
             let sim = match admitted.plan {
                 Plan::Deadline(_) => None,
-                Plan::Hit(_) => {
+                Plan::Hit { .. } => {
                     hits += 1;
                     None
                 }
@@ -1099,7 +922,7 @@ impl SimServer {
         let admitted = self.admit(&req, backoff_cycles);
         let sim = match admitted.plan {
             Plan::Deadline(_) => None,
-            Plan::Hit(_) => {
+            Plan::Hit { .. } => {
                 obs::counter_add("serve.cache_hits", 1);
                 None
             }
@@ -1125,10 +948,16 @@ impl SimServer {
         let key = fnv1a64(canonical.as_bytes());
         let plan = match remaining.and_then(|r| self.deadline_gate(req, r)) {
             Some(e) => Plan::Deadline(e),
-            None => match self.cache.lookup(key, &canonical) {
-                Some(hit) => Plan::Hit(hit),
-                None => Plan::Miss,
-            },
+            None => {
+                let t0 = Instant::now();
+                match self.cache.lookup(key, &canonical) {
+                    Some(served) => Plan::Hit {
+                        served,
+                        latency_ns: t0.elapsed().as_nanos() as u64,
+                    },
+                    None => Plan::Miss,
+                }
+            }
         };
         Admitted {
             key,
@@ -1159,27 +988,16 @@ impl SimServer {
         } = admitted;
         let (answer, from_cache) = match plan {
             Plan::Deadline(e) => (Answer::failed(e), false),
-            Plan::Hit(hit) => match remaining.and_then(|r| hit_deadline_verdict(r, &hit.reports)) {
-                Some(e) => (
-                    Answer {
-                        result: Err(e),
-                        latency_ns: hit.latency_ns,
-                    },
-                    false,
-                ),
-                None => (
-                    Answer {
-                        result: Ok((hit.reports, hit.method, hit.degradations)),
-                        latency_ns: hit.latency_ns,
-                    },
-                    true,
-                ),
-            },
+            Plan::Hit { served, latency_ns } => {
+                let verdict = remaining.and_then(|r| hit_deadline_verdict(r, &served.reports));
+                let from_cache = verdict.is_none();
+                let result = verdict.map_or(Ok(served), Err);
+                (Answer { result, latency_ns }, from_cache)
+            }
             Plan::Miss => {
                 let sim = sim.expect("every miss is simulated before it settles");
-                if let Ok((reports, method, degradations)) = &sim.result {
-                    self.cache
-                        .insert(key, canonical, reports, *method, degradations);
+                if let Ok(served) = &sim.result {
+                    self.cache.insert(key, canonical, served.clone());
                 }
                 (sim, false)
             }
@@ -1221,7 +1039,7 @@ impl SimServer {
             obs::counter_add("serve.deadline_exceeded", 1);
         }
         let (reports, method, degradations, error) = match answer.result {
-            Ok((reports, method, degradations)) => (reports, method, degradations, None),
+            Ok(fb) => (fb.reports, fb.method, fb.degradations, None),
             Err(e) => (
                 Vec::new(),
                 request.kernel_family,
@@ -1401,7 +1219,7 @@ impl SimServer {
     }
 
     /// Read-only view of the report cache (stats and size).
-    pub fn cache(&self) -> &ReportCache {
+    pub fn cache(&self) -> &ReportCache<DeformFallback> {
         &self.cache
     }
 
@@ -1474,6 +1292,15 @@ mod tests {
                 max_blocks: 16,
                 ..RequestPolicy::default()
             },
+        }
+    }
+
+    /// An empty cached answer for the cache-mechanics tests.
+    fn served(method: SamplingMethod) -> DeformFallback {
+        DeformFallback {
+            reports: Vec::new(),
+            method,
+            degradations: Vec::new(),
         }
     }
 
@@ -1577,13 +1404,12 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
         let _quiet = fault::quiesce();
-        let mut cache = ReportCache::new(2);
-        let reports: Vec<KernelReport> = Vec::new();
-        let m = SamplingMethod::Tex2d;
-        cache.insert(1, "a".into(), &reports, m, &[]);
-        cache.insert(2, "b".into(), &reports, m, &[]);
+        let mut cache = ReportCache::new(2).with_fault_point("serve.cache");
+        let served = served(SamplingMethod::Tex2d);
+        cache.insert(1, "a".into(), served.clone());
+        cache.insert(2, "b".into(), served.clone());
         assert!(cache.lookup(1, "a").is_some(), "refresh a");
-        cache.insert(3, "c".into(), &reports, m, &[]); // evicts b, the LRU
+        cache.insert(3, "c".into(), served); // evicts b, the LRU
         assert!(cache.lookup(1, "a").is_some());
         assert!(cache.lookup(2, "b").is_none());
         assert!(cache.lookup(3, "c").is_some());
@@ -1594,8 +1420,8 @@ mod tests {
     #[test]
     fn collision_without_matching_canonical_is_a_miss() {
         let _quiet = fault::quiesce();
-        let mut cache = ReportCache::new(4);
-        cache.insert(7, "a".into(), &[], SamplingMethod::Tex2d, &[]);
+        let mut cache = ReportCache::new(4).with_fault_point("serve.cache");
+        cache.insert(7, "a".into(), served(SamplingMethod::Tex2d));
         assert!(
             cache.lookup(7, "b").is_none(),
             "same key, different content"

@@ -27,17 +27,29 @@
 //! The default thread count comes from the `DEFCON_THREADS` env var and is
 //! **1 when unset**: parallelism is opt-in, so unadorned runs reproduce the
 //! golden reports bit-for-bit on any machine.
+//!
+//! # Launch memo
+//!
+//! A [`Gpu::memoizing`] copy answers a repeated *pure* launch from a
+//! [`ReportCache`] instead of re-simulating it. Every launch starts with
+//! cold modelled caches, and a kernel that returns a
+//! [`BlockTrace::memo_key`] reads nothing but the fields that key spells
+//! out, so its report is a pure function of (key, device, policy) — the
+//! last two fixed for one `Gpu`. A hit is therefore the same report a
+//! fresh launch would return, byte for byte.
 
 use crate::cache::Cache;
 use crate::device::DeviceConfig;
 use crate::report::{Counters, KernelReport};
+use crate::report_cache::ReportCache;
 use crate::trace::{BlockCost, BlockTrace, TexStats, TraceSink};
 use defcon_support::error::DefconError;
 use defcon_support::json::Json;
 use defcon_support::obs;
 use defcon_support::par::ParallelSliceMut;
+use defcon_support::rng::fnv1a64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Simulator worker threads implied by the environment: the
 /// `DEFCON_THREADS` env var if set to a positive integer, else **1**.
@@ -124,6 +136,11 @@ impl SamplePolicy {
 /// Average outstanding memory requests a warp can keep in flight — scales
 /// how much latency the warp scheduler can hide.
 const MLP_PER_WARP: f64 = 4.0;
+
+/// Entry bound of a launch memo. One Table III network has 16–20 distinct
+/// pure launches, so the bound never evicts there; past it the memo only
+/// loses hits, never exactness.
+const MEMO_CAPACITY: usize = 256;
 
 /// Unrecorded warmup blocks replayed into each band's L2 shard (from the
 /// tail of the preceding band) before the band proper is measured. Shared
@@ -247,16 +264,14 @@ pub struct Gpu {
     /// cancellation token and charge their cycles. `None` (the default)
     /// is byte-identical to the pre-budget engine.
     budget: Option<Arc<DeadlineBudget>>,
+    /// The launch memo of a [`Gpu::memoizing`] copy; `None` otherwise.
+    memo: Option<Mutex<ReportCache<KernelReport>>>,
 }
 
 impl Gpu {
     /// A GPU with the default sampling policy.
     pub fn new(cfg: DeviceConfig) -> Self {
-        Gpu {
-            cfg,
-            policy: SamplePolicy::default(),
-            budget: None,
-        }
+        Gpu::with_policy(cfg, SamplePolicy::default())
     }
 
     /// Overrides the sampling policy.
@@ -265,6 +280,23 @@ impl Gpu {
             cfg,
             policy,
             budget: None,
+            memo: None,
+        }
+    }
+
+    /// A copy of this GPU — same config, policy and budget — with an empty
+    /// launch memo (see the module docs). A kernel whose
+    /// [`BlockTrace::memo_key`] is `Some` is simulated once per copy; each
+    /// later launch of an equal key returns the stored report, charging an
+    /// attached budget its cycles exactly as a fresh launch would. Keys
+    /// are FNV-1a hashed and verified in full, so a collision only misses.
+    /// The memo lives and dies with the copy.
+    pub fn memoizing(&self) -> Gpu {
+        Gpu {
+            cfg: self.cfg.clone(),
+            policy: self.policy,
+            budget: self.budget.clone(),
+            memo: Some(Mutex::new(ReportCache::new(MEMO_CAPACITY))),
         }
     }
 
@@ -303,18 +335,18 @@ impl Gpu {
     /// [`Gpu::launch_serial`].
     ///
     /// The device config is trusted, and the launch panics on an empty
-    /// grid or a tripped deadline budget; paths fed by external
-    /// configuration or carrying a budget use [`Gpu::try_launch`].
+    /// grid, a zero `max_blocks` or a tripped deadline budget; paths fed by
+    /// external configuration or carrying a budget use [`Gpu::try_launch`].
     pub fn launch(&self, kernel: &dyn BlockTrace) -> KernelReport {
         self.launch_impl(kernel)
             .expect("launch(): deadline budget tripped — use try_launch on budgeted paths")
     }
 
-    /// [`Gpu::launch`] behind validation: the device config and launch
-    /// shape are checked first, and violations come back as typed
-    /// [`DefconError::Constraint`]s instead of panics. When a
-    /// [`DeadlineBudget`] is attached and is (or becomes) cancelled or
-    /// exhausted, the launch fails with [`DefconError::DeadlineExceeded`].
+    /// [`Gpu::launch`] behind validation: the device config, the launch
+    /// shape and the sampling budget are checked first, and violations
+    /// come back as typed [`DefconError::Constraint`]s instead of panics.
+    /// When a [`DeadlineBudget`] is attached and is (or becomes) cancelled
+    /// or exhausted, the launch fails with [`DefconError::DeadlineExceeded`].
     /// A valid, unbudgeted launch is byte-identical to `launch`.
     pub fn try_launch(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
         self.cfg.validate()?;
@@ -327,6 +359,9 @@ impl Gpu {
         }
         if kernel.block_threads() == 0 {
             return Err(constraint("empty block (block_threads() == 0)".to_string()));
+        }
+        if self.policy.max_blocks == 0 {
+            return Err(constraint("empty sample (max_blocks == 0)".to_string()));
         }
         self.launch_impl(kernel)
     }
@@ -342,6 +377,63 @@ impl Gpu {
         }
         let grid = kernel.grid_blocks();
         assert!(grid > 0, "empty grid");
+        // The key is built only on a memoizing copy, so an unmemoized
+        // launch stays allocation-free up to the simulation itself.
+        let Some(memo) = &self.memo else {
+            return self.simulate(kernel, grid);
+        };
+        let Some(canonical) = kernel.memo_key() else {
+            return self.simulate(kernel, grid);
+        };
+        let key = fnv1a64(canonical.as_bytes());
+        // The lock is held only for one lookup or insert, never across a
+        // simulation (`hit` is bound before the match so the lookup's guard
+        // drops first), and both leave the cache valid at every step, so a
+        // guard poisoned by another thread's panic is safe to recover.
+        let lock = || memo.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = lock().lookup(key, &canonical);
+        match hit {
+            Some(stored) => {
+                let report = KernelReport {
+                    device: self.cfg.name.clone(),
+                    kernel: kernel.label(),
+                    ..stored
+                };
+                obs::counter_add("gpusim.memo.hits", 1);
+                obs::event_with("gpusim.launch.memo", || {
+                    vec![
+                        ("kernel", Json::str(&report.kernel)),
+                        ("cycles", Json::from(report.cycles)),
+                    ]
+                });
+                self.charge(kernel, report)
+            }
+            None => {
+                obs::counter_add("gpusim.memo.misses", 1);
+                let report = self.simulate(kernel, grid)?;
+                // Stored without the device and kernel labels, which a hit
+                // takes back from `self.cfg` and `kernel` (where
+                // `finish_report` got them). A memo lives through a whole
+                // network whose deformable slots allocate and free
+                // multi-MB tensors, and small allocations that outlive a
+                // launch change how the heap is reused: storing the labels
+                // raised perfbench's `t3_r101` peak RSS from 23 to 27–32 MB
+                // in most runs (DESIGN.md §4, "Memory").
+                let stored = KernelReport {
+                    device: String::new(),
+                    kernel: String::new(),
+                    counters: report.counters.clone(),
+                    ..report
+                };
+                lock().insert(key, canonical, stored);
+                Ok(report)
+            }
+        }
+    }
+
+    /// Simulates a launch of a non-empty grid: samples blocks, runs the
+    /// bands, merges them and charges the budget.
+    fn simulate(&self, kernel: &dyn BlockTrace, grid: usize) -> Result<KernelReport, DefconError> {
         let warps = kernel.block_threads().div_ceil(self.cfg.warp_size);
 
         let sample = self.policy.select(grid);
@@ -476,10 +568,18 @@ impl Gpu {
             tex_stats.record_obs("gpusim");
         }
         let report = self.finish_report(kernel, grid, sample.len(), sm_cycles_total, counters);
-        // Owner-thread charge, after the launch completes: `ceil(cycles)`
-        // integer units, so the running spend is order-exact. An over-budget
-        // charge fails *this* launch (its report is discarded) and cancels
-        // the token so the next one fails at entry.
+        self.charge(kernel, report)
+    }
+
+    /// Owner-thread charge, after the launch completes (or is answered by
+    /// the memo): `ceil(cycles)` integer units, so the running spend is
+    /// order-exact. An over-budget charge fails *this* launch (its report
+    /// is discarded) and cancels the token so the next one fails at entry.
+    fn charge(
+        &self,
+        kernel: &dyn BlockTrace,
+        report: KernelReport,
+    ) -> Result<KernelReport, DefconError> {
         if let Some(b) = &self.budget {
             if !b.charge(report.cycles) {
                 return Err(b.deadline_error(&format!("launch {}", kernel.label())));

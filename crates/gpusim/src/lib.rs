@@ -45,11 +45,13 @@ pub mod coalesce;
 pub mod device;
 pub mod engine;
 pub mod report;
+pub mod report_cache;
 pub mod texture;
 pub mod trace;
 
 pub use device::DeviceConfig;
 pub use engine::{default_threads, DeadlineBudget, Gpu, SamplePolicy};
 pub use report::{Counters, KernelReport};
+pub use report_cache::ReportCache;
 pub use texture::LayeredTexture2d;
 pub use trace::{BlockTrace, TraceSink};

@@ -82,6 +82,18 @@ pub trait BlockTrace: Sync {
     fn label(&self) -> String {
         "kernel".into()
     }
+    /// The canonical descriptor a memoizing [`crate::Gpu`] keys this
+    /// launch by, or `None` (the default) to always simulate it.
+    ///
+    /// Return `Some` only when the trace reads nothing but the fields the
+    /// string spells out — every one of them, label included — so equal
+    /// keys are identical launches. Kernels that read tensor data (the
+    /// deformable samplers read offsets) stay `None`. Called only on a
+    /// memoizing `Gpu`, so building the string costs an unmemoized launch
+    /// nothing.
+    fn memo_key(&self) -> Option<String> {
+        None
+    }
 }
 
 /// Per-block pipe occupancies, in *scalar operation* units; converted to

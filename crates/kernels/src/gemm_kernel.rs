@@ -18,6 +18,7 @@ const GEMM_KSTEP: usize = 8;
 
 /// A tiled SGEMM `C[m×n] = A[m×k] · B[k×n]`, 256 threads per block, each
 /// block computing a 64×64 output tile by marching over k in chunks.
+#[derive(Debug)]
 pub struct GemmKernel {
     /// Rows of A / C.
     pub m: usize,
@@ -71,6 +72,11 @@ impl BlockTrace for GemmKernel {
 
     fn label(&self) -> String {
         self.name.clone()
+    }
+
+    /// Every field, via `Debug`: the trace reads nothing else.
+    fn memo_key(&self) -> Option<String> {
+        Some(format!("{self:?}"))
     }
 
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {
@@ -137,6 +143,7 @@ const CO_PER_BLOCK: usize = 32;
 /// regular and cacheable, there is no offset tensor and no interpolation.
 /// Used for the offset-predicting convolutions and every non-DCN layer in
 /// the end-to-end model simulations.
+#[derive(Debug)]
 pub struct RegularConvKernel {
     /// Layer shape (kernel/stride/pad fields describe the window).
     pub shape: DeformLayerShape,
@@ -177,6 +184,11 @@ impl BlockTrace for RegularConvKernel {
 
     fn label(&self) -> String {
         self.name.clone()
+    }
+
+    /// Every field, via `Debug`: the trace reads nothing else.
+    fn memo_key(&self) -> Option<String> {
+        Some(format!("{self:?}"))
     }
 
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {
@@ -246,6 +258,7 @@ impl BlockTrace for RegularConvKernel {
 }
 
 /// Depthwise 3×3 convolution trace (one channel per block row-group).
+#[derive(Debug)]
 pub struct DepthwiseConvKernel {
     /// Layer shape; `c_out` is ignored (depthwise keeps channels).
     pub shape: DeformLayerShape,
@@ -263,6 +276,11 @@ impl BlockTrace for DepthwiseConvKernel {
 
     fn label(&self) -> String {
         "depthwise_conv".into()
+    }
+
+    /// Every field, via `Debug`: the trace reads nothing else.
+    fn memo_key(&self) -> Option<String> {
+        Some(format!("{self:?}"))
     }
 
     fn trace_block(&self, block: usize, sink: &mut TraceSink) {

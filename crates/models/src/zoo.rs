@@ -146,7 +146,14 @@ pub fn num_dcn(slots: &[NetLayer]) -> usize {
 /// set of GEMM-shaped kernels and added to every configuration (it is
 /// identical across configurations, exactly as in the paper's Table III
 /// where only DCN handling varies).
+///
+/// Every launch runs on a [`Gpu::memoizing`] copy of `gpu` that lives for
+/// this call only: each distinct pure GEMM/conv launch is simulated once
+/// per network and its repeats replay the stored report, which is
+/// byte-identical to re-simulating it. The deformable sampling launches
+/// read offsets and always run.
 pub fn simulate_network(gpu: &Gpu, slots: &[NetLayer], config: &DefconConfig) -> f64 {
+    let gpu = &gpu.memoizing();
     let mut total = 0.0f64;
     for layer in slots {
         if layer.dcn {

@@ -11,10 +11,11 @@
 //! 4. LRU eviction changes **hit rates only**, never response bytes.
 
 use defcon::core::serve::{
-    fnv1a64, ReportCache, RequestPolicy, ServeConfig, ServeDevice, SimRequest, SimServer,
+    fnv1a64, RequestPolicy, ServeConfig, ServeDevice, SimRequest, SimServer,
 };
+use defcon::gpusim::ReportCache;
 use defcon::kernels::backend::BackendKind;
-use defcon::kernels::op::{OpFamily, SamplingMethod};
+use defcon::kernels::op::{DeformFallback, OpFamily, SamplingMethod};
 use defcon::kernels::DeformLayerShape;
 use defcon_support::json::Json;
 use defcon_support::prop::{self, Config};
@@ -276,14 +277,19 @@ fn lru_eviction_changes_hit_rates_only() {
 #[test]
 fn cache_never_exceeds_capacity() {
     let _quiet = fault::quiesce();
-    let mut cache = ReportCache::new(3);
+    let mut cache = ReportCache::new(3).with_fault_point("serve.cache");
+    let served = DeformFallback {
+        reports: Vec::new(),
+        method: SamplingMethod::Tex2d,
+        degradations: Vec::new(),
+    };
     for key in 0..10u64 {
-        cache.insert(key, format!("req-{key}"), &[], SamplingMethod::Tex2d, &[]);
+        cache.insert(key, format!("req-{key}"), served.clone());
         assert!(cache.len() <= 3);
     }
     assert_eq!(cache.evictions(), 7);
     // Re-inserting a resident key refreshes it instead of evicting.
-    cache.insert(9, "req-9".into(), &[], SamplingMethod::Tex2d, &[]);
+    cache.insert(9, "req-9".into(), served);
     assert_eq!(cache.evictions(), 7);
     assert_eq!(cache.len(), 3);
 }

@@ -14,11 +14,14 @@
 //! follows `DEFCON_THREADS`) against the explicit `workers: 1` baseline.
 
 use defcon::core::serve::{
-    RequestPolicy, ServeConfig, ServeDevice, SimRequest, SimResponse, SimServer,
+    RequestPolicy, ServeConfig, ServeDevice, ServeOutcome, SimRequest, SimResponse, SimServer,
 };
+use defcon::gpusim::{DeviceConfig, Gpu, SamplePolicy};
 use defcon::kernels::backend::BackendKind;
+use defcon::kernels::gemm_kernel::GemmKernel;
 use defcon::kernels::op::{OpFamily, SamplingMethod};
 use defcon::kernels::DeformLayerShape;
+use defcon_support::error::DefconError;
 use defcon_support::fault;
 use defcon_support::rng::{Rng, SeedableRng, StdRng};
 
@@ -223,4 +226,64 @@ fn deadline_verdicts_invariant_to_cache_temperature() {
     // The stream's generous-budget requests must actually hit on the
     // warm pass — the invariant is vacuous otherwise.
     assert!(warm.iter().any(|r| r.from_cache));
+}
+
+/// A zero sampling budget (`max_blocks: 0`) is a request a caller can
+/// build. `Gpu::try_launch` rejects it as a typed launch constraint before
+/// sampling, at any engine thread count; the server walks every ladder
+/// rung into that constraint and answers `Failed` — never a panic — and
+/// caches nothing, at one and four workers.
+#[test]
+fn zero_block_budget_is_a_typed_uncached_failure() {
+    let _quiet = fault::quiesce();
+    let layer = DeformLayerShape::same3x3(4, 4, 10, 10);
+    for threads in [1usize, 4] {
+        let gpu = Gpu::with_policy(
+            DeviceConfig::xavier_agx(),
+            SamplePolicy {
+                max_blocks: 0,
+                threads,
+            },
+        );
+        let e = gpu.try_launch(&GemmKernel::for_conv(&layer)).unwrap_err();
+        assert!(
+            matches!(&e, DefconError::Constraint { what, .. } if what == "launch"),
+            "threads={threads}: {e}"
+        );
+    }
+    let reqs: Vec<SimRequest> = SamplingMethod::ladder()
+        .into_iter()
+        .map(|kernel_family| SimRequest {
+            device: ServeDevice::XavierAgx,
+            layer,
+            kernel_family,
+            op_family: OpFamily::DcnV1,
+            backend: BackendKind::Gpusim,
+            policy: RequestPolicy {
+                max_blocks: 0,
+                ..RequestPolicy::default()
+            },
+        })
+        .collect();
+    for workers in [1usize, 4] {
+        let mut server = SimServer::new(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        });
+        for pass in 0..2 {
+            let responses = server.serve(&reqs);
+            assert_eq!(responses.len(), reqs.len());
+            for r in &responses {
+                assert_eq!(r.outcome, ServeOutcome::Failed, "pass {pass}");
+                assert!(!r.from_cache && r.reports.is_empty());
+                let error = r.error.as_deref().unwrap_or_default();
+                assert!(
+                    error.contains("max_blocks == 0"),
+                    "workers={workers}: {error}"
+                );
+            }
+        }
+        assert_eq!(server.cache().len(), 0, "failures are never cached");
+        assert_eq!(server.cache().hits(), 0);
+    }
 }
