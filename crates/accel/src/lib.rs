@@ -363,11 +363,6 @@ impl Backend for Accel {
         Ok((total, reports))
     }
 
-    fn regular_conv_ms(&self, shape: &DeformLayerShape) -> f64 {
-        let totals = self.conv_totals(shape, shape.c_out);
-        self.report("accel_regular_conv".into(), &totals).time_ms
-    }
-
     /// Tile-by-tile numeric execution. Byte-identical to the GPU
     /// backend's full-plane execution: both run
     /// [`im2col_deform_numeric_tile`] — the GPU over the one-tile window of
@@ -539,6 +534,5 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].kernel, "accel_offset_conv");
         assert!((total - reports.iter().map(|r| r.time_ms).sum::<f64>()).abs() < 1e-12);
-        assert!(accel.regular_conv_ms(&op.shape) > 0.0);
     }
 }

@@ -7,12 +7,12 @@
 //! tex2D and tex2D++ against the family's software reference) and
 //! simulated latency per sampling path.
 //!
-//! The family ablation is fully deterministic and golden-pinned: at
-//! `DEFCON_THREADS=1` its JSON report must match
+//! The family ablation is fully deterministic and golden-pinned: at every
+//! `DEFCON_THREADS` its JSON report must match
 //! `crates/bench/tests/golden/ablation_table5.json` byte for byte
-//! (re-bless with `DEFCON_BLESS=1`); at other thread counts the semantic
-//! invariants (family latency ordering, fidelity bounds, the
-//! v2-neutral≡v1 and v3-neutral≡uniform reduction digests) still hold.
+//! (re-bless with `DEFCON_BLESS=1`), and the semantic invariants (family
+//! latency ordering, fidelity bounds, the v2-neutral≡v1 and
+//! v3-neutral≡uniform reduction digests) hold.
 //! `DEFCON_BENCH_OUT=<path>` additionally writes the report there — CI
 //! uses it to `cmp` two runs. `DEFCON_TINY=1` skips the wall-clock
 //! groups and runs only the golden-pinned ablation.
@@ -194,8 +194,7 @@ fn family_row(
 }
 
 /// Builds the deterministic Table V analogue report and asserts its
-/// semantic invariants (they hold at every thread count; the byte-level
-/// golden is pinned at `DEFCON_THREADS=1` only).
+/// semantic invariants.
 fn table5_family_ablation() -> Json {
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     // Four deformed-shapes images (max deformation — the set the paper's
@@ -313,23 +312,19 @@ fn run_table5_golden() {
         println!("ablations: blessed {}", golden.display());
         return;
     }
-    if defcon_gpusim::default_threads() == 1 {
-        let want = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
-            panic!(
-                "missing golden {} ({e}); record it with DEFCON_BLESS=1 at DEFCON_THREADS=1",
-                golden.display()
-            )
-        });
-        assert_eq!(
-            rendered,
-            want,
-            "family ablation diverged from {}; if intentional, re-bless with DEFCON_BLESS=1",
+    let want = std::fs::read_to_string(&golden).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); record it with DEFCON_BLESS=1",
             golden.display()
-        );
-        println!("ablations: table5 golden OK ({} bytes)", rendered.len());
-    } else {
-        println!("ablations: table5 semantic checks OK (byte golden pinned at DEFCON_THREADS=1)");
-    }
+        )
+    });
+    assert_eq!(
+        rendered,
+        want,
+        "family ablation diverged from {}; if intentional, re-bless with DEFCON_BLESS=1",
+        golden.display()
+    );
+    println!("ablations: table5 golden OK ({} bytes)", rendered.len());
 }
 
 fn main() {

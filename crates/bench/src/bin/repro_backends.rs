@@ -18,14 +18,14 @@
 //! two files).
 
 use defcon_accel::{Accel, AccelConfig};
-use defcon_bench::{emit_json, f2, layer_sweep, speedup, Table};
+use defcon_bench::{emit_json, f2, layer_sweep, speedup, Table, SAMPLERS};
 use defcon_core::autotune::{Autotuner, Strategy};
-use defcon_gpusim::{DeviceConfig, Gpu};
+use defcon_gpusim::{default_threads, DeviceConfig, Gpu};
 use defcon_kernels::backend::Backend;
 use defcon_kernels::op::synthetic_inputs;
-use defcon_kernels::{DeformConvOp, SamplingMethod};
-use defcon_support::env;
+use defcon_kernels::{DeformConvOp, DeformLayerShape, SamplingMethod, TileConfig};
 use defcon_support::json::Json;
+use defcon_support::{env, par};
 
 /// Times one `(layer, method)` cell on a backend: total milliseconds for
 /// the offset conv plus the deformable stage, through the trait surface.
@@ -52,7 +52,7 @@ fn time_cell(backend: &dyn Backend, op: &DeformConvOp) -> f64 {
 /// the paper's tile search transferred wholesale to the accel substrate —
 /// and it is what makes the full 512-channel layers schedulable at all
 /// (their 16×16 default halo overflows the edge-class input buffer).
-fn tuned_tile(accel: &Accel, op: &DeformConvOp) -> defcon_kernels::TileConfig {
+fn tuned_tile(accel: &Accel, op: &DeformConvOp) -> TileConfig {
     let space = accel.tile_space(op);
     if space.is_empty() {
         eprintln!(
@@ -73,8 +73,32 @@ fn tuned_tile(accel: &Accel, op: &DeformConvOp) -> defcon_kernels::TileConfig {
     tuner.run(&space, accel.tile_objective(op)).best
 }
 
-/// Sweeps one gpusim/accel device pairing and returns its JSON section.
-fn sweep_pair(gpu: &Gpu, accel: &Accel) -> Json {
+/// One layer of a device pairing: the accel's tuned tile and the three
+/// samplers' total ms on each substrate.
+struct Row {
+    tile: TileConfig,
+    gpusim: [f64; 3],
+    accel: [f64; 3],
+}
+
+/// Times one layer on both substrates of a pairing.
+fn time_row(gpu: &Gpu, accel: &Accel, shape: DeformLayerShape) -> Row {
+    let op_for = |m| DeformConvOp {
+        method: m,
+        ..DeformConvOp::baseline(shape)
+    };
+    // One tile search per layer (the objective is method-independent
+    // in the halo/buffer dimension that decides admission).
+    let tile = tuned_tile(accel, &op_for(SamplingMethod::Tex2dPlusPlus));
+    Row {
+        tile,
+        gpusim: SAMPLERS.map(|m| time_cell(gpu, &op_for(m))),
+        accel: SAMPLERS.map(|m| time_cell(accel, &DeformConvOp { tile, ..op_for(m) })),
+    }
+}
+
+/// Prints one gpusim/accel device pairing and returns its JSON section.
+fn print_pair(gpu: &Gpu, accel: &Accel, shapes: &[DeformLayerShape], rows: &[Row]) -> Json {
     println!(
         "# Backends — deformable operation latency: {} vs {}",
         gpu.config().name,
@@ -95,27 +119,9 @@ fn sweep_pair(gpu: &Gpu, accel: &Accel) -> Json {
         "accel t2++ (ms)",
         "gpusim/accel",
     ]);
-    let mut rows = Vec::new();
-    for shape in layer_sweep() {
-        let op_for = |m| DeformConvOp {
-            method: m,
-            ..DeformConvOp::baseline(shape)
-        };
-        let g = |m| time_cell(gpu, &op_for(m));
-        // One tile search per layer (the objective is method-independent
-        // in the halo/buffer dimension that decides admission).
-        let tile = tuned_tile(accel, &op_for(SamplingMethod::Tex2dPlusPlus));
-        let a = |m| time_cell(accel, &DeformConvOp { tile, ..op_for(m) });
-        let (gsw, gt2, gtpp) = (
-            g(SamplingMethod::SoftwareBilinear),
-            g(SamplingMethod::Tex2d),
-            g(SamplingMethod::Tex2dPlusPlus),
-        );
-        let (asw, at2, atpp) = (
-            a(SamplingMethod::SoftwareBilinear),
-            a(SamplingMethod::Tex2d),
-            a(SamplingMethod::Tex2dPlusPlus),
-        );
+    let mut json_rows = Vec::new();
+    for (shape, row) in shapes.iter().zip(rows) {
+        let (tile, [gsw, gt2, gtpp], [asw, at2, atpp]) = (row.tile, row.gpusim, row.accel);
         table.row(&[
             shape.c_in.to_string(),
             shape.c_out.to_string(),
@@ -130,7 +136,7 @@ fn sweep_pair(gpu: &Gpu, accel: &Accel) -> Json {
             f2(atpp),
             speedup(gtpp / atpp),
         ]);
-        rows.push(Json::obj(vec![
+        json_rows.push(Json::obj(vec![
             ("c_in", Json::from(shape.c_in)),
             ("c_out", Json::from(shape.c_out)),
             ("h", Json::from(shape.h)),
@@ -151,7 +157,7 @@ fn sweep_pair(gpu: &Gpu, accel: &Accel) -> Json {
     Json::obj(vec![
         ("gpu", Json::str(&gpu.config().name)),
         ("accel", Json::str(&accel.config().name)),
-        ("rows", Json::Arr(rows)),
+        ("rows", Json::Arr(json_rows)),
     ])
 }
 
@@ -160,15 +166,28 @@ fn main() {
     // DEFCON_TRACE Chrome trace when it drops.
     let _obs = defcon_bench::obs_scope();
     let pairs = [
-        (DeviceConfig::xavier_agx(), AccelConfig::edge()),
-        (DeviceConfig::rtx2080ti(), AccelConfig::datacenter()),
+        (
+            Gpu::new(DeviceConfig::xavier_agx()),
+            Accel::new(AccelConfig::edge()),
+        ),
+        (
+            Gpu::new(DeviceConfig::rtx2080ti()),
+            Accel::new(AccelConfig::datacenter()),
+        ),
     ];
-    let mut sections = Vec::new();
-    for (dev, acfg) in pairs {
-        let gpu = Gpu::new(dev);
-        let accel = Accel::new(acfg);
-        sections.push(sweep_pair(&gpu, &accel));
-    }
+    // Every (pairing, layer) row is one item of the worker map.
+    let shapes = layer_sweep();
+    let cells: Vec<(usize, DeformLayerShape)> = (0..pairs.len())
+        .flat_map(|p| shapes.iter().map(move |&shape| (p, shape)))
+        .collect();
+    let rows = par::map(&cells, default_threads(), |&(p, shape)| {
+        time_row(&pairs[p].0, &pairs[p].1, shape)
+    });
+    let sections: Vec<Json> = pairs
+        .iter()
+        .zip(rows.chunks(shapes.len()))
+        .map(|((gpu, accel), rows)| print_pair(gpu, accel, &shapes, rows))
+        .collect();
     let report = Json::obj(vec![
         ("experiment", Json::str("backends")),
         ("device", Json::str("Jetson-AGX-Xavier")),

@@ -13,12 +13,47 @@
 //! `DEFCON_TINY=1` shrinks the sweep; `DEFCON_JSON=1` appends a one-line
 //! JSON report (see `defcon_bench` docs).
 
-use defcon_bench::{emit_json, f2, layer_sweep, Table};
+use defcon_bench::{emit_json, f2, layer_sweep, Table, SAMPLERS};
 use defcon_gpusim::{DeviceConfig, Gpu, KernelReport};
 use defcon_kernels::fused::FusedTexDeformKernel;
 use defcon_kernels::im2col::Im2colDeformKernel;
 use defcon_kernels::op::{synthetic_inputs, DeformConvOp, SamplingMethod};
+use defcon_kernels::DeformLayerShape;
 use defcon_support::json::Json;
+use defcon_support::par;
+use defcon_tensor::Tensor;
+
+/// The sampling-stage launch of one figure row on the layer's inputs: the
+/// im2col kernel of a sampler (`Some`), or DEFCON's fused tex2D kernel
+/// (`None`).
+fn sampling_report(
+    gpu: &Gpu,
+    shape: DeformLayerShape,
+    (x, offsets): &(Tensor, Tensor),
+    sampler: Option<SamplingMethod>,
+) -> KernelReport {
+    let with_method = |method| DeformConvOp {
+        method,
+        ..DeformConvOp::baseline(shape)
+    };
+    let Some(method) = sampler else {
+        // DEFCON's deployed kernel fuses sampling into the convolution; its
+        // only global loads are fully coalesced offsets and weights — this
+        // is the configuration whose GLD efficiency the paper reports as
+        // reaching 100 %.
+        let tex2d = with_method(SamplingMethod::Tex2d);
+        let mut fused =
+            FusedTexDeformKernel::new(&tex2d, x, offsets, gpu.config()).expect("texture limits");
+        // The figure reports the unsplit kernel (one output-channel block);
+        // its golden pins these counters.
+        fused.co_blocks = 1;
+        return gpu.launch(&fused);
+    };
+    let op = with_method(method);
+    let kernel = Im2colDeformKernel::new(&op, x, offsets, gpu.config().texture_limits())
+        .expect("texture limits");
+    gpu.launch(&kernel)
+}
 
 fn counter_row(layer: &str, name: &str, r: &KernelReport) -> Json {
     Json::obj(vec![
@@ -54,24 +89,26 @@ fn main() {
         "tex requests",
         "tex hit rate",
     ]);
+    // Per layer: the three samplers' im2col launches, then the fused
+    // kernel; each launch is one item of the worker map.
+    let rows: Vec<(&str, Option<SamplingMethod>)> = SAMPLERS
+        .iter()
+        .map(|&m| (m.name(), Some(m)))
+        .chain([("tex2D fused", None)])
+        .collect();
+    let shapes = layer_sweep();
+    let threads = gpu.policy().threads;
+    let inputs = par::map(&shapes, threads, |shape| synthetic_inputs(shape, 4.0, 123));
+    let cells: Vec<(usize, Option<SamplingMethod>)> = (0..shapes.len())
+        .flat_map(|i| rows.iter().map(move |&(_, sampler)| (i, sampler)))
+        .collect();
+    let reports = par::map(&cells, threads, |&(i, sampler)| {
+        sampling_report(&gpu, shapes[i], &inputs[i], sampler)
+    });
     let mut json_rows = Vec::new();
-    for shape in layer_sweep() {
-        let (x, offsets) = synthetic_inputs(&shape, 4.0, 123);
+    for (shape, layer_reports) in shapes.iter().zip(reports.chunks(rows.len())) {
         let layer = format!("{},{},{},{}", shape.c_in, shape.c_out, shape.h, shape.w);
-        let with_method = |method| DeformConvOp {
-            method,
-            ..DeformConvOp::baseline(shape)
-        };
-        for method in [
-            SamplingMethod::SoftwareBilinear,
-            SamplingMethod::Tex2d,
-            SamplingMethod::Tex2dPlusPlus,
-        ] {
-            let name = method.name();
-            let op = with_method(method);
-            let kernel = Im2colDeformKernel::new(&op, &x, &offsets, gpu.config().texture_limits())
-                .expect("texture limits");
-            let r = gpu.launch(&kernel);
+        for (&(name, _), r) in rows.iter().zip(layer_reports) {
             table.row(&[
                 layer.clone(),
                 name.into(),
@@ -81,29 +118,8 @@ fn main() {
                 r.counters.tex_requests.to_string(),
                 f2(r.counters.tex_hit_rate()),
             ]);
-            json_rows.push(counter_row(&layer, name, &r));
+            json_rows.push(counter_row(&layer, name, r));
         }
-        // DEFCON's deployed kernel fuses sampling into the convolution; its
-        // only global loads are fully coalesced offsets and weights — this
-        // is the configuration whose GLD efficiency the paper reports as
-        // reaching 100 %.
-        let tex2d = with_method(SamplingMethod::Tex2d);
-        let mut fused =
-            FusedTexDeformKernel::new(&tex2d, &x, &offsets, gpu.config()).expect("texture limits");
-        // The figure reports the unsplit kernel (one output-channel block);
-        // its golden pins these counters.
-        fused.co_blocks = 1;
-        let r = gpu.launch(&fused);
-        table.row(&[
-            layer.clone(),
-            "tex2D fused".into(),
-            f2(r.counters.mflop()),
-            f2(r.counters.gld_transactions_per_request()),
-            f2(r.counters.gld_efficiency()),
-            r.counters.tex_requests.to_string(),
-            f2(r.counters.tex_hit_rate()),
-        ]);
-        json_rows.push(counter_row(&layer, "tex2D fused", &r));
     }
     table.print();
     emit_json(&Json::obj(vec![

@@ -9,10 +9,8 @@
 //! `DEFCON_TINY=1` shrinks the sweep; `DEFCON_JSON=1` appends a one-line
 //! JSON report (see `defcon_bench` docs).
 
-use defcon_bench::{emit_json, layer_sweep, speedup, Table};
+use defcon_bench::{emit_json, layer_sweep, sampler_grid_ms, speedup, Table};
 use defcon_gpusim::{DeviceConfig, Gpu};
-use defcon_kernels::op::synthetic_inputs;
-use defcon_kernels::{DeformConvOp, SamplingMethod};
 use defcon_support::json::Json;
 
 fn main() {
@@ -31,19 +29,9 @@ fn main() {
     let mut geopp = 1.0f64;
     let sweep = layer_sweep();
     let n = sweep.len() as f64;
-    for shape in sweep {
-        let (x, offsets) = synthetic_inputs(&shape, 4.0, 2024);
-        let time = |method: SamplingMethod| {
-            DeformConvOp {
-                method,
-                ..DeformConvOp::baseline(shape)
-            }
-            .simulate_total(&gpu, &x, &offsets)
-            .0
-        };
-        let sw = time(SamplingMethod::SoftwareBilinear);
-        let s2 = sw / time(SamplingMethod::Tex2d);
-        let spp = sw / time(SamplingMethod::Tex2dPlusPlus);
+    for (shape, [sw, t2, tpp]) in sweep.iter().zip(sampler_grid_ms(&gpu, &sweep)) {
+        let s2 = sw / t2;
+        let spp = sw / tpp;
         geo2 *= s2.powf(1.0 / n);
         geopp *= spp.powf(1.0 / n);
         let layer = format!("{},{},{},{}", shape.c_in, shape.c_out, shape.h, shape.w);

@@ -9,11 +9,47 @@
 //! FPGA accelerators) — bounding changes access locality slightly but the
 //! texture cache already absorbs it.
 
-use defcon_bench::{speedup, Table};
+use defcon_bench::{speedup, Table, SAMPLERS};
 use defcon_gpusim::{DeviceConfig, Gpu};
 use defcon_kernels::op::{synthetic_inputs, OffsetPredictorKind};
-use defcon_kernels::{paper_layer_sweep, DeformConvOp, SamplingMethod};
+use defcon_kernels::{paper_layer_sweep, DeformConvOp, DeformLayerShape};
+use defcon_support::par;
 use defcon_tensor::sample::OffsetTransform;
+
+/// The algorithmic variants, in column order: name, offset bound,
+/// offset predictor.
+const VARIANTS: [(&str, Option<f32>, OffsetPredictorKind); 3] = [
+    ("search", None, OffsetPredictorKind::Standard),
+    ("bounded", Some(7.0), OffsetPredictorKind::Standard),
+    ("light", None, OffsetPredictorKind::Lightweight),
+];
+
+/// Total simulated ms of one cell of a layer's row: `None` is the PyTorch
+/// baseline the row is normalized by, `Some((variant, sampler))` a column.
+fn cell_ms(gpu: &Gpu, shape: DeformLayerShape, cell: Option<(usize, usize)>) -> f64 {
+    let Some((v, m)) = cell else {
+        let (x, offsets) = synthetic_inputs(&shape, 8.0, 99);
+        return DeformConvOp::baseline(shape)
+            .simulate_total(gpu, &x, &offsets)
+            .0;
+    };
+    let (_, bounded, predictor) = VARIANTS[v];
+    // Bounding constrains the learned offsets the kernel sees.
+    let spread = bounded.unwrap_or(8.0).min(8.0);
+    let (x, offsets) = synthetic_inputs(&shape, spread, 99);
+    let transform = match bounded {
+        Some(p) => OffsetTransform::Bounded(p),
+        None => OffsetTransform::Identity,
+    };
+    DeformConvOp {
+        method: SAMPLERS[m],
+        offset_predictor: predictor,
+        offset_transform: transform,
+        ..DeformConvOp::baseline(shape)
+    }
+    .simulate_total(gpu, &x, &offsets)
+    .0
+}
 
 fn main() {
     // Must be first and live for the whole run: the guard writes the
@@ -22,57 +58,35 @@ fn main() {
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     println!("# Fig. 9 — speedup of algorithmic optimizations on {} (baseline = PyTorch, unbounded, standard offset conv; per layer)\n", gpu.config().name);
 
-    let variants: [(&str, Option<f32>, OffsetPredictorKind); 3] = [
-        ("search", None, OffsetPredictorKind::Standard),
-        ("bounded", Some(7.0), OffsetPredictorKind::Standard),
-        ("light", None, OffsetPredictorKind::Lightweight),
-    ];
-    let methods = [
-        SamplingMethod::SoftwareBilinear,
-        SamplingMethod::Tex2d,
-        SamplingMethod::Tex2dPlusPlus,
-    ];
-
     let mut headers = vec!["Layer".to_string()];
-    for (vname, _, _) in &variants {
-        for m in &methods {
+    for (vname, _, _) in &VARIANTS {
+        for m in &SAMPLERS {
             headers.push(format!("{vname}+{}", m.name()));
         }
     }
     let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(&header_refs);
 
-    for shape in paper_layer_sweep() {
-        let baseline = {
-            let (x, offsets) = synthetic_inputs(&shape, 8.0, 99);
-            DeformConvOp::baseline(shape)
-                .simulate_total(&gpu, &x, &offsets)
-                .0
-        };
+    // One row per layer: the baseline, then every (variant, sampler)
+    // column; each cell is one item of the worker map.
+    let columns: Vec<Option<(usize, usize)>> = std::iter::once(None)
+        .chain((0..VARIANTS.len()).flat_map(|v| (0..SAMPLERS.len()).map(move |m| Some((v, m)))))
+        .collect();
+    let shapes = paper_layer_sweep();
+    let cells: Vec<(DeformLayerShape, Option<(usize, usize)>)> = shapes
+        .iter()
+        .flat_map(|&shape| columns.iter().map(move |&c| (shape, c)))
+        .collect();
+    let ms = par::map(&cells, gpu.policy().threads, |&(shape, c)| {
+        cell_ms(&gpu, shape, c)
+    });
+    for (shape, row_ms) in shapes.iter().zip(ms.chunks(columns.len())) {
+        let baseline = row_ms[0];
         let mut row = vec![format!(
             "{},{},{},{}",
             shape.c_in, shape.c_out, shape.h, shape.w
         )];
-        for (_, bounded, predictor) in &variants {
-            for method in &methods {
-                // Bounding constrains the learned offsets the kernel sees.
-                let spread = bounded.unwrap_or(8.0).min(8.0);
-                let (x, offsets) = synthetic_inputs(&shape, spread, 99);
-                let transform = match bounded {
-                    Some(p) => OffsetTransform::Bounded(*p),
-                    None => OffsetTransform::Identity,
-                };
-                let ms = DeformConvOp {
-                    method: *method,
-                    offset_predictor: *predictor,
-                    offset_transform: transform,
-                    ..DeformConvOp::baseline(shape)
-                }
-                .simulate_total(&gpu, &x, &offsets)
-                .0;
-                row.push(speedup(baseline / ms));
-            }
-        }
+        row.extend(row_ms[1..].iter().map(|ms| speedup(baseline / ms)));
         table.row(&row);
     }
     table.print();

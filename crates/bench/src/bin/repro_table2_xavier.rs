@@ -10,10 +10,8 @@
 //! `DEFCON_TINY=1` shrinks the sweep; `DEFCON_JSON=1` appends a one-line
 //! JSON report (see `defcon_bench` docs).
 
-use defcon_bench::{emit_json, f2, layer_sweep, speedup, Table};
+use defcon_bench::{emit_json, f2, layer_sweep, sampler_grid_ms, speedup, Table};
 use defcon_gpusim::{DeviceConfig, Gpu};
-use defcon_kernels::op::synthetic_inputs;
-use defcon_kernels::{DeformConvOp, SamplingMethod};
 use defcon_support::json::Json;
 
 fn main() {
@@ -38,18 +36,8 @@ fn main() {
         "Speedup w.r. Torch",
     ]);
     let mut json_rows = Vec::new();
-    for shape in layer_sweep() {
-        let (x, offsets) = synthetic_inputs(&shape, 4.0, 2024);
-        let time = |method: SamplingMethod| {
-            let op = DeformConvOp {
-                method,
-                ..DeformConvOp::baseline(shape)
-            };
-            op.simulate_total(&gpu, &x, &offsets).0
-        };
-        let sw = time(SamplingMethod::SoftwareBilinear);
-        let t2 = time(SamplingMethod::Tex2d);
-        let tpp = time(SamplingMethod::Tex2dPlusPlus);
+    let shapes = layer_sweep();
+    for (shape, [sw, t2, tpp]) in shapes.iter().zip(sampler_grid_ms(&gpu, &shapes)) {
         table.row(&[
             shape.c_in.to_string(),
             shape.c_out.to_string(),

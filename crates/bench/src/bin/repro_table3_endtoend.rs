@@ -12,7 +12,7 @@
 //! `DEFCON_JSON=1` appends one JSON line holding every printed cell's
 //! milliseconds as f64 bit patterns and an FNV-1a digest over them;
 //! `crates/bench/tests/golden/table3_endtoend.json` pins that line at
-//! `DEFCON_THREADS=1` (ci.sh compares it byte for byte).
+//! every `DEFCON_THREADS` (ci.sh compares it byte for byte at 1 and 2).
 
 use defcon_bench::{emit_json, f2, speedup, Table};
 use defcon_core::pipeline::{DefconConfig, TileChoice};
@@ -20,6 +20,7 @@ use defcon_gpusim::{DeviceConfig, Gpu};
 use defcon_kernels::{SamplingMethod, TileConfig};
 use defcon_models::zoo::{num_dcn, resnet_3x3_slots, simulate_network, DcnLayout};
 use defcon_support::json::Json;
+use defcon_support::par;
 use defcon_support::rng::fnv1a64;
 
 /// The JSON report: each printed cell as `(row, column, ms bits)` in print
@@ -82,7 +83,33 @@ fn main() {
         ..DefconConfig::baseline()
     };
 
-    let baseline_ms = simulate_network(&gpu, &baseline_slots, &DefconConfig::baseline());
+    // (bounded, lightweight, texture) per row over the searched placement.
+    let rows = [
+        (None, false, false),
+        (None, false, true),
+        (Some(7.0f32), false, true),
+        (None, true, true),
+        (Some(7.0), true, true),
+    ];
+    // Every network the table prints, in print order: the baseline, then
+    // per row the software network and, with texture, tex2D and tex2D++.
+    // Each is one item of the worker map.
+    let mut networks = vec![(&baseline_slots, DefconConfig::baseline())];
+    for &(bounded, light, use_tex) in &rows {
+        networks.push((&searched_slots, sw(bounded, light)));
+        if use_tex {
+            for method in [SamplingMethod::Tex2d, SamplingMethod::Tex2dPlusPlus] {
+                networks.push((&searched_slots, tex(method, bounded, light)));
+            }
+        }
+    }
+    let totals = par::map(&networks, gpu.policy().threads, |(slots, config)| {
+        simulate_network(&gpu, slots, config)
+    });
+    let mut totals = totals.into_iter();
+    let mut next_total = || totals.next().expect("one total per network");
+
+    let baseline_ms = next_total();
     println!(
         "YOLACT++ baseline: {} ms ({} DCN layers)\n",
         f2(baseline_ms),
@@ -115,27 +142,10 @@ fn main() {
     ]);
 
     // Rows over the searched placement.
-    for (bounded, light, use_tex) in [
-        (None, false, false),
-        (None, false, true),
-        (Some(7.0f32), false, true),
-        (None, true, true),
-        (Some(7.0), true, true),
-    ] {
-        let bl_ms = simulate_network(&gpu, &searched_slots, &sw(bounded, light));
+    for (bounded, light, use_tex) in rows {
+        let bl_ms = next_total();
         let (t2_ms, tpp_ms) = if use_tex {
-            (
-                simulate_network(
-                    &gpu,
-                    &searched_slots,
-                    &tex(SamplingMethod::Tex2d, bounded, light),
-                ),
-                simulate_network(
-                    &gpu,
-                    &searched_slots,
-                    &tex(SamplingMethod::Tex2dPlusPlus, bounded, light),
-                ),
-            )
+            (next_total(), next_total())
         } else {
             (f64::NAN, f64::NAN)
         };

@@ -7,10 +7,9 @@
 //! sampling inefficiency. We reproduce the shape: tex2D < PyTorch,
 //! tex2D++ <= tex2D, with a thinner margin than Table II.
 
-use defcon_bench::{f2, speedup, Table};
+use defcon_bench::{f2, sampler_grid_ms, speedup, Table};
 use defcon_gpusim::{DeviceConfig, Gpu};
-use defcon_kernels::op::synthetic_inputs;
-use defcon_kernels::{paper_layer_sweep, DeformConvOp, SamplingMethod};
+use defcon_kernels::paper_layer_sweep;
 
 fn main() {
     // Must be first and live for the whole run: the guard writes the
@@ -33,18 +32,8 @@ fn main() {
         "tex2D++ (ms)",
         "Speedup w.r. Torch",
     ]);
-    for shape in paper_layer_sweep() {
-        let (x, offsets) = synthetic_inputs(&shape, 4.0, 2024);
-        let time = |method: SamplingMethod| {
-            let op = DeformConvOp {
-                method,
-                ..DeformConvOp::baseline(shape)
-            };
-            op.simulate_total(&gpu, &x, &offsets).0
-        };
-        let sw = time(SamplingMethod::SoftwareBilinear);
-        let t2 = time(SamplingMethod::Tex2d);
-        let tpp = time(SamplingMethod::Tex2dPlusPlus);
+    let shapes = paper_layer_sweep();
+    for (shape, [sw, t2, tpp]) in shapes.iter().zip(sampler_grid_ms(&gpu, &shapes)) {
         table.row(&[
             shape.c_in.to_string(),
             shape.c_out.to_string(),

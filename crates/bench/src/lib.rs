@@ -10,9 +10,16 @@
 //!   a binary finishes in well under a second (smoke tests, CI);
 //! * `DEFCON_JSON=1` — additionally emit the experiment's results as a
 //!   single line of JSON (the last stdout line), for machine consumption.
+//!
+//! `DEFCON_THREADS=N` fans a binary's independent rows or cells out on `N`
+//! workers (`defcon_support::par::map`), each on the serial engine, so
+//! stdout is the same bytes at every thread count.
 
-use defcon_kernels::{paper_layer_sweep, DeformLayerShape};
+use defcon_gpusim::Gpu;
+use defcon_kernels::op::synthetic_inputs;
+use defcon_kernels::{paper_layer_sweep, DeformConvOp, DeformLayerShape, SamplingMethod};
 use defcon_support::json::Json;
+use defcon_support::par;
 use std::fmt::Write as _;
 
 /// True when `DEFCON_TINY=1`: sweep tiny layer shapes instead of the
@@ -54,6 +61,39 @@ pub fn layer_sweep() -> Vec<DeformLayerShape> {
     } else {
         paper_layer_sweep()
     }
+}
+
+/// The samplers of Tables II and IV, in column order: PyTorch, tex2D,
+/// tex2D++.
+pub const SAMPLERS: [SamplingMethod; 3] = [
+    SamplingMethod::SoftwareBilinear,
+    SamplingMethod::Tex2d,
+    SamplingMethod::Tex2dPlusPlus,
+];
+
+/// The Table II / IV grid: total simulated ms (offset conv + sampling +
+/// GEMM) of each of the [`SAMPLERS`] at every shape, on the inputs
+/// `synthetic_inputs(shape, 4.0, 2024)`. Each shape's inputs, then each
+/// (shape, sampler) cell, is one item of a `par::map` on
+/// `gpu.policy().threads` workers.
+pub fn sampler_grid_ms(gpu: &Gpu, shapes: &[DeformLayerShape]) -> Vec<[f64; 3]> {
+    let threads = gpu.policy().threads;
+    let inputs = par::map(shapes, threads, |shape| synthetic_inputs(shape, 4.0, 2024));
+    let cells: Vec<(usize, SamplingMethod)> = (0..shapes.len())
+        .flat_map(|i| SAMPLERS.map(|method| (i, method)))
+        .collect();
+    let ms = par::map(&cells, threads, |&(i, method)| {
+        let (x, offsets) = &inputs[i];
+        DeformConvOp {
+            method,
+            ..DeformConvOp::baseline(shapes[i])
+        }
+        .simulate_total(gpu, x, offsets)
+        .0
+    });
+    ms.chunks(SAMPLERS.len())
+        .map(|row| [row[0], row[1], row[2]])
+        .collect()
 }
 
 /// Prints `report` as one line of JSON when [`json_mode`] is on. Call this

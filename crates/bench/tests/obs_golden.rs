@@ -1,14 +1,10 @@
 //! Golden-trace conformance tests: run the repro binaries with
 //! `DEFCON_TRACE=<path>` and hold the emitted Chrome trace to the
-//! determinism contract (DESIGN.md §8).
-//!
-//! * At `DEFCON_THREADS=1` the trace is **byte-identical** across runs and
-//!   matches the blessed snapshot under `tests/golden/` byte for byte — the
-//!   logical clock makes timestamps a pure function of the event sequence.
-//! * At `DEFCON_THREADS=4` the band decomposition differs (more, smaller
-//!   bands), so equality is **semantic**: the same launch sequence with the
-//!   same kernel labels, exactly-equal L1/texture counters, and cycles
-//!   within the documented 1% merge tolerance.
+//! determinism contract (DESIGN.md §8): the trace is **byte-identical**
+//! across runs and across `DEFCON_THREADS` settings, and matches the
+//! blessed snapshot under `tests/golden/` byte for byte — the logical clock
+//! makes timestamps a pure function of the event sequence, and while obs
+//! is armed every worker map runs inline on the recording thread.
 //!
 //! Re-bless after an intentional instrumentation change with:
 //!
@@ -16,8 +12,6 @@
 //! DEFCON_BLESS=1 cargo test -p defcon-bench --offline --test obs_golden
 //! ```
 
-use defcon_support::json::Json;
-use defcon_support::obs::{find_spans, forest_from_chrome, SpanNode};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -50,11 +44,6 @@ fn run_traced(bin: &str, threads: usize, tag: &str) -> String {
     let _ = std::fs::remove_file(&trace);
     assert!(!bytes.is_empty(), "{bin}: empty trace file");
     bytes
-}
-
-fn parse_forest(trace: &str) -> Vec<SpanNode> {
-    let json = Json::parse(trace).expect("trace file is valid JSON");
-    forest_from_chrome(&json).expect("trace round-trips through forest_from_chrome")
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -106,150 +95,14 @@ fn traces_are_byte_identical_across_runs() {
     }
 }
 
-/// Semantic equality across thread counts: threads=4 splits launches into
-/// more bands, but the launch-level aggregates must agree with threads=1 —
-/// same kernels in the same order, exactly-equal private-cache counters
-/// (L1 and texture caches are flushed per block, so decomposition cannot
-/// change them), exact L2 accesses, and cycles within the 1% tolerance the
-/// parallel engine documents for cold-shard L2 drift.
+/// A 4-thread run writes the 1-thread golden's bytes: launches are serial
+/// walks, and the worker maps run inline while the trace is armed.
 #[test]
-fn traces_agree_semantically_across_thread_counts() {
+fn traces_are_byte_identical_across_thread_counts() {
     for (bin, name) in CASES {
-        let serial = parse_forest(&run_traced(bin, 1, &format!("{name}-sem1")));
-        let parallel = parse_forest(&run_traced(bin, 4, &format!("{name}-sem4")));
-        let s_launches = find_spans(&serial, "gpusim.launch");
-        let p_launches = find_spans(&parallel, "gpusim.launch");
-        assert!(
-            !s_launches.is_empty(),
-            "{name}: no launch spans at threads=1"
-        );
-        assert_eq!(
-            s_launches.len(),
-            p_launches.len(),
-            "{name}: launch count differs across thread counts"
-        );
-        for (i, (s, p)) in s_launches.iter().zip(&p_launches).enumerate() {
-            let at = format!("{name} launch[{i}]");
-            assert_eq!(
-                s.str_arg("kernel"),
-                p.str_arg("kernel"),
-                "{at}: kernel label differs"
-            );
-            assert_eq!(
-                s.u64_arg("grid_blocks"),
-                p.u64_arg("grid_blocks"),
-                "{at}: grid differs"
-            );
-            for key in [
-                "l1_hits",
-                "l1_accesses",
-                "tex_hits",
-                "tex_line_accesses",
-                // Texture-unit sampler stats: per-block exact, so the band
-                // decomposition cannot change them either.
-                "tex_fetch_lanes",
-                "tex_filter_texels",
-                "tex_plan_warps",
-                "tex_plan_evals",
-            ] {
-                assert_eq!(
-                    s.u64_arg(key),
-                    p.u64_arg(key),
-                    "{at}: private-cache counter '{key}' differs"
-                );
-            }
-            assert_eq!(
-                s.u64_arg("l2_accesses"),
-                p.u64_arg("l2_accesses"),
-                "{at}: l2_accesses differs"
-            );
-            let (sc, pc) = (
-                s.num_arg("cycles").expect("launch span has cycles"),
-                p.num_arg("cycles").expect("launch span has cycles"),
-            );
-            let drift = (sc - pc).abs() / sc.max(1.0);
-            assert!(
-                drift <= 0.01,
-                "{at}: cycles drift {:.3}% exceeds 1% ({sc} vs {pc})",
-                100.0 * drift
-            );
-        }
-    }
-}
-
-/// Recombination: inside every launch span, the per-band child spans must
-/// sum back exactly to the launch-level counter args — nothing is lost or
-/// double-counted in the merge.
-#[test]
-fn band_spans_recombine_to_launch_aggregates() {
-    for threads in [1usize, 4] {
-        let forest = parse_forest(&run_traced(
-            env!("CARGO_BIN_EXE_repro_table2_xavier"),
-            threads,
-            &format!("recombine-{threads}"),
-        ));
-        let launches = find_spans(&forest, "gpusim.launch");
-        assert!(!launches.is_empty(), "no launch spans (threads={threads})");
-        for (i, launch) in launches.iter().enumerate() {
-            let bands: Vec<&SpanNode> = launch
-                .children
-                .iter()
-                .filter(|c| c.name == "gpusim.band")
-                .collect();
-            assert!(!bands.is_empty(), "launch[{i}]: no band spans");
-            // Counters are exact u64 sums across bands.
-            for key in [
-                "l1_hits",
-                "l1_accesses",
-                "tex_hits",
-                "tex_line_accesses",
-                "l2_hits",
-                "l2_accesses",
-            ] {
-                let total: u64 = bands
-                    .iter()
-                    .map(|b| {
-                        b.u64_arg(key)
-                            .unwrap_or_else(|| panic!("band missing arg '{key}'"))
-                    })
-                    .sum();
-                let expect = launch
-                    .u64_arg(key)
-                    .unwrap_or_else(|| panic!("launch[{i}] missing arg '{key}'"));
-                assert_eq!(
-                    total, expect,
-                    "launch[{i}] (threads={threads}): band '{key}' sum {total} != launch {expect}"
-                );
-            }
-            // Cycles are f64s summed in band order; allow only the JSON
-            // round-trip rounding, not any real drift.
-            let cycle_sum: f64 = bands
-                .iter()
-                .map(|b| b.num_arg("cycles").expect("band has cycles"))
-                .sum();
-            let expect = launch.num_arg("cycles").expect("launch has cycles");
-            assert!(
-                (cycle_sum - expect).abs() <= 1e-9 * expect.abs().max(1.0),
-                "launch[{i}] (threads={threads}): band cycles sum {cycle_sum} != launch {expect}"
-            );
-            // The launch-level hit-rate gauges must recombine from the band
-            // counter sums (hits / accesses), not from averaging band rates.
-            for (rate, hits, accesses) in [
-                ("l1_hit_rate", "l1_hits", "l1_accesses"),
-                ("tex_hit_rate", "tex_hits", "tex_line_accesses"),
-                ("l2_hit_rate", "l2_hits", "l2_accesses"),
-            ] {
-                let h: u64 = bands.iter().map(|b| b.u64_arg(hits).unwrap()).sum();
-                let a: u64 = bands.iter().map(|b| b.u64_arg(accesses).unwrap()).sum();
-                let want = if a == 0 { 0.0 } else { h as f64 / a as f64 };
-                let got = launch
-                    .num_arg(rate)
-                    .unwrap_or_else(|| panic!("launch[{i}] missing '{rate}'"));
-                assert!(
-                    (got - want).abs() <= 1e-12,
-                    "launch[{i}]: {rate} {got} != recombined {want}"
-                );
-            }
-        }
+        let golden = std::fs::read_to_string(golden_path(name))
+            .unwrap_or_else(|e| panic!("missing golden trace {name} ({e})"));
+        let parallel = run_traced(bin, 4, &format!("{name}-t4"));
+        assert_eq!(parallel, golden, "{name}: 4-thread trace differs");
     }
 }

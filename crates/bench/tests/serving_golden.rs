@@ -10,11 +10,11 @@
 //! DEFCON_BLESS=1 cargo test -p defcon-bench --offline --test serving_golden
 //! ```
 //!
-//! The byte-level comparison is only pinned at threads=1: the obs layer
-//! records from the arming thread alone, so with more workers the
-//! per-request simulation happens off-thread and the trace legitimately
-//! contains fewer engine spans. The serving *content* across thread
-//! counts is covered by `tests/serving_equivalence.rs`.
+//! While obs is armed the miss drain runs its simulations inline on the
+//! recording thread, so a 4-worker trace carries every engine span too and
+//! differs from the golden only in the `serve.drain` spans' `workers` arg.
+//! The serving *content* across thread counts is covered by
+//! `tests/serving_equivalence.rs`.
 
 use defcon_support::json::Json;
 use defcon_support::obs::{find_spans, forest_from_chrome};
@@ -87,6 +87,15 @@ fn serving_trace_is_byte_identical_across_runs() {
     let a = run_traced(1, "runa");
     let b = run_traced(1, "runb");
     assert_eq!(a, b, "serving trace differs between identical runs");
+}
+
+#[test]
+fn four_worker_trace_differs_from_the_golden_only_in_its_worker_count() {
+    let golden = std::fs::read_to_string(golden_path()).expect("golden serving trace");
+    assert_eq!(
+        run_traced(4, "t4"),
+        golden.replace(r#""workers":1,"#, r#""workers":4,"#)
+    );
 }
 
 /// The exact-counter satellite: cache-hit counters and queue-depth gauges

@@ -12,7 +12,7 @@ use defcon_support::error::DefconError;
 use defcon_support::fault;
 use defcon_support::json::Json;
 use defcon_support::obs;
-use defcon_support::par::ParallelSliceMut;
+use defcon_support::par;
 use defcon_support::rng::{SeedableRng, SliceRandom, StdRng};
 
 /// How the tuner explores the space.
@@ -82,10 +82,7 @@ impl Autotuner {
         });
         let evaluations = match self.strategy {
             Strategy::Exhaustive => {
-                let mut vals = vec![0.0f64; space.len()];
-                vals.par_chunks_mut(1)
-                    .enumerate()
-                    .for_each(|(i, v)| v[0] = objective(space[i]));
+                let vals = par::map(space, par::max_threads(), |&t| objective(t));
                 space.iter().copied().zip(vals).collect()
             }
             Strategy::Random => {

@@ -62,7 +62,7 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Requests in the session.
     pub requests: usize,
-    /// Worker bands for miss simulation (see the module docs: only
+    /// Workers for miss simulation (see the module docs: only
     /// [`FaultPointSet::OwnerOnly`] is deterministic above 1).
     pub workers: usize,
     /// Admission-queue capacity (small values exercise overflow shedding

@@ -8,7 +8,6 @@
 //! the regular one.
 
 use defcon_gpusim::Gpu;
-use defcon_kernels::backend::Backend;
 use defcon_kernels::op::simulate_regular_conv_ms;
 use defcon_kernels::op::{
     synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
@@ -17,7 +16,7 @@ use defcon_kernels::{DeformLayerShape, TileConfig};
 use defcon_support::error::DefconError;
 use defcon_support::fault;
 use defcon_support::json::{FromJson, Json, JsonError, ToJson};
-use defcon_support::par::ParallelSliceMut;
+use defcon_support::par;
 use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::Tensor;
 use std::collections::HashMap;
@@ -142,12 +141,10 @@ impl LatencyLut {
     /// with a v3 table can place layers differently from a v1 table on the
     /// same device.
     ///
-    /// Keys are measured in parallel on `gpu.policy().threads` workers
-    /// (`DEFCON_THREADS` by default), but every key is simulated on a
-    /// *serial* (`threads = 1`) engine, so the table's entries — and its
-    /// serialized bytes — are bit-identical for any thread count: the
-    /// parallelism lives across independent keys, never inside a launch
-    /// where it would change L2 shard semantics.
+    /// Keys are independent items of one `par::map` on
+    /// `gpu.policy().threads` workers (`DEFCON_THREADS` by default); each
+    /// launch is one serial walk, so the table's entries — and its
+    /// serialized bytes — are identical at every thread count.
     pub fn build(
         gpu: &Gpu,
         keys: &[LatencyKey],
@@ -155,59 +152,17 @@ impl LatencyLut {
         predictor: OffsetPredictorKind,
         family: OpFamily,
     ) -> Self {
-        let worker = Gpu::with_policy(gpu.config().clone(), gpu.policy().with_threads(1));
-        let threads = gpu.policy().threads.max(1);
-        let mut slots: Vec<Option<LatencyEntry>> = vec![None; keys.len()];
-        slots
-            .par_chunks_mut(1)
-            .threads(threads)
-            .enumerate()
-            .for_each(|(i, slot)| {
-                let (op, x, offsets) = key_op(&keys[i], method, predictor, family);
-                slot[0] = Some(LatencyEntry {
-                    regular_ms: simulate_regular_conv_ms(&worker, &op.shape),
-                    deform_ms: op.simulate_total(&worker, &x, &offsets).0,
-                });
-            });
-        let entries: HashMap<LatencyKey, LatencyEntry> = keys
-            .iter()
-            .zip(slots)
-            .map(|(k, e)| (*k, e.expect("every key slot filled")))
-            .collect();
+        let measured = par::map(keys, gpu.policy().threads, |key| {
+            let (op, x, offsets) = key_op(key, method, predictor, family);
+            LatencyEntry {
+                regular_ms: simulate_regular_conv_ms(gpu, &op.shape),
+                deform_ms: op.simulate_total(gpu, &x, &offsets).0,
+            }
+        });
         LatencyLut {
             device: gpu.config().name.clone(),
-            entries,
+            entries: keys.iter().copied().zip(measured).collect(),
         }
-    }
-
-    /// [`LatencyLut::build`] over any [`Backend`] — the route the accel
-    /// backend's tables take. Sequential (backend objects are not required
-    /// to be thread-splittable the way [`Gpu`] policies are), deterministic,
-    /// and falls back to the backend's own degradation behaviour per key.
-    /// Errors surface the first key that cannot be timed at all.
-    pub fn build_backend(
-        backend: &dyn Backend,
-        keys: &[LatencyKey],
-        method: SamplingMethod,
-        predictor: OffsetPredictorKind,
-        family: OpFamily,
-    ) -> Result<Self, DefconError> {
-        let mut entries = HashMap::with_capacity(keys.len());
-        for key in keys {
-            let (op, x, offsets) = key_op(key, method, predictor, family);
-            let (deform_ms, _) = backend.launch_total(&op, &x, &offsets)?;
-            entries.insert(
-                *key,
-                LatencyEntry {
-                    regular_ms: backend.regular_conv_ms(&op.shape),
-                    deform_ms,
-                },
-            );
-        }
-        Ok(LatencyLut {
-            device: backend.device_name(),
-            entries,
-        })
     }
 
     /// Looks up an entry.
@@ -351,28 +306,6 @@ mod tests {
                 stride: 2,
             },
         ]
-    }
-
-    #[test]
-    fn backend_route_builds_tables_for_both_substrates() -> Result<(), DefconError> {
-        let _quiet = fault::quiesce();
-        let keys = tiny_keys();
-        let method = SamplingMethod::Tex2dPlusPlus;
-        let pred = OffsetPredictorKind::Standard;
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let via_gpu = LatencyLut::build_backend(&gpu, &keys, method, pred, OpFamily::DcnV1)
-            .expect("gpu backend route must build");
-        assert_eq!(via_gpu.device, "Jetson-AGX-Xavier");
-        let accel = defcon_accel::Accel::new(defcon_accel::AccelConfig::edge());
-        let via_accel = LatencyLut::build_backend(&accel, &keys, method, pred, OpFamily::DcnV1)
-            .expect("accel backend route must build");
-        assert_eq!(via_accel.device, "DCN-Accel-Edge");
-        for key in &keys {
-            // Both substrates tabulate positive overheads for the key set.
-            assert!(via_gpu.dcn_overhead_ms(key)? > 0.0);
-            assert!(via_accel.dcn_overhead_ms(key)? > 0.0);
-        }
-        Ok(())
     }
 
     #[test]

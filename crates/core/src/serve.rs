@@ -21,12 +21,12 @@
 //! `defcon_gpusim::ReportCache`, the workspace's one content-addressed
 //! cache, which the engine's per-network launch memo uses too.
 //!
-//! A hit is byte-identical to a fresh simulation because of the PR 2
-//! determinism contract: every worker runs its engine at `threads = 1`
-//! ([`SamplePolicy`] pinned), so a report is a pure function of the
-//! canonicalized request — which is exactly what the key hashes. Cache
-//! reads and writes happen only on the owner thread (phases A and C of
-//! [`SimServer::drain`]); workers touch disjoint result slots. Eviction
+//! A hit is byte-identical to a fresh simulation because a launch is one
+//! serial walk of its blocks (the `defcon_gpusim` engine docs), so a
+//! report is a pure function of the canonicalized request — which is
+//! exactly what the key hashes. Cache reads and writes happen only on the
+//! owner thread (phases A and C of [`SimServer::drain`]); workers only
+//! simulate, and their answers come back in miss order. Eviction
 //! and worker count therefore change *when* a simulation runs, never what
 //! bytes come back — the differential serving suite
 //! (`tests/serving_equivalence.rs`) checks this at 1 vs 4 workers and
@@ -60,9 +60,8 @@
 //! against the budget up front, a LUT-backed preflight rejects requests
 //! whose tabulated cost already exceeds what remains (uniformly, *before*
 //! the cache is consulted, so temperature cannot change the verdict), and
-//! a miss simulation runs against a [`DeadlineBudget`] whose cooperative
-//! cancellation unwinds the engine's band workers between launches. A
-//! cache hit replays the same verdict by walking the cached per-launch
+//! a miss simulation runs against a [`DeadlineBudget`] that fails the
+//! first launch whose charge crosses the remainder. A cache hit replays the same verdict by walking the cached per-launch
 //! cycle charges — hit and miss agree because a budget trips at the first
 //! launch whose cumulative `ceil(cycles)` crosses the remainder, and that
 //! is a pure function of the (deterministic) report stream. Exceeded
@@ -97,9 +96,8 @@ use defcon_kernels::DeformLayerShape;
 use defcon_support::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use defcon_support::error::DefconError;
 use defcon_support::json::{Json, ToJson};
-use defcon_support::par::ParallelSliceMut;
 use defcon_support::retry::RetryPolicy;
-use defcon_support::{env, fault, obs};
+use defcon_support::{env, fault, obs, par};
 
 use crate::lut::{LatencyKey, LatencyLut};
 
@@ -283,8 +281,9 @@ impl SimRequest {
 /// [`ServeConfig::with_env_overrides`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker bands for miss simulation. Worker count never changes
-    /// response bytes — each worker pins its engine to `threads = 1`.
+    /// Workers for miss simulation. Worker count never changes response
+    /// bytes: each miss is simulated whole, on the serial engine, by one
+    /// worker.
     pub workers: usize,
     /// Admission-queue capacity; a full queue sheds with
     /// [`DefconError::Overloaded`].
@@ -485,8 +484,8 @@ fn simulate_request(
     if let Err(e) = req.layer.validate() {
         return Answer::failed(e);
     }
-    // Engine threads pinned to 1: report bytes must be a pure function of
-    // the canonical request, independent of the server's worker count.
+    // One serial engine per miss: the miss is already one item of the
+    // drain's worker map, so it fans nothing out further.
     let mut gpu = Gpu::with_policy(
         device.clone(),
         SamplePolicy {
@@ -817,8 +816,8 @@ impl SimServer {
     /// Serves everything queued and returns responses in submission
     /// order. Three phases keep the result deterministic: (A) deadline
     /// gate and cache consultation on the owner thread in request order,
-    /// (B) miss simulation fanned across worker bands into disjoint
-    /// slots (each against its request's remaining deadline budget), (C)
+    /// (B) miss simulation mapped across workers, results in miss order
+    /// (each against its request's remaining deadline budget), (C)
     /// settlement — deadline replay for hits, cache insertion, and breaker
     /// feedback — back on the owner thread in request order.
     pub fn drain(&mut self) -> Vec<SimResponse> {
@@ -845,22 +844,16 @@ impl SimServer {
             .collect();
 
         // Phase B — simulate the misses. Workers read shared-immutable
-        // device state and write disjoint one-slot bands.
-        let mut slots: Vec<Option<Answer>> = jobs.iter().map(|_| None).collect();
-        slots
-            .par_chunks_mut(1)
-            .threads(workers)
-            .enumerate()
-            .for_each(|(i, slot)| {
-                let (req, _) = &batch[jobs[i]];
-                let cfg = self.device_config(req.device);
-                slot[0] = Some(simulate_request(req, cfg, admitted[jobs[i]].remaining));
-            });
+        // device state; answers come back in miss order.
+        let answers = par::map(&jobs, workers, |&j| {
+            let (req, _) = &batch[j];
+            simulate_request(req, self.device_config(req.device), admitted[j].remaining)
+        });
 
         // Phase C — settle each request, in order.
         let mut out = Vec::with_capacity(batch.len());
         let (mut hits, mut misses) = (0u64, 0u64);
-        let mut answers = slots.into_iter();
+        let mut answers = answers.into_iter();
         for (i, ((req, _), admitted)) in batch.into_iter().zip(admitted).enumerate() {
             let sim = match admitted.plan {
                 Plan::Deadline(_) => None,
@@ -870,7 +863,7 @@ impl SimServer {
                 }
                 Plan::Miss => {
                     misses += 1;
-                    answers.next().flatten()
+                    answers.next()
                 }
             };
             let remaining = admitted.remaining;

@@ -60,6 +60,11 @@ impl Cache {
         }
     }
 
+    /// The geometry this cache was built with.
+    pub fn geometry(&self) -> CacheGeometry {
+        self.geometry
+    }
+
     /// Line size in bytes.
     pub fn line_bytes(&self) -> usize {
         self.geometry.line_bytes

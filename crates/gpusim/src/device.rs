@@ -6,7 +6,7 @@ use defcon_support::fault;
 use defcon_support::json::{FromJson, Json, JsonError, ToJson};
 
 /// Geometry of one cache level.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -98,9 +98,7 @@ pub struct DeviceConfig {
     pub dram_bandwidth_gbps: f64,
     /// DRAM access latency in core cycles.
     pub dram_latency: u32,
-    /// L2 slice shared by all SMs. In a parallel launch each engine worker
-    /// instantiates its own shard of this geometry (see the `engine` module
-    /// docs for the determinism contract that implies).
+    /// L2 slice shared by all SMs, one per launch.
     pub l2: CacheGeometry,
     /// Per-SM L1/unified cache.
     pub l1: CacheGeometry,

@@ -27,11 +27,10 @@
 //! large grids a deterministic stratified sample of blocks is simulated and
 //! scaled ([`engine::SamplePolicy`]).
 //!
-//! Launches run on [`engine::SamplePolicy::threads`] worker threads
-//! (default `DEFCON_THREADS`, else serial) under a determinism contract —
-//! one thread is byte-identical to [`engine::Gpu::launch_serial`], any
-//! fixed thread count is reproducible, and multi-threaded cycle estimates
-//! stay within 1 % of serial. See the [`engine`] module docs.
+//! Each launch walks its sampled blocks serially, so a report is the same
+//! bytes at every thread count; callers run independent launches in
+//! parallel on [`engine::SamplePolicy::threads`] workers (default
+//! `DEFCON_THREADS`, else serial). See the [`engine`] module docs.
 //!
 //! This is a *model*, not a cycle-accurate twin: absolute times are
 //! approximate, but the mechanisms that differentiate software bilinear

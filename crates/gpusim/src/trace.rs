@@ -37,7 +37,7 @@ pub struct TexStats {
 }
 
 impl TexStats {
-    /// Accumulates another block's / band's stats.
+    /// Accumulates another block's stats.
     pub fn merge(&mut self, other: &TexStats) {
         self.fetch_lanes += other.fetch_lanes;
         self.filter_texels += other.filter_texels;
@@ -67,11 +67,7 @@ impl TexStats {
 
 /// A kernel, from the simulator's point of view: a grid of identical thread
 /// blocks, each able to describe its own work.
-///
-/// `Sync` is a supertrait because [`crate::Gpu::launch`] traces disjoint
-/// block bands from several worker threads at once; `trace_block` takes
-/// `&self`, so kernels are shared, never mutated, across workers.
-pub trait BlockTrace: Sync {
+pub trait BlockTrace {
     /// Number of thread blocks in the grid.
     fn grid_blocks(&self) -> usize;
     /// Threads per block.
@@ -119,9 +115,7 @@ pub struct BlockCost {
 /// The event sink handed to kernels.
 ///
 /// Owns the per-SM caches for the current block (L1 and texture cache are
-/// flushed between blocks by the engine) and borrows its band's L2 shard —
-/// the launch-wide L2 in a serial launch, a per-worker shard in a parallel
-/// one (see the engine module docs for the determinism contract).
+/// flushed between blocks by the engine) and borrows the launch-wide L2.
 ///
 /// # Zero-allocation contract
 ///

@@ -28,8 +28,7 @@ use defcon_support::env;
 use defcon_support::error::DefconError;
 use defcon_tensor::Tensor;
 
-use crate::layer::DeformLayerShape;
-use crate::op::{simulate_regular_conv_ms, DeformConvOp, DeformFallback};
+use crate::op::{DeformConvOp, DeformFallback};
 
 /// Which execution backend a request or experiment targets, addressed by
 /// canonical name (`"gpusim"` / `"accel"`). The default is the GPU
@@ -113,9 +112,6 @@ pub trait Backend {
         offsets: &Tensor,
     ) -> Result<(f64, Vec<KernelReport>), DefconError>;
 
-    /// Times a plain (rigid) convolution at `shape` — the LUT baseline.
-    fn regular_conv_ms(&self, shape: &DeformLayerShape) -> f64;
-
     /// Numeric execution of the deformable convolution proper. Subject to
     /// the cross-backend determinism contract: byte-identical across
     /// backends for identical inputs.
@@ -153,10 +149,6 @@ impl Backend for Gpu {
         Ok((total, reports))
     }
 
-    fn regular_conv_ms(&self, shape: &DeformLayerShape) -> f64 {
-        simulate_regular_conv_ms(self, shape)
-    }
-
     fn execute(&self, op: &DeformConvOp, x: &Tensor, offsets: &Tensor, weight: &Tensor) -> Tensor {
         op.execute(x, offsets, weight, self)
     }
@@ -165,6 +157,7 @@ impl Backend for Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::DeformLayerShape;
     use crate::op::{synthetic_inputs, SamplingMethod};
     use defcon_gpusim::DeviceConfig;
 
@@ -205,6 +198,5 @@ mod tests {
         assert_eq!(fb.method, SamplingMethod::Tex2dPlusPlus);
         let (total, reports) = backend.launch_total(&op, &x, &offsets).unwrap();
         assert!(total > 0.0 && reports.len() >= 2);
-        assert!(backend.regular_conv_ms(&shape) > 0.0);
     }
 }

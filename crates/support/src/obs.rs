@@ -23,11 +23,10 @@
 //!   byte-identical trace on every run. Wall-clock timestamps (microseconds,
 //!   explicitly non-reproducible) are opt-in via `DEFCON_OBS_WALL=1`.
 //! * **Single recording thread.** The recorder binds to the thread that
-//!   armed it; calls from any other thread are silently dropped. Parallel
-//!   code (`support::par` workers) must not record directly — the owner
-//!   thread records per-band results *after the join, in band-index order*,
-//!   which keeps traces identical across `DEFCON_THREADS` settings up to
-//!   the documented ≤1% cycle-drift contract.
+//!   armed it; calls from any other thread are silently dropped. So
+//!   [`crate::par::map`] runs its items inline, in order, on the calling
+//!   thread while the layer is armed: no worker's spans are lost, and a
+//!   trace is the same bytes at every `DEFCON_THREADS` setting.
 //! * **One armed scope at a time.** [`arm`] holds a global lock for the
 //!   lifetime of the returned guard; everything disarms (and unlocks) on
 //!   drop, even across a panic.
@@ -731,6 +730,9 @@ mod tests {
         assert!(forest[0].children[0].ts >= forest[0].ts);
     }
 
+    /// Once a guard has dropped, another test may arm before this one
+    /// looks; holding the arming lock waits that test out, so `!armed()`
+    /// observes this guard's disarm.
     #[test]
     fn drop_disarms_and_clears() {
         {
@@ -738,12 +740,21 @@ mod tests {
             let _sp = span("x");
             assert!(armed());
         }
+        let _q = quiesce();
         assert!(!armed());
         assert!(snapshot().is_empty());
     }
 
+    /// Serializes the tests that set or read the process-global
+    /// `DEFCON_TRACE`. Taken before the arming lock, always.
+    fn trace_env_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn arm_from_env_writes_trace_on_drop() {
+        let _env = trace_env_lock();
         let path =
             std::env::temp_dir().join(format!("defcon_obs_test_{}.json", std::process::id()));
         std::env::set_var(crate::env::TRACE, &path);
@@ -753,17 +764,20 @@ mod tests {
             drop(span("traced"));
         }
         std::env::remove_var(crate::env::TRACE);
+        let _q = quiesce();
+        assert!(!armed());
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let forest = forest_from_chrome(&Json::parse(&body).unwrap()).unwrap();
         assert_eq!(forest.len(), 1);
         assert_eq!(forest[0].name, "traced");
-        assert!(!armed());
     }
 
     #[test]
     fn arm_from_env_off_when_unset() {
-        // DEFCON_TRACE is not set in the test environment by default.
+        // DEFCON_TRACE is not set in the test environment by default, and
+        // the lock keeps the test above from setting it meanwhile.
+        let _env = trace_env_lock();
         assert!(arm_from_env().unwrap().is_none());
     }
 

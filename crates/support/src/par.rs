@@ -24,8 +24,74 @@
 //! Set `DEFCON_THREADS=1` (or any count) to override the default of one
 //! thread per available core; malformed values are a fatal, clearly
 //! reported configuration error (see [`crate::env`]).
+//!
+//! [`map`] is the ordered map over independent work items that the
+//! simulator's callers fan out with (one LUT key, sweep row, network cell
+//! or serving miss per item). Item costs differ by orders of magnitude, so
+//! its workers claim items one at a time instead of taking a contiguous
+//! band each; a killed worker is recovered the same way.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+/// Applies `f` to every item on up to `threads` workers and returns the
+/// results in input order. `threads == 0` counts as 1.
+///
+/// Each worker claims the next unclaimed item from a shared counter and
+/// stores the result in that item's slot, so the output equals the
+/// sequential `items.iter().map(f)` whatever the thread count or the
+/// claiming order. A worker that panics (the `par.band` fault point, keyed
+/// by worker index, models a transient death) leaves the item it held
+/// unfilled; the caller re-runs every unfilled item serially, in order,
+/// after the join, so a deterministic panic in `f` still propagates.
+///
+/// While [`crate::obs`] is armed the map runs inline on the calling thread,
+/// in order: obs records only from the arming thread, so this keeps a
+/// trace the same bytes at every thread count.
+pub fn map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = if crate::obs::armed() {
+        1
+    } else {
+        threads.clamp(1, items.len().max(1))
+    };
+    if threads == 1 {
+        return items.iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for w in 0..threads {
+            let (f, slots, next) = (&f, &slots, &next);
+            scope.spawn(move || {
+                // A panic ends this worker; the re-run below fills its item.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    crate::fault::panic_at("par.band", w as u64);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        let r = f(item);
+                        // A store is one assignment, so a poisoned slot
+                        // is still valid.
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+                    }
+                }));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .zip(items)
+        .map(|(slot, item)| {
+            let done = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            done.unwrap_or_else(|| f(item))
+        })
+        .collect()
+}
 
 /// Worker threads used by [`ParChunksMutEnumerate::for_each`]: the
 /// `DEFCON_THREADS` env var if set (a malformed value exits with a clear
@@ -350,6 +416,72 @@ mod tests {
             fault::log(),
             vec!["par.band#0", "par.band#1", "par.band#2", "par.band#3"]
         );
+    }
+
+    #[test]
+    fn map_keeps_input_order_at_every_thread_count() {
+        let _quiet = crate::obs::quiesce();
+        let _faults = crate::fault::quiesce();
+        let items: Vec<u64> = (0..37).collect();
+        let serial: Vec<u64> = items.iter().map(|v| v * v + 1).collect();
+        for threads in [0usize, 1, 2, 3, 8, 64] {
+            assert_eq!(
+                map(&items, threads, |v| v * v + 1),
+                serial,
+                "threads = {threads}"
+            );
+        }
+        assert!(map(&[] as &[u64], 4, |v| *v).is_empty());
+    }
+
+    /// A killed worker's items are re-run on the caller; the result is the
+    /// same vector an unfaulted map returns.
+    #[test]
+    fn map_recovers_a_killed_worker() {
+        use crate::fault::{self, FaultPlan, Schedule};
+        let _quiet = crate::obs::quiesce();
+        let _g = fault::arm(FaultPlan::new(5).point("par.band", Schedule::Nth(1)));
+        let items: Vec<usize> = (0..10).collect();
+        assert_eq!(
+            map(&items, 4, |v| v * 3),
+            items.iter().map(|v| v * 3).collect::<Vec<_>>()
+        );
+        assert_eq!(fault::log(), vec!["par.band#1"], "fault must have fired");
+    }
+
+    /// A panic that is not transient re-fires on the caller's re-run and
+    /// reaches the caller.
+    #[test]
+    fn map_propagates_a_deterministic_panic() {
+        let _quiet = crate::obs::quiesce();
+        let _faults = crate::fault::quiesce();
+        let items: Vec<usize> = (0..8).collect();
+        let result = std::panic::catch_unwind(|| {
+            map(&items, 4, |&i| {
+                assert_ne!(i, 5, "item 5 exploded");
+                i
+            })
+        });
+        assert!(result.is_err(), "item panic was swallowed");
+    }
+
+    /// Armed obs keeps every item on the recording thread, so no worker's
+    /// spans are lost.
+    #[test]
+    fn map_runs_inline_while_obs_is_armed() {
+        let _obs = crate::obs::arm(crate::obs::ObsConfig::default());
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..8).collect();
+        let on_caller = map(&items, 4, |i| {
+            drop(crate::obs::span_with("item", || {
+                vec![("i", crate::json::Json::from(*i))]
+            }));
+            std::thread::current().id() == caller
+        });
+        assert!(on_caller.iter().all(|&b| b));
+        let spans = crate::obs::snapshot();
+        let order: Vec<u64> = spans.iter().map(|s| s.u64_arg("i").unwrap()).collect();
+        assert_eq!(order, (0..8).collect::<Vec<u64>>());
     }
 
     #[test]

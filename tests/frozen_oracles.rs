@@ -130,7 +130,8 @@ fn serial_fingerprint(kernel: &dyn BlockTrace, cfg: &DeviceConfig) -> String {
 /// engine threads, and their serial counters + latency fingerprint, must
 /// hash to the digests frozen from the pre-optimization kernel bodies
 /// (per-warp `Vec` collects, per-channel coordinate recomputation) and
-/// simulator (allocating coalescer, split-array `%`-indexed caches).
+/// simulator (allocating coalescer, split-array `%`-indexed caches) at one
+/// thread: a launch is one serial walk at every thread count.
 #[test]
 fn hot_path_reports_match_frozen_pre_optimization_digests() {
     let shape = DeformLayerShape::same3x3(4, 4, 40, 40);
@@ -160,7 +161,7 @@ fn hot_path_reports_match_frozen_pre_optimization_digests() {
                 let report = gpu.launch(kernel).to_json().to_string();
                 assert_eq!(
                     digest(report.as_bytes()),
-                    frozen("hot_path_report", &format!("{name} t{threads}")),
+                    frozen("hot_path_report", &format!("{name} t1")),
                     "{name}: {threads}-thread report moved off the frozen pre-optimization path"
                 );
             }

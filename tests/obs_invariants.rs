@@ -15,9 +15,9 @@ use defcon::kernels::DeformLayerShape;
 use defcon_support::fault::{self, FaultPlan, Schedule};
 use defcon_support::obs::{self, find_spans, ObsConfig, SpanNode};
 
-/// A small deformable layer whose launch splits into several bands at
-/// `threads = 4` without sampling (grid ≤ the default 96-block cap). Owns
-/// the operator and inputs the kernel borrows.
+/// A small deformable layer whose grid fits the default 96-block cap, so a
+/// launch simulates every block. Owns the operator and inputs the kernel
+/// borrows.
 struct Layer {
     op: DeformConvOp,
     x: defcon::tensor::Tensor,
@@ -38,12 +38,11 @@ impl Layer {
     }
 }
 
-fn gpu(threads: usize, max_blocks: usize) -> Gpu {
+fn gpu(max_blocks: usize) -> Gpu {
     let policy = SamplePolicy {
         max_blocks,
         ..SamplePolicy::default()
-    }
-    .with_threads(threads);
+    };
     Gpu::with_policy(DeviceConfig::xavier_agx(), policy)
 }
 
@@ -79,62 +78,34 @@ fn assert_nesting(span: &SpanNode) {
 }
 
 #[test]
-fn child_spans_nest_and_band_cycles_sum_to_launch() {
+fn child_spans_nest_inside_their_parents() {
     let _obs = obs::arm(ObsConfig::default());
     let _quiet = fault::quiesce();
     let l = layer(48, 48);
-    gpu(4, usize::MAX).launch(&l.kernel());
+    let (_, reports) = l.op.simulate_total(&gpu(usize::MAX), &l.x, &l.off);
     let forest = obs::snapshot();
     for root in &forest {
         assert_nesting(root);
     }
+    // One launch span per report, in report order, under its label.
     let launches = find_spans(&forest, "gpusim.launch");
-    assert_eq!(launches.len(), 1);
-    let launch = launches[0];
-    let bands: Vec<&SpanNode> = launch
-        .children
-        .iter()
-        .filter(|c| c.name == "gpusim.band")
-        .collect();
-    assert!(
-        bands.len() >= 2,
-        "want a multi-band launch, got {}",
-        bands.len()
-    );
-    // The launch's cycle total is exactly the band sum (bands are modeled
-    // back to back on the SM pool), and each band's measured child repeats
-    // that band's cycles — so measured ≤ band ≤ launch transitively.
-    let band_sum: f64 = bands
-        .iter()
-        .map(|b| b.num_arg("cycles").expect("band has cycles"))
-        .sum();
-    let launch_cycles = launch.num_arg("cycles").expect("launch has cycles");
-    assert!((band_sum - launch_cycles).abs() <= 1e-9 * launch_cycles.max(1.0));
-    for b in &bands {
-        let measured = find_spans(std::slice::from_ref(*b), "gpusim.band.measured");
-        assert_eq!(measured.len(), 1);
-        let mc = measured[0].num_arg("cycles").expect("measured has cycles");
-        let bc = b.num_arg("cycles").unwrap();
-        assert!(mc <= bc + 1e-12, "measured cycles {mc} exceed band {bc}");
+    assert_eq!(launches.len(), reports.len());
+    for (span, report) in launches.iter().zip(&reports) {
+        assert_eq!(span.str_arg("kernel"), Some(report.kernel.as_str()));
     }
 }
 
 #[test]
-fn per_band_gauges_recombine_to_the_report_aggregate() {
+fn launch_gauges_equal_the_report_aggregate() {
     let _obs = obs::arm(ObsConfig::default());
     let _quiet = fault::quiesce();
-    // Unsampled launch: scale is the exact identity, so the registry (fed
-    // pre-scale) and the report (post-scale) must agree *exactly*.
+    // Unsampled launch: scale is the exact identity, so the launch span
+    // and the registry (fed pre-scale) and the report (post-scale) must
+    // agree *exactly*.
     let l = layer(48, 48);
-    let report = gpu(4, usize::MAX).launch(&l.kernel());
+    let report = gpu(usize::MAX).launch(&l.kernel());
     let forest = obs::snapshot();
     let launch = find_spans(&forest, "gpusim.launch")[0];
-    let bands: Vec<&SpanNode> = launch
-        .children
-        .iter()
-        .filter(|c| c.name == "gpusim.band")
-        .collect();
-    assert!(bands.len() >= 2);
     for (rate, hits, accesses, rep_hits, rep_accesses) in [
         (
             "gpusim.l1_hit_rate",
@@ -158,14 +129,23 @@ fn per_band_gauges_recombine_to_the_report_aggregate() {
             report.counters.l2_accesses,
         ),
     ] {
-        let h: u64 = bands.iter().map(|b| b.u64_arg(hits).unwrap()).sum();
-        let a: u64 = bands.iter().map(|b| b.u64_arg(accesses).unwrap()).sum();
-        // Band sums == report counters (identity scale) == registry gauge.
-        assert_eq!(h, rep_hits, "{hits}: band sum vs report");
-        assert_eq!(a, rep_accesses, "{accesses}: band sum vs report");
-        let want = if a == 0 { 0.0 } else { h as f64 / a as f64 };
+        assert_eq!(
+            launch.u64_arg(hits),
+            Some(rep_hits),
+            "{hits}: span vs report"
+        );
+        assert_eq!(
+            launch.u64_arg(accesses),
+            Some(rep_accesses),
+            "{accesses}: span vs report"
+        );
+        let want = if rep_accesses == 0 {
+            0.0
+        } else {
+            rep_hits as f64 / rep_accesses as f64
+        };
         let gauge = obs::gauge(rate).unwrap_or_else(|| panic!("gauge '{rate}' missing"));
-        assert_eq!(gauge, want, "{rate}: gauge vs band recombination");
+        assert_eq!(gauge, want, "{rate}: gauge vs report");
     }
 }
 
@@ -177,7 +157,7 @@ fn sampled_launch_gauges_match_scaled_report_within_rounding() {
     // 9/4 with per-counter rounding, so its hit rates may drift from the
     // pre-scale registry gauges — but only by the rounding, never more.
     let l = layer(48, 48);
-    let report = gpu(1, 4).launch(&l.kernel());
+    let report = gpu(4).launch(&l.kernel());
     assert!(report.grid_blocks > report.simulated_blocks, "not sampled");
     for (gauge_name, rep_rate) in [
         ("gpusim.l1_hit_rate", report.counters.l1_hit_rate()),
@@ -198,7 +178,7 @@ fn counter_registry_accumulates_linearly_across_launches() {
     let _quiet = fault::quiesce();
     let l = layer(24, 24);
     let k = l.kernel();
-    let g = gpu(1, usize::MAX);
+    let g = gpu(usize::MAX);
     g.launch(&k);
     let after_one = obs::counter("gpusim.flops");
     assert!(after_one > 0, "launch recorded no flops");
