@@ -78,11 +78,13 @@ for threads in 1 4; do
 done
 unset DEFCON_THREADS
 
-# Observability ratchet: with no trace armed, every obs:: entry point must
-# stay allocation-free (one relaxed atomic load on the hot path). Runs the
-# dedicated zero_alloc test by name so a regression names itself in CI.
-echo "==> obs-disarmed allocation ratchet"
-cargo test -q --offline --test zero_alloc disarmed_obs_layer_does_not_allocate
+# Allocation ratchet, called out explicitly: with no trace armed, every
+# obs:: entry point stays allocation-free (one relaxed atomic load on the
+# hot path); tracing blocks of every kernel family allocates nothing; and
+# binding a layered texture borrows the input instead of copying it. Runs
+# the whole zero_alloc binary so a regression names itself in CI.
+echo "==> allocation ratchet (zero_alloc)"
+cargo test -q --offline --test zero_alloc
 
 # Trace determinism, end to end on the release binaries: two back-to-back
 # traced runs must write byte-identical DEFCON_TRACE files (the logical

@@ -9,13 +9,13 @@
 //! ```
 //!
 //! The cells are YOLACT++ ResNet-101 at 550 on the Xavier model with
-//! 96-block sampling, one engine thread and the fixed 16×16 tile: the
-//! interval-3 baseline, the searched placement on the software path, and
-//! the searched placement with P = 7, the lightweight predictor and
-//! tex2D++. Each network runs once under an armed observability scope, so
-//! the launch memo's `gpusim.memo.hits` / `gpusim.memo.misses` counters
-//! can be read per network; recording them costs a few microseconds per
-//! launch against seconds per network.
+//! 96-block sampling and the fixed 16×16 tile: the interval-3 baseline,
+//! the searched placement on the software path, and the searched
+//! placement with P = 7, the lightweight predictor and tex2D++. Each
+//! network runs once under an armed observability scope, so the launch
+//! memo's `gpusim.memo.hits` / `gpusim.memo.misses` counters can be read
+//! per network; recording them costs a few microseconds per launch
+//! against seconds per network.
 //!
 //! The `"report"` object is deterministic: each cell's total milliseconds
 //! as an f64 bit pattern, the FNV-1a digest over those bits (the same
@@ -25,7 +25,7 @@
 //! and compares two runs' bytes. `DEFCON_BENCH_OUT` redirects the file.
 
 use defcon_core::pipeline::{DefconConfig, TileChoice};
-use defcon_gpusim::{DeviceConfig, Gpu, SamplePolicy};
+use defcon_gpusim::{DeviceConfig, Gpu};
 use defcon_kernels::{SamplingMethod, TileConfig};
 use defcon_models::zoo::{resnet_3x3_slots, simulate_network, DcnLayout, NetLayer};
 use defcon_support::json::Json;
@@ -70,13 +70,7 @@ fn cells() -> Vec<(&'static str, Vec<NetLayer>, DefconConfig)> {
 }
 
 fn main() {
-    let gpu = Gpu::with_policy(
-        DeviceConfig::xavier_agx(),
-        SamplePolicy {
-            threads: 1,
-            ..SamplePolicy::default()
-        },
-    );
+    let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let _obs = obs::arm(obs::ObsConfig::default());
     let mut rows = Vec::new();
     let mut timing = Vec::new();
@@ -118,7 +112,6 @@ fn main() {
         ("bench", Json::str("e2e")),
         ("device", Json::str(&gpu.config().name)),
         ("max_blocks", Json::from(gpu.policy().max_blocks)),
-        ("engine_threads", Json::from(gpu.policy().threads)),
         (
             "report",
             Json::obj(vec![

@@ -10,7 +10,7 @@ fn bench_fetch(bench: &mut Bench) {
     let data: Vec<f32> = (0..256 * 256).map(|v| v as f32).collect();
     let mut group = bench.group("texture_fetch");
     for (name, frac_bits) in [("fp32", 23u32), ("fp16", 8)] {
-        let mut tex = LayeredTexture2d::new(data.clone(), 1, 256, 256, 0, 2048, 32768).unwrap();
+        let mut tex = LayeredTexture2d::new(&data, 1, 256, 256, 0, 2048, 32768).unwrap();
         tex.frac_bits = frac_bits;
         group.bench_with_input(name, &tex, |b, tex| {
             b.iter(|| {

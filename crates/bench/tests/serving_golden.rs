@@ -11,10 +11,9 @@
 //! ```
 //!
 //! While obs is armed the miss drain runs its simulations inline on the
-//! recording thread, so a 4-worker trace carries every engine span too and
-//! differs from the golden only in the `serve.drain` spans' `workers` arg.
-//! The serving *content* across thread counts is covered by
-//! `tests/serving_equivalence.rs`.
+//! recording thread and no span records the worker count, so a 4-worker
+//! trace is the golden, byte for byte. The serving *content* across thread
+//! counts is covered by `tests/serving_equivalence.rs`.
 
 use defcon_support::json::Json;
 use defcon_support::obs::{find_spans, forest_from_chrome};
@@ -90,12 +89,9 @@ fn serving_trace_is_byte_identical_across_runs() {
 }
 
 #[test]
-fn four_worker_trace_differs_from_the_golden_only_in_its_worker_count() {
+fn four_worker_trace_equals_the_golden() {
     let golden = std::fs::read_to_string(golden_path()).expect("golden serving trace");
-    assert_eq!(
-        run_traced(4, "t4"),
-        golden.replace(r#""workers":1,"#, r#""workers":4,"#)
-    );
+    assert_eq!(run_traced(4, "t4"), golden);
 }
 
 /// The exact-counter satellite: cache-hit counters and queue-depth gauges

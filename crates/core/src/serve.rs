@@ -825,13 +825,9 @@ impl SimServer {
         if batch.is_empty() {
             return Vec::new();
         }
-        let workers = self.cfg.workers.max(1);
-        let drain_span = obs::span_with("serve.drain", || {
-            vec![
-                ("depth", Json::from(batch.len())),
-                ("workers", Json::from(workers)),
-            ]
-        });
+        // The span carries no worker count: while obs is armed the misses
+        // run inline, so the trace is the same bytes at every count.
+        let drain_span = obs::span_with("serve.drain", || vec![("depth", Json::from(batch.len()))]);
 
         // Phase A — deadline-gate and content-address each request, then
         // consult the cache.
@@ -845,7 +841,7 @@ impl SimServer {
 
         // Phase B — simulate the misses. Workers read shared-immutable
         // device state; answers come back in miss order.
-        let answers = par::map(&jobs, workers, |&j| {
+        let answers = par::map(&jobs, self.cfg.workers, |&j| {
             let (req, _) = &batch[j];
             simulate_request(req, self.device_config(req.device), admitted[j].remaining)
         });

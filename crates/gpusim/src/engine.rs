@@ -29,7 +29,7 @@ use crate::cache::Cache;
 use crate::device::{CacheGeometry, DeviceConfig};
 use crate::report::{Counters, KernelReport};
 use crate::report_cache::ReportCache;
-use crate::trace::{BlockCost, BlockTrace, TexStats, TraceSink};
+use crate::trace::{BlockCost, BlockTrace, TraceSink};
 use defcon_support::error::DefconError;
 use defcon_support::json::Json;
 use defcon_support::obs;
@@ -428,10 +428,11 @@ impl Gpu {
                 // takes back from `self.cfg` and `kernel` (where
                 // `finish_report` got them). A memo lives through a whole
                 // network whose deformable slots allocate and free
-                // multi-MB tensors, and small allocations that outlive a
+                // multi-MB inputs, and small allocations that outlive a
                 // launch change how the heap is reused: storing the labels
-                // raised perfbench's `t3_r101` peak RSS from 23 to 27–32 MB
-                // in most runs (DESIGN.md §4, "Memory").
+                // ran perfbench's `t3_r101` at 0.376–0.403 networks/s
+                // against 0.404–0.424 on a 2-core host, at the same peak
+                // RSS (DESIGN.md §4, "Memory").
                 let stored = KernelReport {
                     device: String::new(),
                     kernel: String::new(),
@@ -462,15 +463,18 @@ impl Gpu {
         let mut l2 = cold_cache(self.cfg.l2);
         let mut sm_cycles_total = 0.0f64;
         let mut counters = Counters::default();
-        let mut tex_stats = TexStats::default();
+        // The blocks' texture figures, summed for obs.
+        let (mut tex_lanes, mut filter_texels, mut plan_warps) = (0u64, 0u64, 0u64);
         for &b in &sample {
             l1.flush();
             tex.flush();
             let mut sink = TraceSink::new(&self.cfg, &mut l1, &mut tex, &mut l2, warps);
             kernel.trace_block(b, &mut sink);
-            sm_cycles_total += self.block_cycles(&sink.cost);
+            sm_cycles_total += self.block_cycles(&sink.counters, &sink.cost);
             counters.merge(&sink.counters);
-            tex_stats.merge(&sink.tex_stats);
+            tex_lanes += sink.cost.tex_fetches_fp32 + sink.cost.tex_fetches_fp16;
+            filter_texels += sink.cost.filter_texels;
+            plan_warps += sink.cost.plan_warps;
         }
 
         spare_caches([l1, tex, l2]);
@@ -494,16 +498,19 @@ impl Gpu {
             launch_span.record("l1_hit_rate", Json::from(counters.l1_hit_rate()));
             launch_span.record("tex_hit_rate", Json::from(counters.tex_hit_rate()));
             launch_span.record("l2_hit_rate", Json::from(counters.l2_hit_rate()));
-            launch_span.record("tex_fetch_lanes", Json::from(tex_stats.fetch_lanes));
-            launch_span.record("tex_filter_texels", Json::from(tex_stats.filter_texels));
-            launch_span.record("tex_plan_warps", Json::from(tex_stats.plan_warps));
-            launch_span.record("tex_plan_evals", Json::from(tex_stats.plan_evals));
+            // Sampler-level figures (lanes fetched, texels blended, plans
+            // staged and replayed) reach consumers only through obs, so the
+            // report JSON and its content-addressed serving keys stay
+            // byte-stable. A plan replay is one texture request.
+            launch_span.record("tex_fetch_lanes", Json::from(tex_lanes));
+            launch_span.record("tex_filter_texels", Json::from(filter_texels));
+            launch_span.record("tex_plan_warps", Json::from(plan_warps));
+            launch_span.record("tex_plan_evals", Json::from(counters.tex_requests));
             counters.record_obs("gpusim");
-            // Sampler-level instrumentation (lanes fetched, texels blended,
-            // plans staged/replayed) lives outside `Counters` so the report
-            // JSON and its content-addressed serving keys stay byte-stable;
-            // it reaches consumers only through the obs registry.
-            tex_stats.record_obs("gpusim");
+            obs::counter_add("gpusim.texture.fetch_lanes", tex_lanes);
+            obs::counter_add("gpusim.texture.filter_texels", filter_texels);
+            obs::counter_add("gpusim.texture.plan_warps", plan_warps);
+            obs::counter_add("gpusim.texture.plan_evals", counters.tex_requests);
         }
         let report = self.finish_report(kernel, grid, sample.len(), sm_cycles_total, counters);
         self.charge(kernel, report)
@@ -560,20 +567,21 @@ impl Gpu {
         }
     }
 
-    /// Time for one block on one SM.
+    /// Time for one block on one SM, from the block's ledger: ALU ops and
+    /// LSU sectors come from its counters, the rest from its cost.
     ///
     /// Each pipe's occupancy is computed independently; the busiest pipe
     /// sets the floor and a configurable fraction of the other pipes' work
     /// hides beneath it (`overlap_efficiency`). Exposed memory latency
     /// (scaled down by warp-level parallelism) bounds the result from below
     /// when occupancy is poor.
-    fn block_cycles(&self, c: &BlockCost) -> f64 {
+    fn block_cycles(&self, counters: &Counters, c: &BlockCost) -> f64 {
         // An FMA retires per lane per cycle; flop_units counts scalar flops
         // where an FMA contributed 2, so peak is 2×lanes per cycle.
         let compute = c.flop_units as f64 / (2.0 * self.cfg.fp32_lanes_per_sm as f64);
-        let alu = c.alu_units as f64 / self.cfg.alu_lanes_per_sm as f64;
-        // LSU: one 128B line (4 sectors) per cycle.
-        let lsu = c.lsu_sectors as f64 / 4.0;
+        let alu = counters.alu_ops as f64 / self.cfg.alu_lanes_per_sm as f64;
+        // LSU: one 128B line (4 sectors) per cycle, loads and stores alike.
+        let lsu = (counters.gld_transactions + counters.gst_transactions) as f64 / 4.0;
         let texp = c.tex_fetches_fp32 as f64 / self.cfg.tex_filter_rate_fp32
             + c.tex_fetches_fp16 as f64 / self.cfg.tex_filter_rate_fp16;
         let pipes = [compute, alu, lsu, texp];
@@ -841,13 +849,13 @@ mod tests {
 
     /// Texture-heavy vs. scattered-global kernels: the texture path must be
     /// faster — this is the microarchitectural core of the whole paper.
-    struct BilinearKernel {
+    struct BilinearKernel<'a> {
         use_texture: bool,
-        tex: LayeredTexture2d,
+        tex: LayeredTexture2d<'a>,
         blocks: usize,
     }
 
-    impl BlockTrace for BilinearKernel {
+    impl BlockTrace for BilinearKernel<'_> {
         fn grid_blocks(&self) -> usize {
             self.blocks
         }
@@ -907,7 +915,7 @@ mod tests {
         let data = vec![1.0f32; 64 * 64];
         let mk = |use_texture| BilinearKernel {
             use_texture,
-            tex: LayeredTexture2d::new(data.clone(), 1, 64, 64, 1 << 32, 2048, 32768).unwrap(),
+            tex: LayeredTexture2d::new(&data, 1, 64, 64, 1 << 32, 2048, 32768).unwrap(),
             blocks: 64,
         };
         let gpu = Gpu::new(DeviceConfig::xavier_agx());

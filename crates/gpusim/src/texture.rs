@@ -13,6 +13,13 @@
 //! because every level of the pyramid is a low-passed copy of the feature
 //! map; `tests::box_filtered_level_moves_sampled_values` keeps that argument
 //! as a test.
+//!
+//! A texture is a *view*: it borrows the row-major texels of the tensor it
+//! samples — layer `n·C + c` of an NCHW tensor is exactly its `(n, c)`
+//! slice — so binding one copies nothing. The block-linear layout exists
+//! only in the byte addresses the texture-cache model walks.
+
+use defcon_support::error::DefconError;
 
 /// Texel tile geometry of the block-linear layout: 8×4 texels × 4 bytes =
 /// 128 bytes = exactly one cache line, so 2-D locality maps to line reuse.
@@ -24,24 +31,12 @@ const TEXEL_BYTES: usize = 4;
 /// Bytes per tile.
 const TILE_BYTES: usize = TILE_W * TILE_H * TEXEL_BYTES;
 
-/// Error raised when a texture would exceed the device limits of §III-B.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TextureLimitError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for TextureLimitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.message)
-    }
-}
-
-impl std::error::Error for TextureLimitError {}
-
-/// A 2-D layered texture bound to fp32 data.
-pub struct LayeredTexture2d {
-    data: Vec<f32>,
+/// A 2-D layered texture: a view of row-major fp32 layers (`layers`
+/// consecutive `height × width` planes, e.g. an NCHW tensor's data) that
+/// samples them with border addressing and bilinear filtering and maps
+/// texels to block-linear byte addresses.
+pub struct LayeredTexture2d<'a> {
+    data: &'a [f32],
     layers: usize,
     height: usize,
     width: usize,
@@ -51,8 +46,8 @@ pub struct LayeredTexture2d {
     /// precomputed so the per-fetch address math is three adds and a
     /// multiply instead of rebuilding the stride every texel.
     layer_bytes: u64,
-    /// Row-major texels per layer (`height · width`), precomputed for the
-    /// same reason on the value side.
+    /// Row-major texels per layer (`height · width`), the stride between
+    /// layers in `data`.
     layer_texels: usize,
     /// Base byte address of the texture in the simulated address space.
     base_addr: u64,
@@ -65,8 +60,9 @@ pub struct LayeredTexture2d {
     pub frac_bits: u32,
 }
 
-/// One texture fetch: the filtered value plus the byte addresses of every
-/// texel the filter actually read (for the texture-cache model).
+/// One texture fetch ([`LayeredTexture2d::fetch`]): the filtered value plus
+/// the byte addresses of every texel the filter read. The trace sink never
+/// builds one — it replays [`FetchPlan`] addresses only.
 #[derive(Clone, Debug)]
 pub struct Fetch {
     /// Filtered sample.
@@ -83,11 +79,13 @@ pub struct Fetch {
 ///
 /// A plan is computed once per coordinate by [`LayeredTexture2d::plan_fetch`]
 /// (floor/quantize/border resolution — the expensive part) and then
-/// replayed against any layer by [`LayeredTexture2d::eval_plan`], which is a
-/// weighted sum plus a base-address add. The deformable kernels exploit this:
-/// every channel of a deform group shares the same sampling coordinate, so
-/// one plan serves `C_in / G` layers. `Copy + Default` so warp batches fit a
-/// fixed-capacity `LaneBuf` scratch (no heap in the trace hot path).
+/// replayed against any layer: [`LayeredTexture2d::fetch`] takes the
+/// weighted sum of the layer's texels, and the trace sink adds
+/// `rel_addrs` to [`LayeredTexture2d::layer_base`] for the cache walk. The
+/// deformable kernels exploit this: every channel of a deform group shares
+/// the same sampling coordinate, so one plan serves `C_in / G` layers.
+/// `Copy + Default` so warp batches fit a fixed-capacity `LaneBuf` scratch
+/// (no heap in the trace hot path).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FetchPlan {
     /// Per-texel filter weights (`wy · wx`), contribution order.
@@ -100,7 +98,7 @@ pub struct FetchPlan {
     pub len: u8,
 }
 
-impl std::fmt::Debug for LayeredTexture2d {
+impl std::fmt::Debug for LayeredTexture2d<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LayeredTexture2d")
             .field("layers", &self.layers)
@@ -111,42 +109,44 @@ impl std::fmt::Debug for LayeredTexture2d {
     }
 }
 
-impl LayeredTexture2d {
-    /// Creates a layered texture from row-major layer data
-    /// (`data.len() == layers * height * width`). `max_layers` / `max_dim`
-    /// are the device limits (2048 and 32768 on Xavier).
+impl<'a> LayeredTexture2d<'a> {
+    /// Binds a layered texture over row-major layer data
+    /// (`data.len() == layers * height * width`), borrowing it.
+    /// `max_layers` / `max_dim` are the device limits of §III-B (2048 and
+    /// 32768 on Xavier); a texture past them is the degradable
+    /// `texture-limit` [`DefconError::Constraint`].
     pub fn new(
-        data: Vec<f32>,
+        data: &'a [f32],
         layers: usize,
         height: usize,
         width: usize,
         base_addr: u64,
         max_layers: usize,
         max_dim: usize,
-    ) -> Result<Self, TextureLimitError> {
+    ) -> Result<Self, DefconError> {
+        let limit = |detail: String| DefconError::Constraint {
+            what: "texture-limit".into(),
+            detail,
+        };
         // Fault point: a texture allocation the driver rejects even though
         // the request is nominally within limits (fragmentation, transient
         // driver state). Lets tests exercise the kernel fallback chain
         // without building >2048-layer inputs.
         if defcon_support::fault::fires("texture.limit") {
-            return Err(TextureLimitError {
-                message: format!(
-                    "injected fault: texture.limit ({layers} layers, {height}×{width})"
-                ),
-            });
+            return Err(limit(format!(
+                "injected fault: texture.limit ({layers} layers, {height}×{width})"
+            )));
         }
         if layers > max_layers {
-            return Err(TextureLimitError {
-                message: format!(
-                    "layered texture needs {layers} layers but the device supports {max_layers}; \
-                     batch × channels must fit the layer limit (paper §III-B)"
-                ),
-            });
+            return Err(limit(format!(
+                "layered texture needs {layers} layers but the device supports {max_layers}; \
+                 batch × channels must fit the layer limit (paper §III-B)"
+            )));
         }
         if height > max_dim || width > max_dim {
-            return Err(TextureLimitError {
-                message: format!("texture extent {height}×{width} exceeds device limit {max_dim}"),
-            });
+            return Err(limit(format!(
+                "texture extent {height}×{width} exceeds device limit {max_dim}"
+            )));
         }
         assert_eq!(
             data.len(),
@@ -169,21 +169,6 @@ impl LayeredTexture2d {
         })
     }
 
-    /// Number of layers.
-    pub fn layers(&self) -> usize {
-        self.layers
-    }
-
-    /// Layer height in texels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Layer width in texels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Total footprint in bytes (block-linear, padded to whole tiles).
     pub fn size_bytes(&self) -> usize {
         self.layers * self.tiles_x * self.tiles_y * TILE_BYTES
@@ -202,11 +187,18 @@ impl LayeredTexture2d {
         ((ty * self.tiles_x + tx) * TILE_BYTES) as u64 + ((iy * TILE_W + ix) * TEXEL_BYTES) as u64
     }
 
+    /// Block-linear byte address of `layer`'s first texel: a texel's
+    /// address is this plus its [`FetchPlan`] `rel_addrs` entry.
+    #[inline]
+    pub fn layer_base(&self, layer: usize) -> u64 {
+        self.base_addr + layer as u64 * self.layer_bytes
+    }
+
     /// Block-linear byte address of texel `(layer, y, x)`.
     #[inline]
     pub fn texel_addr(&self, layer: usize, y: usize, x: usize) -> u64 {
         debug_assert!(layer < self.layers && y < self.height && x < self.width);
-        self.base_addr + layer as u64 * self.layer_bytes + self.rel_addr(y, x)
+        self.layer_base(layer) + self.rel_addr(y, x)
     }
 
     /// Computes the layer-independent [`FetchPlan`] for fractional
@@ -218,7 +210,7 @@ impl LayeredTexture2d {
     /// row's tile/index components computed once and reused across its
     /// columns. Texels are visited row-major over the 2×2 quad, skipping
     /// zero weights and out-of-bounds texels, so at 23 fraction bits the
-    /// replayed value is bit-identical to `tensor::sample::bilinear_sample`
+    /// fetched value is bit-identical to `tensor::sample::bilinear_sample`
     /// (`tests/texture_boundary_props.rs` pins this).
     pub fn plan_fetch(&self, y: f32, x: f32) -> FetchPlan {
         let mut plan = FetchPlan::default();
@@ -278,30 +270,24 @@ impl LayeredTexture2d {
         plan
     }
 
-    /// Replays a [`FetchPlan`] against one layer: weighted sum of the
-    /// planned texels, in plan order, plus the layer's base-address offset.
-    #[inline]
-    pub fn eval_plan(&self, plan: &FetchPlan, layer: usize) -> Fetch {
-        let layer_base = self.base_addr + layer as u64 * self.layer_bytes;
-        let texels = &self.data[layer * self.layer_texels..(layer + 1) * self.layer_texels];
-        let mut value = 0.0f32;
-        let mut addresses = [0u64; 4];
-        let len = plan.len as usize;
-        for i in 0..len {
-            value += plan.weights[i] * texels[plan.indices[i] as usize];
-            addresses[i] = layer_base + plan.rel_addrs[i];
-        }
-        Fetch {
-            value,
-            addresses,
-            len: plan.len,
-        }
-    }
-
     /// Fetches the texture at fractional coordinates `(y, x)` (texel centers
-    /// at integer coordinates, matching the CPU reference sampler).
+    /// at integer coordinates, matching the CPU reference sampler): the
+    /// coordinate's [`FetchPlan`] replayed against `layer` — the weighted
+    /// sum of the planned texels, in plan order, and their addresses.
     pub fn fetch(&self, layer: usize, y: f32, x: f32) -> Fetch {
-        self.eval_plan(&self.plan_fetch(y, x), layer)
+        let plan = self.plan_fetch(y, x);
+        let texels = &self.data[layer * self.layer_texels..(layer + 1) * self.layer_texels];
+        let layer_base = self.layer_base(layer);
+        let mut fetch = Fetch {
+            value: 0.0,
+            addresses: [0; 4],
+            len: plan.len,
+        };
+        for i in 0..plan.len as usize {
+            fetch.value += plan.weights[i] * texels[plan.indices[i] as usize];
+            fetch.addresses[i] = layer_base + plan.rel_addrs[i];
+        }
+        fetch
     }
 }
 
@@ -309,23 +295,26 @@ impl LayeredTexture2d {
 mod tests {
     use super::*;
 
-    fn tex_from(data: Vec<f32>, h: usize, w: usize) -> LayeredTexture2d {
+    fn tex_from(data: &[f32], h: usize, w: usize) -> LayeredTexture2d<'_> {
         LayeredTexture2d::new(data, 1, h, w, 0, 2048, 32768).unwrap()
     }
 
-    fn tex(h: usize, w: usize) -> LayeredTexture2d {
-        tex_from((0..h * w).map(|v| v as f32).collect(), h, w)
+    /// A one-layer texture whose texel `(y, x)` holds `y·w + x`, over data
+    /// leaked for the rest of the test.
+    fn tex(h: usize, w: usize) -> LayeredTexture2d<'static> {
+        let data: Vec<f32> = (0..h * w).map(|v| v as f32).collect();
+        tex_from(data.leak(), h, w)
     }
 
     #[test]
     fn layer_limit_enforced() {
-        let err = LayeredTexture2d::new(vec![0.0; 3000], 3000, 1, 1, 0, 2048, 32768).unwrap_err();
-        assert!(err.message.contains("2048"));
+        let err = LayeredTexture2d::new(&[0.0; 3000], 3000, 1, 1, 0, 2048, 32768).unwrap_err();
+        assert!(err.to_string().contains("2048"), "{err}");
     }
 
     #[test]
     fn dim_limit_enforced() {
-        assert!(LayeredTexture2d::new(vec![0.0; 40000], 1, 1, 40000, 0, 2048, 32768).is_err());
+        assert!(LayeredTexture2d::new(&[0.0; 40000], 1, 1, 40000, 0, 2048, 32768).is_err());
     }
 
     #[test]
@@ -437,7 +426,7 @@ mod tests {
                     / 4.0
             })
             .collect();
-        let (flat, coarse) = (tex_from(data, 16, 16), tex_from(level1, 8, 8));
+        let (flat, coarse) = (tex_from(&data, 16, 16), tex_from(&level1, 8, 8));
         let max_err = (0..50)
             .map(|i| {
                 let y = (i as f32 * 0.29) % 14.0;

@@ -5,6 +5,12 @@
 //! [`TraceSink`]. The sink processes every event *immediately* — coalescing
 //! warp loads, walking the cache hierarchy, bumping counters and
 //! accumulating pipe occupancies — so traces never materialize in memory.
+//!
+//! The sink computes only what the timing model and the report read: a
+//! texture instruction walks the byte addresses of its texels, never their
+//! values (the numeric path samples through [`LayeredTexture2d::fetch`]),
+//! and each block keeps one ledger — its [`Counters`] plus a [`BlockCost`]
+//! holding only what the counters cannot.
 
 use crate::cache::{Access, Cache};
 use crate::coalesce::{coalesce_into, SECTOR_BYTES};
@@ -12,58 +18,6 @@ use crate::device::DeviceConfig;
 use crate::report::Counters;
 use crate::texture::{FetchPlan, LayeredTexture2d};
 pub use defcon_support::lanebuf::LaneBuf;
-
-/// Per-fetch texture-unit statistics, kept **outside** [`Counters`] so the
-/// report JSON (and every golden snapshot / serving cache key derived from
-/// it) is unchanged. These feed the observability registry as
-/// `gpusim.texture.*` counters and the launch span, and exist to make the
-/// texture hot loop visible: how many lane fetches ran, how many texels the
-/// filter actually read (border clipping shrinks the 2×2 quad), and how
-/// often a staged warp plan was replayed across layers without re-planning.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TexStats {
-    /// Lane-level filtered fetches issued.
-    pub fetch_lanes: u64,
-    /// Texels read by the filter across all lane fetches (≤ 4 per lane).
-    pub filter_texels: u64,
-    /// Warp-level coordinate stagings (each computes one set of
-    /// [`FetchPlan`]s: floor, quantize, address-mode resolution).
-    pub plan_warps: u64,
-    /// Warp-level texture instructions issued from staged plans. The excess
-    /// over `plan_warps` is per-coordinate planning work the batched
-    /// `kernels::fused` path avoided by reusing one plan across the layers
-    /// of a deform group.
-    pub plan_evals: u64,
-}
-
-impl TexStats {
-    /// Accumulates another block's stats.
-    pub fn merge(&mut self, other: &TexStats) {
-        self.fetch_lanes += other.fetch_lanes;
-        self.filter_texels += other.filter_texels;
-        self.plan_warps += other.plan_warps;
-        self.plan_evals += other.plan_evals;
-    }
-
-    /// Publishes the stats to the observability registry under
-    /// `{prefix}.texture.*`. No-op (single relaxed atomic load) when the
-    /// obs layer is disarmed.
-    pub fn record_obs(&self, prefix: &str) {
-        if !defcon_support::obs::armed() {
-            return;
-        }
-        defcon_support::obs::counter_add(
-            &format!("{prefix}.texture.fetch_lanes"),
-            self.fetch_lanes,
-        );
-        defcon_support::obs::counter_add(
-            &format!("{prefix}.texture.filter_texels"),
-            self.filter_texels,
-        );
-        defcon_support::obs::counter_add(&format!("{prefix}.texture.plan_warps"), self.plan_warps);
-        defcon_support::obs::counter_add(&format!("{prefix}.texture.plan_evals"), self.plan_evals);
-    }
-}
 
 /// A kernel, from the simulator's point of view: a grid of identical thread
 /// blocks, each able to describe its own work.
@@ -92,20 +46,29 @@ pub trait BlockTrace {
     }
 }
 
-/// Per-block pipe occupancies, in *scalar operation* units; converted to
-/// cycles by the engine.
+/// The part of a block's ledger that [`Counters`] does not hold: pipe
+/// occupancies in *scalar operation* units, exposed latency and texture
+/// planning work. The engine turns it into cycles together with the
+/// counters (ALU ops and LSU sectors come from there), and reports the
+/// texture figures on the `gpusim.launch` span and as `gpusim.texture.*`
+/// registry counters; none of it enters the report JSON.
 #[derive(Clone, Debug, Default)]
 pub struct BlockCost {
-    /// Scalar FP ops (an FMA contributes 2).
+    /// Scalar FP ops (an FMA counts once; [`Counters::flops`] counts it
+    /// twice).
     pub flop_units: u64,
-    /// Scalar integer/address ops.
-    pub alu_units: u64,
-    /// Sectors through the LSU (L1 path).
-    pub lsu_sectors: u64,
-    /// Texture fetches at fp32 filter precision.
+    /// Lane texture fetches at fp32 filter precision.
     pub tex_fetches_fp32: u64,
-    /// Texture fetches at reduced filter precision.
+    /// Lane texture fetches at reduced filter precision.
     pub tex_fetches_fp16: u64,
+    /// Warp-level coordinate stagings: each plans one set of
+    /// [`FetchPlan`]s (floor, quantize, border resolution). The excess of
+    /// [`Counters::tex_requests`] over this is the planning `kernels::fused`
+    /// saves by replaying one plan across the layers of a deform group.
+    pub plan_warps: u64,
+    /// Texels the filter read across all lane fetches (≤ 4 per lane;
+    /// border clipping shrinks the 2×2 quad).
+    pub filter_texels: u64,
     /// Sum of exposed memory latencies (cycles) over warp instructions.
     pub latency_cycles: u64,
     /// Warps in the block (for latency-hiding capacity).
@@ -120,13 +83,12 @@ pub struct BlockCost {
 /// # Zero-allocation contract
 ///
 /// The sink owns fixed-capacity [`LaneBuf`] scratch for every warp-level
-/// event class (lane addresses, coalesced sectors, texture fetch plans,
-/// filtered outputs). Every warp-level entry point takes its lanes as an
-/// iterator ([`TraceSink::global_load_into`],
-/// [`TraceSink::global_store_into`], [`TraceSink::tex_fetch_warp_into`])
-/// and drains it into that scratch, so a traced block performs **zero heap
-/// allocations** — the contract `tests/zero_alloc.rs` pins for all four
-/// kernel families.
+/// event class (lane addresses, coalesced sectors, texture fetch plans).
+/// Every warp-level entry point takes its lanes as an iterator
+/// ([`TraceSink::global_load_into`], [`TraceSink::global_store_into`],
+/// [`TraceSink::tex_fetch_warp_into`]) and drains it into that scratch, so
+/// a traced block performs **zero heap allocations** — the contract
+/// `tests/zero_alloc.rs` pins for all four kernel families.
 pub struct TraceSink<'a> {
     cfg: &'a DeviceConfig,
     l1: &'a mut Cache,
@@ -134,11 +96,8 @@ pub struct TraceSink<'a> {
     l2: &'a mut Cache,
     /// Counters for the current block.
     pub counters: Counters,
-    /// Pipe occupancies for the current block.
+    /// The rest of the current block's ledger.
     pub cost: BlockCost,
-    /// Texture-unit statistics for the current block (obs-only; not part
-    /// of the report JSON).
-    pub tex_stats: TexStats,
     /// Staged lane byte addresses of the current load/store instruction.
     lane_addrs: LaneBuf<u64>,
     /// Unique coalesced sectors of the current instruction.
@@ -146,8 +105,6 @@ pub struct TraceSink<'a> {
     /// Layer-independent fetch plans staged for the current texture warp —
     /// computed once per coordinate set and replayed per layer.
     plans: LaneBuf<FetchPlan>,
-    /// Filtered outputs of the current texture instruction (one per lane).
-    tex_out: LaneBuf<f32>,
     /// `Some(shift)` when the L1 line size is a power-of-two multiple of
     /// the sector size: `line = sector >> shift` replaces the division on
     /// the per-sector walk.
@@ -184,11 +141,9 @@ impl<'a> TraceSink<'a> {
                 warps,
                 ..Default::default()
             },
-            tex_stats: TexStats::default(),
             lane_addrs: LaneBuf::new(),
             sectors: LaneBuf::new(),
             plans: LaneBuf::new(),
-            tex_out: LaneBuf::new(),
             l1_sector_shift,
             tex_line_shift,
         }
@@ -212,7 +167,6 @@ impl<'a> TraceSink<'a> {
     #[inline]
     pub fn alu(&mut self, n: u64) {
         self.counters.alu_ops += n;
-        self.cost.alu_units += n;
     }
 
     /// One warp-level global **load** instruction over the lane byte
@@ -264,7 +218,6 @@ impl<'a> TraceSink<'a> {
             };
             worst = worst.max(lat);
         }
-        self.cost.lsu_sectors += transactions;
         self.cost.latency_cycles += worst as u64;
     }
 
@@ -287,7 +240,6 @@ impl<'a> TraceSink<'a> {
         self.counters.gst_transactions += transactions;
         self.counters.gst_requested_bytes += requested;
         self.counters.dram_write_bytes += transactions * SECTOR_BYTES;
-        self.cost.lsu_sectors += transactions;
     }
 
     fn global_line_access(&mut self, line: u64) -> u32 {
@@ -307,26 +259,25 @@ impl<'a> TraceSink<'a> {
 
     /// One warp-level texture instruction: every lane fetches a
     /// hardware-filtered sample of `tex` in `layer` at its own fractional
-    /// coordinates. Returns the filtered values (one per coordinate) as a
-    /// slice of the sink's scratch — valid until the next sink call, no
-    /// allocation. All cache traffic and filter-pipe occupancy is accounted
-    /// here; the warp stalls once on the slowest footprint line, mirroring
-    /// how a `TLD` instruction retires. Border handling costs nothing —
-    /// that is the point of the texture path.
+    /// coordinates. All cache traffic and filter-pipe occupancy is
+    /// accounted here; the warp stalls once on the slowest footprint line,
+    /// mirroring how a `TLD` instruction retires. Border handling costs
+    /// nothing — that is the point of the texture path. No texel value is
+    /// read: the timing model needs only the addresses.
     pub fn tex_fetch_warp_into(
         &mut self,
         tex: &LayeredTexture2d,
         layer: usize,
         coords: impl IntoIterator<Item = (f32, f32)>,
-    ) -> &[f32] {
+    ) {
         self.tex_stage_warp(tex, coords);
-        self.tex_fetch_staged_warp(tex, layer)
+        self.tex_fetch_staged_warp(tex, layer);
     }
 
     /// Stages a warp's texture coordinates **without issuing a fetch**:
     /// computes the layer-independent [`FetchPlan`] of every coordinate
-    /// (floor, fraction quantization, address-mode resolution) into the
-    /// sink's fixed-capacity scratch. Follow with one
+    /// (floor, fraction quantization, border resolution) into the sink's
+    /// fixed-capacity scratch. Follow with one
     /// [`TraceSink::tex_fetch_staged_warp`] per layer — the plans are valid
     /// until the next staging call. This is how `kernels::fused` exploits
     /// the deform-group structure: all `C_in / G` channels of a group
@@ -340,24 +291,15 @@ impl<'a> TraceSink<'a> {
         self.plans
             .fill_from(coords.into_iter().map(|(y, x)| tex.plan_fetch(y, x)));
         debug_assert!(self.plans.len() <= self.cfg.warp_size);
-        self.tex_stats.plan_warps += 1;
+        self.cost.plan_warps += 1;
     }
 
     /// One warp-level texture instruction replayed from the staged plans
-    /// against `layer`: bit-identical values, cache traffic, counters and
-    /// latency to a fresh [`TraceSink::tex_fetch_warp_into`] at the staged
-    /// coordinates. Returns the filtered values (one per staged
-    /// coordinate) as a slice of the sink's scratch.
-    pub fn tex_fetch_staged_warp(&mut self, tex: &LayeredTexture2d, layer: usize) -> &[f32] {
-        self.tex_replay_plans(tex, layer);
-        &self.tex_out
-    }
-
-    /// The texture instruction proper: walks the staged plans' footprints
-    /// through the texture cache for one layer; filtered values land in
-    /// `tex_out`.
-    fn tex_replay_plans(&mut self, tex: &LayeredTexture2d, layer: usize) {
-        self.tex_out.clear();
+    /// against `layer`: the same cache traffic, counters and latency as a
+    /// fresh [`TraceSink::tex_fetch_warp_into`] at the staged coordinates.
+    /// Each lane's footprint is its plan's `rel_addrs` on top of the
+    /// layer's base address.
+    pub fn tex_fetch_staged_warp(&mut self, tex: &LayeredTexture2d, layer: usize) {
         if self.plans.is_empty() {
             return;
         }
@@ -367,8 +309,7 @@ impl<'a> TraceSink<'a> {
         } else {
             self.cost.tex_fetches_fp32 += self.plans.len() as u64
         }
-        self.tex_stats.plan_evals += 1;
-        self.tex_stats.fetch_lanes += self.plans.len() as u64;
+        let layer_base = tex.layer_base(layer);
         let mut worst = 0u32;
         let tex_line_bytes = self.tex.line_bytes() as u64;
         // Adjacent lanes' bilinear footprints overlap heavily; when a
@@ -377,15 +318,15 @@ impl<'a> TraceSink<'a> {
         // counted without re-probing (same shortcut as the global walk).
         let mut prev_line = u64::MAX;
         for i in 0..self.plans.len() {
-            let f = tex.eval_plan(&self.plans[i], layer);
-            self.tex_out.push(f.value);
-            self.tex_stats.filter_texels += f.len as u64;
+            let (rel_addrs, len) = (self.plans[i].rel_addrs, self.plans[i].len as usize);
+            self.cost.filter_texels += len as u64;
             // Unique lines in this lane's footprint go through the texture
             // cache (the quad almost always stays within 1–2 block-linear
             // lines).
             let mut lines = [u64::MAX; 4];
             let mut n_lines = 0usize;
-            for &a in &f.addresses[..f.len as usize] {
+            for &rel in &rel_addrs[..len] {
+                let a = layer_base + rel;
                 let line = match self.tex_line_shift {
                     Some(sh) => a >> sh,
                     None => a / tex_line_bytes,
@@ -470,13 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn tex_fetch_returns_value_and_counts_requests() {
+    fn tex_fetch_counts_requests() {
         let (cfg, mut l1, mut texc, mut l2) = harness();
         let data: Vec<f32> = (0..64).map(|v| v as f32).collect();
-        let t = LayeredTexture2d::new(data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
+        let t = LayeredTexture2d::new(&data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
-        let v = sink.tex_fetch_warp_into(&t, 0, [(3.0, 4.0)]);
-        assert_eq!(v, [28.0]);
+        sink.tex_fetch_warp_into(&t, 0, [(3.0, 4.0)]);
         assert_eq!(sink.counters.tex_requests, 1);
         assert_eq!(sink.cost.tex_fetches_fp32, 1);
         assert_eq!(
@@ -489,7 +429,7 @@ mod tests {
     fn reduced_precision_fetch_uses_fp16_pipe() {
         let (cfg, mut l1, mut texc, mut l2) = harness();
         let data = vec![1.0f32; 64];
-        let mut t = LayeredTexture2d::new(data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
+        let mut t = LayeredTexture2d::new(&data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
         t.frac_bits = 8;
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
         sink.tex_fetch_warp_into(&t, 0, [(2.5, 2.5)]);
@@ -501,7 +441,7 @@ mod tests {
     fn tex_locality_hits_texture_cache() {
         let (cfg, mut l1, mut texc, mut l2) = harness();
         let data = vec![0.5f32; 64 * 64];
-        let t = LayeredTexture2d::new(data, 1, 64, 64, 1 << 30, 2048, 32768).unwrap();
+        let t = LayeredTexture2d::new(&data, 1, 64, 64, 1 << 30, 2048, 32768).unwrap();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
         // A tight 2-D walk: overwhelmingly texture-cache hits after warmup.
         for y in 0..8 {

@@ -36,8 +36,8 @@ pub struct FusedTexDeformKernel<'a> {
     pub offsets: &'a Tensor,
     /// Offset post-processing.
     pub offset_transform: OffsetTransform,
-    /// Input feature map bound as a layered texture.
-    pub texture: LayeredTexture2d,
+    /// Input feature map bound as a layered texture (a view of its data).
+    pub texture: LayeredTexture2d<'a>,
     /// Texture sampling method (`tex2D` or `tex2D++`; names the launch).
     pub method: SamplingMethod,
     /// Output-channel blocking factor: the grid is additionally split into
@@ -61,7 +61,7 @@ impl<'a> FusedTexDeformKernel<'a> {
     /// [`DefconError::Constraint`] too.
     pub fn new(
         op: &DeformConvOp,
-        x: &Tensor,
+        x: &'a Tensor,
         offsets: &'a Tensor,
         cfg: &DeviceConfig,
     ) -> Result<Self, DefconError> {
@@ -167,7 +167,7 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
                     // floor/quantize/address-mode work are shared by every
                     // channel of the group (the layers differ, the plans do
                     // not), so each per-channel fetch below is just a plan
-                    // replay — a weighted sum plus the cache walk.
+                    // replay — the footprint's addresses and the cache walk.
                     sink.tex_stage_warp(
                         &self.texture,
                         lanes.iter().map(|&p| {
@@ -213,7 +213,7 @@ mod tests {
     fn build<'a>(
         method: SamplingMethod,
         shape: DeformLayerShape,
-        x: &Tensor,
+        x: &'a Tensor,
         off: &'a Tensor,
     ) -> FusedTexDeformKernel<'a> {
         let op = DeformConvOp {

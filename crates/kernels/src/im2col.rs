@@ -37,32 +37,29 @@ pub mod address_map {
 
 /// Binds `x` as the layered texture `op`'s method samples from — border
 /// addressing, the method's filter precision — within the device's
-/// `(max layers, max extent)` texture limits. `None` for software
-/// sampling, which reads global memory. A texture the limits cannot hold
-/// (or an injected `texture.limit` fault) is the degradable `texture-limit`
-/// constraint the fallback ladder dispatches on.
-pub(crate) fn bind_texture(
+/// `(max layers, max extent)` texture limits. The texture is a view of
+/// `x.data()`, one `(n, c)` slice per layer, so binding copies nothing.
+/// `None` for software sampling, which reads global memory. A texture the
+/// limits cannot hold (or an injected `texture.limit` fault) is the
+/// degradable `texture-limit` constraint the fallback ladder dispatches on.
+pub(crate) fn bind_texture<'a>(
     op: &DeformConvOp,
-    x: &Tensor,
+    x: &'a Tensor,
     (max_layers, max_dim): (usize, usize),
-) -> Result<Option<LayeredTexture2d>, DefconError> {
+) -> Result<Option<LayeredTexture2d<'a>>, DefconError> {
     let Some(frac_bits) = op.method.frac_bits() else {
         return Ok(None);
     };
     let (n, c, h, w) = x.shape().nchw();
     let mut texture = LayeredTexture2d::new(
-        x.data().to_vec(),
+        x.data(),
         n * c,
         h,
         w,
         address_map::TEXTURE,
         max_layers,
         max_dim,
-    )
-    .map_err(|e| DefconError::Constraint {
-        what: "texture-limit".into(),
-        detail: e.message,
-    })?;
+    )?;
     texture.frac_bits = frac_bits;
     Ok(Some(texture))
 }
@@ -205,9 +202,9 @@ pub struct Im2colDeformKernel<'a> {
     pub offset_transform: OffsetTransform,
     /// Sampling implementation (names the launch).
     pub method: SamplingMethod,
-    /// The layered texture holding `x` for the texture methods; `None`
+    /// The layered texture view of `x` for the texture methods; `None`
     /// samples in software from global memory.
-    pub texture: Option<LayeredTexture2d>,
+    pub texture: Option<LayeredTexture2d<'a>>,
     /// Operator generation; gates the modulation loads and arithmetic
     /// (v1 traces are byte-identical to the pre-family kernel).
     pub family: OpFamily,

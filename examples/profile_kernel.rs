@@ -16,19 +16,19 @@ use defcon::prelude::*;
 /// A gather over a 256×256 image: each thread reads a pseudo-random
 /// fractional position, either via 4 global loads + software interpolation
 /// or via one texture fetch.
-struct GatherKernel {
-    tex: Option<LayeredTexture2d>,
+struct GatherKernel<'a> {
+    tex: Option<LayeredTexture2d<'a>>,
     blocks: usize,
 }
 
-impl GatherKernel {
+impl GatherKernel<'_> {
     fn position(block: usize, warp: usize, lane: usize, i: usize) -> (f32, f32) {
         let h = (block * 131 + warp * 37 + lane * 17 + i * 7) % (254 * 254);
         ((h / 254) as f32 + 0.4, (h % 254) as f32 + 0.6)
     }
 }
 
-impl BlockTrace for GatherKernel {
+impl BlockTrace for GatherKernel<'_> {
     fn grid_blocks(&self) -> usize {
         self.blocks
     }
@@ -72,9 +72,8 @@ fn main() {
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let data = vec![0.5f32; 256 * 256];
     for use_tex in [false, true] {
-        let tex = use_tex.then(|| {
-            LayeredTexture2d::new(data.clone(), 1, 256, 256, 1 << 32, 2048, 32768).unwrap()
-        });
+        let tex = use_tex
+            .then(|| LayeredTexture2d::new(&data, 1, 256, 256, 1 << 32, 2048, 32768).unwrap());
         let k = GatherKernel { tex, blocks: 128 };
         let r = gpu.launch(&k);
         println!("== {} ==", r.kernel);

@@ -17,13 +17,13 @@ use defcon_support::{prop_assert, prop_assert_eq};
 
 const CASES: u32 = 24;
 
-/// Builds a layered texture over every `(n, c)` slice of a `[1, C, H, W]`
+/// Binds a layered texture over every `(n, c)` slice of a `[1, C, H, W]`
 /// tensor, the mapping the kernels use (one feature-map slice per layer).
-fn texture_of(t: &Tensor, frac_bits: u32) -> LayeredTexture2d {
+fn texture_of(t: &Tensor, frac_bits: u32) -> LayeredTexture2d<'_> {
     let (n, c, h, w) = t.shape().nchw();
     let dev = DeviceConfig::xavier_agx();
     let mut tex = LayeredTexture2d::new(
-        t.data().to_vec(),
+        t.data(),
         n * c,
         h,
         w,

@@ -9,6 +9,8 @@
 //!    all-ones mask (or no mask at all) is DCNv1, and DCNv3 with constant
 //!    logits is the uniform 1/k² average — expressed as a DCNv2 flat mask
 //!    of exactly `fl(1/k²)` so the comparison is bitwise, not tolerant.
+//!    For fixed offsets, `execute` is linear in the input on both backends
+//!    within a stated fp32 rounding bound.
 //! 2. **Timing** — the simulated reports are a function of the *family*,
 //!    never of the modulation values (a trace may not depend on data), are
 //!    reproducible at a fixed thread count, and are byte-identical at 1
@@ -174,6 +176,64 @@ fn v3_with_constant_logits_is_the_uniform_average_bytewise_on_every_path() {
                 "constant-logit softmax is not the uniform 1/k^2 average on {}",
                 method.name()
             );
+        }
+    }
+}
+
+/// Linearity in the input, an oracle independent of the implementation:
+/// for fixed offsets and modulation, every sampler weights the texels it
+/// reads by factors of the coordinates alone (tex2D++'s quantized filter
+/// included) and the GEMM is linear, so `execute(a·x1 + b·x2)` equals
+/// `a·execute(x1) + b·execute(x2)` up to rounding; signed powers of two
+/// scale fp32 exactly. Output channel `co` sums `K = C_in·k²` terms `w·m·s`,
+/// each sample a sum of at most four texels under non-negative weights
+/// summing to at most 1, so `M = ‖w[co]‖₁ · max|m| · (|a|·‖x1‖∞ + |b|·‖x2‖∞)`
+/// bounds `Σ|w·m·s|`. Each side is then within `γ(K+6)·M` of the exact value
+/// (`γ(n) = n·u/(1 − n·u)`, `u = 2⁻²⁴`), and rounding the input and output
+/// sums adds `2u·M`: the stated bound `(K + 8)·ε·M`, `ε = 2⁻²³`, covers it.
+/// Every family × sampler, on both backends.
+#[test]
+fn execute_is_linear_in_the_input() {
+    let gpu = Gpu::new(DeviceConfig::xavier_agx());
+    let accel = Accel::new(AccelConfig::edge());
+    let (a, b) = (2.0f32, -0.25f32);
+    let max_abs = |t: &Tensor| t.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    for shape in [small_shape(), grouped_shape()] {
+        let (x1, offsets) = synthetic_inputs(&shape, 2.0, 52);
+        let x2 = Tensor::randn(x1.dims(), 0.0, 1.0, 53);
+        let w = weight_for(&shape, 54);
+        let k = shape.c_in * shape.kernel * shape.kernel;
+        let plane = shape.out_hw().0 * shape.out_hw().1;
+        let x_scale = a.abs() * max_abs(&x1) + b.abs() * max_abs(&x2);
+        for family in OpFamily::all() {
+            let modulation = synthetic_modulation(&shape, family, 55);
+            // A v3 softmax weight is at most 1; v2 multiplies by the mask.
+            let m_max = match (family, &modulation) {
+                (OpFamily::DcnV2, Some(mask)) => max_abs(mask),
+                _ => 1.0,
+            };
+            for method in SamplingMethod::ladder() {
+                let op = op_with(shape, family, method, modulation.clone());
+                for backend in [&gpu as &dyn Backend, &accel] {
+                    let run = |x: &Tensor| backend.execute(&op, x, &offsets, &w);
+                    let lhs = run(&x1.scale(a).add(&x2.scale(b)));
+                    let rhs = run(&x1).scale(a).add(&run(&x2).scale(b));
+                    for (i, (l, r)) in lhs.data().iter().zip(rhs.data()).enumerate() {
+                        let co = (i / plane) % shape.c_out;
+                        let w_l1: f32 =
+                            w.data()[co * k..(co + 1) * k].iter().map(|v| v.abs()).sum();
+                        let m = f64::from(w_l1) * f64::from(m_max) * f64::from(x_scale);
+                        let bound = (k + 8) as f64 * f64::from(f32::EPSILON) * m;
+                        assert!(
+                            f64::from((l - r).abs()) <= bound,
+                            "{} {} on {}: output {i} is {l} against {r} (bound {bound:e})",
+                            family.name(),
+                            method.name(),
+                            backend.backend_name()
+                        );
+                    }
+                }
+            }
         }
     }
 }

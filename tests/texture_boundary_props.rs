@@ -91,16 +91,9 @@ fn fetch_matches_legacy_at_address_mode_boundaries() {
         |&(layers, h, w, seed, fy, fx)| {
             let reference = Tensor::from_vec(texels(layers * h * w, seed), &[1, layers, h, w]);
             for (stream, frac_bits) in FRAC_BITS.into_iter().enumerate() {
-                let mut tex = LayeredTexture2d::new(
-                    texels(layers * h * w, seed),
-                    layers,
-                    h,
-                    w,
-                    0x8000_0000,
-                    2048,
-                    32768,
-                )
-                .expect("within device limits");
+                let mut tex =
+                    LayeredTexture2d::new(reference.data(), layers, h, w, 0x8000_0000, 2048, 32768)
+                        .expect("within device limits");
                 tex.frac_bits = frac_bits;
                 let mut streams = streams.borrow_mut();
                 let bytes = &mut streams[stream];

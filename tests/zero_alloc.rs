@@ -155,6 +155,24 @@ fn modulated_and_sparse_kernels_trace_without_allocating() {
     }
 }
 
+/// A layered texture is a view of the tensor it samples (layer `n·C + c`
+/// is the NCHW slice `(n, c)`), so binding one for either texture kernel
+/// allocates nothing: no copy of the 550×550 input.
+#[test]
+fn binding_a_texture_copies_nothing() {
+    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 15);
+    let cfg = DeviceConfig::xavier_agx();
+    let tex2d = table2_op(SamplingMethod::Tex2d, OpFamily::DcnV1);
+    let tex2dpp = table2_op(SamplingMethod::Tex2dPlusPlus, OpFamily::DcnV1);
+    let before = thread_allocations();
+    let im2col = Im2colDeformKernel::new(&tex2d, &x, &off, cfg.texture_limits());
+    let fused = FusedTexDeformKernel::new(&tex2dpp, &x, &off, &cfg);
+    let allocations = thread_allocations() - before;
+    assert!(im2col.is_ok_and(|k| k.texture.is_some()), "tex2D binds");
+    assert!(fused.is_ok(), "tex2D++ binds");
+    assert_eq!(allocations, 0);
+}
+
 #[test]
 fn gemm_traces_without_allocating() {
     let cfg = DeviceConfig::xavier_agx();
