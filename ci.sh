@@ -109,23 +109,32 @@ trace_twice repro_table2_xavier DEFCON_TINY=1
 trace_twice repro_fig6_interval DEFCON_FAST=1
 trace_twice repro_table5 DEFCON_FAST=1
 
-# Table III byte gate, end to end on the release binary: the JSON line
-# (every printed cell's ms as f64 bits plus their FNV digest) must equal
-# the golden blessed from the code before the launch memo, at one thread
-# and with the 14 networks mapped on two workers. A debug `cargo test` of
-# the R101 networks would take many minutes, so the gate runs here instead.
-t3_out="$(mktemp)"
-for threads in 1 2; do
-    echo "==> Table III golden (release repro_table3_endtoend, DEFCON_THREADS=$threads)"
-    DEFCON_THREADS="$threads" DEFCON_JSON=1 ./target/release/repro_table3_endtoend \
-        | tail -n 1 > "$t3_out"
-    cmp "$t3_out" crates/bench/tests/golden/table3_endtoend.json || {
-        echo "Table III FAIL: report at DEFCON_THREADS=$threads differs from" \
-             "tests/golden/table3_endtoend.json" >&2
-        exit 1
-    }
-done
-rm -f "$t3_out"
+# Full-size byte gates, end to end on the release binaries: each repro's
+# DEFCON_JSON line at the paper's shapes must equal its golden, at one
+# thread and with the independent rows or networks mapped on two workers.
+# Table III's line holds every printed cell's ms as f64 bits plus their FNV
+# digest (blessed from the code before the launch memo); the others hold
+# every printed cell as a round-trip f64. A debug `cargo test` at these
+# shapes would take many minutes, so the gates run here instead.
+full_golden() {
+    bin="$1" golden="crates/bench/tests/golden/$2"
+    line="$(mktemp)"
+    for threads in 1 2; do
+        echo "==> full-size golden (release $bin, DEFCON_THREADS=$threads)"
+        DEFCON_THREADS="$threads" DEFCON_JSON=1 "./target/release/$bin" \
+            | tail -n 1 > "$line"
+        cmp "$line" "$golden" || {
+            echo "golden FAIL: $bin report at DEFCON_THREADS=$threads differs from $golden" >&2
+            exit 1
+        }
+    done
+    rm -f "$line"
+}
+full_golden repro_table3_endtoend table3_endtoend.json
+full_golden repro_table2_xavier table2_xavier_full.json
+full_golden repro_table4_2080ti table4_2080ti_full.json
+full_golden repro_fig10_counters fig10_counters_full.json
+full_golden repro_backends backends_table_full.json
 
 echo "==> cargo check --all-targets --offline (benches + bins compile)"
 cargo check --all-targets --offline

@@ -96,6 +96,58 @@ pub fn sampler_grid_ms(gpu: &Gpu, shapes: &[DeformLayerShape]) -> Vec<[f64; 3]> 
         .collect()
 }
 
+/// Tables II and IV, one program on two devices: prints `title`'s
+/// per-layer latency table on `gpu` — [`sampler_grid_ms`] over
+/// [`layer_sweep`], with tex2D++'s speedup over PyTorch — then its
+/// `DEFCON_JSON` line tagged `experiment`.
+pub fn sampler_table(experiment: &str, title: &str, gpu: &Gpu) {
+    println!(
+        "# {title} — deformable operation latency on {}",
+        gpu.config().name
+    );
+    println!("# (offset conv + deformable sampling + GEMM, batch 1, 3x3, G=1)\n");
+    let mut table = Table::new(&[
+        "In ch",
+        "Out ch",
+        "H",
+        "W",
+        "PyTorch (ms)",
+        "tex2D (ms)",
+        "tex2D++ (ms)",
+        "Speedup w.r. Torch",
+    ]);
+    let mut json_rows = Vec::new();
+    let shapes = layer_sweep();
+    for (shape, [sw, t2, tpp]) in shapes.iter().zip(sampler_grid_ms(gpu, &shapes)) {
+        table.row(&[
+            shape.c_in.to_string(),
+            shape.c_out.to_string(),
+            shape.h.to_string(),
+            shape.w.to_string(),
+            f2(sw),
+            f2(t2),
+            f2(tpp),
+            speedup(sw / tpp),
+        ]);
+        json_rows.push(Json::obj(vec![
+            ("c_in", Json::from(shape.c_in)),
+            ("c_out", Json::from(shape.c_out)),
+            ("h", Json::from(shape.h)),
+            ("w", Json::from(shape.w)),
+            ("pytorch_ms", Json::from(sw)),
+            ("tex2d_ms", Json::from(t2)),
+            ("tex2dpp_ms", Json::from(tpp)),
+            ("speedup", Json::from(sw / tpp)),
+        ]));
+    }
+    table.print();
+    emit_json(&Json::obj(vec![
+        ("experiment", Json::str(experiment)),
+        ("device", Json::str(&gpu.config().name)),
+        ("rows", Json::Arr(json_rows)),
+    ]));
+}
+
 /// Prints `report` as one line of JSON when [`json_mode`] is on. Call this
 /// last so the JSON document is the final stdout line.
 pub fn emit_json(report: &Json) {
