@@ -327,7 +327,6 @@ impl Backend for Accel {
     fn launch_deform(
         &self,
         op: &DeformConvOp,
-        _x: &Tensor,
         _offsets: &Tensor,
     ) -> Result<DeformFallback, DefconError> {
         // Admission (validation, fault point, buffer occupancy) happens
@@ -354,11 +353,10 @@ impl Backend for Accel {
     fn launch_total(
         &self,
         op: &DeformConvOp,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<(f64, Vec<KernelReport>), DefconError> {
         let mut reports = vec![self.offset_report(op)];
-        reports.extend(self.launch_deform(op, x, offsets)?.reports);
+        reports.extend(self.launch_deform(op, offsets)?.reports);
         let total = reports.iter().map(|r| r.time_ms).sum();
         Ok((total, reports))
     }
@@ -375,14 +373,14 @@ impl Backend for Accel {
         let (oh, ow) = s.out_hw();
         // The accelerator has no texture unit: the sampler pipeline is
         // modeled directly, so there is no layer/dimension limit.
-        let kernel = Im2colDeformKernel::new(op, x, offsets, (usize::MAX, usize::MAX))
+        let kernel = Im2colDeformKernel::new(op, offsets, (usize::MAX, usize::MAX))
             .expect("unlimited texture layers cannot be exceeded");
         let krows = s.c_in * s.kernel * s.kernel;
         let plan = self.plan(op);
         let mut out = Tensor::zeros(&[s.n, s.c_out, oh, ow]);
         let mut dst_tile = vec![0.0f32; s.c_out * op.tile.h * op.tile.w];
         for t in plan.tiles() {
-            let cols = im2col_deform_numeric_tile(&kernel, t.n, t.oy0, t.ox0, t.th, t.tw);
+            let cols = im2col_deform_numeric_tile(&kernel, x, t.n, t.oy0, t.ox0, t.th, t.tw);
             let pixels = t.pixels();
             let dst = &mut dst_tile[..s.c_out * pixels];
             dst.fill(0.0);
@@ -409,10 +407,9 @@ pub fn launch_with_gpu_fallback(
     accel: &Accel,
     gpu: &Gpu,
     op: &DeformConvOp,
-    x: &Tensor,
     offsets: &Tensor,
 ) -> Result<DeformFallback, DefconError> {
-    match accel.launch_deform(op, x, offsets) {
+    match accel.launch_deform(op, offsets) {
         Ok(fb) => Ok(fb),
         Err(e) if e.is_degradable() => {
             obs::event_with("kernels.fallback", || {
@@ -421,7 +418,7 @@ pub fn launch_with_gpu_fallback(
                     ("error", Json::str(e.to_string())),
                 ]
             });
-            let mut fb = op.simulate_deform_with_fallback(gpu, x, offsets)?;
+            let mut fb = op.simulate_deform_with_fallback(gpu, offsets)?;
             fb.degradations.insert(0, format!("accel unavailable: {e}"));
             Ok(fb)
         }
@@ -433,7 +430,7 @@ pub fn launch_with_gpu_fallback(
 mod tests {
     use super::*;
     use defcon_gpusim::DeviceConfig;
-    use defcon_kernels::op::{synthetic_inputs, SamplingMethod};
+    use defcon_kernels::op::{synthetic_offsets, SamplingMethod};
 
     fn small_op(method: SamplingMethod) -> DeformConvOp {
         DeformConvOp {
@@ -461,9 +458,9 @@ mod tests {
     fn launch_reports_are_deterministic_and_labeled() {
         let accel = Accel::new(AccelConfig::edge());
         let op = small_op(SamplingMethod::Tex2dPlusPlus);
-        let (x, off) = synthetic_inputs(&op.shape, 2.0, 3);
-        let a = accel.launch_deform(&op, &x, &off).unwrap();
-        let b = accel.launch_deform(&op, &x, &off).unwrap();
+        let off = synthetic_offsets(&op.shape, 2.0, 3);
+        let a = accel.launch_deform(&op, &off).unwrap();
+        let b = accel.launch_deform(&op, &off).unwrap();
         assert_eq!(a.reports[0], b.reports[0], "analytic model must be pure");
         assert_eq!(a.reports[0].kernel, "accel_deform_tex2dpp");
         assert_eq!(a.reports[0].device, "DCN-Accel-Edge");
@@ -478,8 +475,8 @@ mod tests {
     #[test]
     fn interpolation_precision_orders_the_methods() {
         let accel = Accel::new(AccelConfig::edge());
-        let (x, off) = synthetic_inputs(&small_op(SamplingMethod::Tex2d).shape, 2.0, 4);
-        let ms = |m| accel.launch_deform(&small_op(m), &x, &off).unwrap().reports[0].time_ms;
+        let off = synthetic_offsets(&small_op(SamplingMethod::Tex2d).shape, 2.0, 4);
+        let ms = |m| accel.launch_deform(&small_op(m), &off).unwrap().reports[0].time_ms;
         let (sw, t2, tpp) = (
             ms(SamplingMethod::SoftwareBilinear),
             ms(SamplingMethod::Tex2d),
@@ -504,8 +501,8 @@ mod tests {
         let e = accel.deform_totals(&op).unwrap_err();
         assert!(e.is_degradable(), "buffer overflow must be degradable");
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let (x, off) = synthetic_inputs(&shape, 2.0, 5);
-        let fb = launch_with_gpu_fallback(&accel, &gpu, &op, &x, &off).unwrap();
+        let off = synthetic_offsets(&shape, 2.0, 5);
+        let fb = launch_with_gpu_fallback(&accel, &gpu, &op, &off).unwrap();
         assert_eq!(fb.method, SamplingMethod::Tex2dPlusPlus);
         assert!(fb.degradations[0].starts_with("accel unavailable:"));
     }
@@ -529,8 +526,8 @@ mod tests {
     fn launch_total_includes_the_offset_predictor() {
         let accel = Accel::new(AccelConfig::edge());
         let op = small_op(SamplingMethod::Tex2d);
-        let (x, off) = synthetic_inputs(&op.shape, 2.0, 6);
-        let (total, reports) = accel.launch_total(&op, &x, &off).unwrap();
+        let off = synthetic_offsets(&op.shape, 2.0, 6);
+        let (total, reports) = accel.launch_total(&op, &off).unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].kernel, "accel_offset_conv");
         assert!((total - reports.iter().map(|r| r.time_ms).sum::<f64>()).abs() < 1e-12);

@@ -45,7 +45,7 @@ use defcon_gpusim::trace::{BlockTrace, TraceSink};
 use defcon_gpusim::DeviceConfig;
 use defcon_kernels::fused::FusedTexDeformKernel;
 use defcon_kernels::im2col::Im2colDeformKernel;
-use defcon_kernels::op::{synthetic_inputs, synthetic_modulation, DeformConvOp, OpFamily};
+use defcon_kernels::op::{synthetic_modulation, synthetic_offsets, DeformConvOp, OpFamily};
 use defcon_kernels::{DeformLayerShape, SamplingMethod};
 use defcon_support::json::{Json, ToJson};
 use defcon_support::rng::fnv1a64;
@@ -150,7 +150,7 @@ fn main() {
         (DeformLayerShape::same3x3(16, 16, 550, 550), "full")
     };
     let cfg = DeviceConfig::xavier_agx();
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xA11C);
+    let offsets = synthetic_offsets(&shape, 4.0, 0xA11C);
     let golden = Json::parse(include_str!("../tests/golden/frozen_oracles.json"))
         .expect("frozen_oracles.json parses");
     let committed_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
@@ -168,14 +168,14 @@ fn main() {
             modulation: synthetic_modulation(&shape, family, 0xA11C),
             ..DeformConvOp::baseline(shape)
         };
-        let im2col = Im2colDeformKernel::new(&op, &x, &offsets, cfg.texture_limits())
+        let im2col = Im2colDeformKernel::new(&op, &offsets, cfg.texture_limits())
             .expect("texture limits exceeded");
         let tex2d = DeformConvOp {
             method: SamplingMethod::Tex2d,
             ..op.clone()
         };
         let fused =
-            FusedTexDeformKernel::new(&tex2d, &x, &offsets, &cfg).expect("texture limits exceeded");
+            FusedTexDeformKernel::new(&tex2d, &offsets, &cfg).expect("texture limits exceeded");
         for kernel in [&im2col as &dyn BlockTrace, &fused] {
             let name = kernel.label();
             let frozen_fp = golden

@@ -10,7 +10,7 @@ fn bench_fetch(bench: &mut Bench) {
     let data: Vec<f32> = (0..256 * 256).map(|v| v as f32).collect();
     let mut group = bench.group("texture_fetch");
     for (name, frac_bits) in [("fp32", 23u32), ("fp16", 8)] {
-        let mut tex = LayeredTexture2d::new(&data, 1, 256, 256, 0, 2048, 32768).unwrap();
+        let mut tex = LayeredTexture2d::new(1, 256, 256, 0, 2048, 32768).unwrap();
         tex.frac_bits = frac_bits;
         group.bench_with_input(name, &tex, |b, tex| {
             b.iter(|| {
@@ -18,7 +18,7 @@ fn bench_fetch(bench: &mut Bench) {
                 for i in 0..1000 {
                     let y = (i % 250) as f32 + 0.37;
                     let x = ((i * 7) % 250) as f32 + 0.61;
-                    acc += tex.fetch(0, y, x).value;
+                    acc += tex.fetch(&data, 0, y, x).value;
                 }
                 acc
             });

@@ -22,7 +22,7 @@ use defcon_bench::{emit_json, f2, layer_sweep, speedup, Table, SAMPLERS};
 use defcon_core::autotune::{Autotuner, Strategy};
 use defcon_gpusim::{default_threads, DeviceConfig, Gpu};
 use defcon_kernels::backend::Backend;
-use defcon_kernels::op::synthetic_inputs;
+use defcon_kernels::op::synthetic_offsets;
 use defcon_kernels::{DeformConvOp, DeformLayerShape, SamplingMethod, TileConfig};
 use defcon_support::json::Json;
 use defcon_support::{env, par};
@@ -30,9 +30,8 @@ use defcon_support::{env, par};
 /// Times one `(layer, method)` cell on a backend: total milliseconds for
 /// the offset conv plus the deformable stage, through the trait surface.
 fn time_cell(backend: &dyn Backend, op: &DeformConvOp) -> f64 {
-    let (x, offsets) = synthetic_inputs(&op.shape, 4.0, 2024);
     backend
-        .launch_total(op, &x, &offsets)
+        .launch_total(op, &synthetic_offsets(&op.shape, 4.0, 2024))
         .unwrap_or_else(|e| {
             eprintln!(
                 "{} cannot run {}x{} {}: {e}",

@@ -17,19 +17,19 @@ use defcon_bench::{emit_json, f2, layer_sweep, Table, SAMPLERS};
 use defcon_gpusim::{DeviceConfig, Gpu, KernelReport};
 use defcon_kernels::fused::FusedTexDeformKernel;
 use defcon_kernels::im2col::Im2colDeformKernel;
-use defcon_kernels::op::{synthetic_inputs, DeformConvOp, SamplingMethod};
+use defcon_kernels::op::{synthetic_offsets, DeformConvOp, SamplingMethod};
 use defcon_kernels::DeformLayerShape;
 use defcon_support::json::Json;
 use defcon_support::par;
 use defcon_tensor::Tensor;
 
-/// The sampling-stage launch of one figure row on the layer's inputs: the
+/// The sampling-stage launch of one figure row at the layer's offsets: the
 /// im2col kernel of a sampler (`Some`), or DEFCON's fused tex2D kernel
 /// (`None`).
 fn sampling_report(
     gpu: &Gpu,
     shape: DeformLayerShape,
-    (x, offsets): &(Tensor, Tensor),
+    offsets: &Tensor,
     sampler: Option<SamplingMethod>,
 ) -> KernelReport {
     let with_method = |method| DeformConvOp {
@@ -43,14 +43,14 @@ fn sampling_report(
         // reaching 100 %.
         let tex2d = with_method(SamplingMethod::Tex2d);
         let mut fused =
-            FusedTexDeformKernel::new(&tex2d, x, offsets, gpu.config()).expect("texture limits");
+            FusedTexDeformKernel::new(&tex2d, offsets, gpu.config()).expect("texture limits");
         // The figure reports the unsplit kernel (one output-channel block);
         // its golden pins these counters.
         fused.co_blocks = 1;
         return gpu.launch(&fused);
     };
     let op = with_method(method);
-    let kernel = Im2colDeformKernel::new(&op, x, offsets, gpu.config().texture_limits())
+    let kernel = Im2colDeformKernel::new(&op, offsets, gpu.config().texture_limits())
         .expect("texture limits");
     gpu.launch(&kernel)
 }
@@ -98,12 +98,12 @@ fn main() {
         .collect();
     let shapes = layer_sweep();
     let threads = gpu.policy().threads;
-    let inputs = par::map(&shapes, threads, |shape| synthetic_inputs(shape, 4.0, 123));
+    let offsets = par::map(&shapes, threads, |shape| synthetic_offsets(shape, 4.0, 123));
     let cells: Vec<(usize, Option<SamplingMethod>)> = (0..shapes.len())
         .flat_map(|i| rows.iter().map(move |&(_, sampler)| (i, sampler)))
         .collect();
     let reports = par::map(&cells, threads, |&(i, sampler)| {
-        sampling_report(&gpu, shapes[i], &inputs[i], sampler)
+        sampling_report(&gpu, shapes[i], &offsets[i], sampler)
     });
     let mut json_rows = Vec::new();
     for (shape, layer_reports) in shapes.iter().zip(reports.chunks(rows.len())) {

@@ -10,7 +10,7 @@
 use defcon_gpusim::Gpu;
 use defcon_kernels::op::simulate_regular_conv_ms;
 use defcon_kernels::op::{
-    synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
+    synthetic_offsets, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
 };
 use defcon_kernels::{DeformLayerShape, TileConfig};
 use defcon_support::error::DefconError;
@@ -153,10 +153,17 @@ impl LatencyLut {
         family: OpFamily,
     ) -> Self {
         let measured = par::map(keys, gpu.policy().threads, |key| {
-            let (op, x, offsets) = key_op(key, method, predictor, family);
+            let (op, offsets) = key_op(key, method, predictor, family);
+            // The offset conv's reports, then the deformable stage's, in
+            // one running sum: `simulate_total`'s order, without an input.
+            let mut reports = op.simulate_offset_conv(gpu);
+            reports.extend(
+                op.try_simulate_deform(gpu, &offsets)
+                    .expect("LUT key failed"),
+            );
             LatencyEntry {
                 regular_ms: simulate_regular_conv_ms(gpu, &op.shape),
-                deform_ms: op.simulate_total(gpu, &x, &offsets).0,
+                deform_ms: reports.iter().map(|r| r.time_ms).sum(),
             }
         });
         LatencyLut {
@@ -263,15 +270,15 @@ impl LatencyLut {
 }
 
 /// The operator a LUT times at `key` (default tile, raw offsets, neutral
-/// modulation) and its synthetic inputs.
+/// modulation) and its synthetic offsets.
 fn key_op(
     key: &LatencyKey,
     method: SamplingMethod,
     predictor: OffsetPredictorKind,
     family: OpFamily,
-) -> (DeformConvOp, Tensor, Tensor) {
+) -> (DeformConvOp, Tensor) {
     let shape = key.shape();
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xDEFC);
+    let offsets = synthetic_offsets(&shape, 4.0, 0xDEFC);
     let op = DeformConvOp {
         shape,
         tile: TileConfig::default16(),
@@ -281,7 +288,7 @@ fn key_op(
         family,
         modulation: None,
     };
-    (op, x, offsets)
+    (op, offsets)
 }
 
 #[cfg(test)]

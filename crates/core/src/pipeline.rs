@@ -4,7 +4,7 @@
 use crate::autotune::Autotuner;
 use defcon_gpusim::Gpu;
 use defcon_kernels::op::{
-    synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
+    synthetic_offsets, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
 };
 use defcon_kernels::{DeformLayerShape, TileConfig};
 use defcon_tensor::sample::OffsetTransform;
@@ -106,14 +106,15 @@ impl DefconConfig {
         let tile = match self.tile {
             TileChoice::Fixed(t) => t,
             TileChoice::Autotuned { budget } => {
-                let (x, offsets) =
-                    synthetic_inputs(&shape, self.bounded.unwrap_or(4.0).min(4.0), 0xA07);
+                let offsets =
+                    synthetic_offsets(&shape, self.bounded.unwrap_or(4.0).min(4.0), 0xA07);
                 let tuner = Autotuner::bayesian(budget, 0xA07);
                 let space = TileConfig::search_space();
                 tuner
                     .run(&space, |t| {
                         op(t)
-                            .simulate_deform(gpu, &x, &offsets)
+                            .try_simulate_deform(gpu, &offsets)
+                            .expect("a tile candidate's deformable stage failed")
                             .iter()
                             .map(|r| r.time_ms)
                             .sum()
@@ -129,6 +130,7 @@ impl DefconConfig {
 mod tests {
     use super::*;
     use defcon_gpusim::DeviceConfig;
+    use defcon_kernels::op::synthetic_inputs;
 
     #[test]
     fn baseline_and_full_presets() {

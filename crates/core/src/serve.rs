@@ -90,7 +90,7 @@ use defcon_accel::{Accel, AccelConfig};
 use defcon_gpusim::{DeadlineBudget, DeviceConfig, Gpu, KernelReport, ReportCache, SamplePolicy};
 use defcon_kernels::backend::BackendKind;
 use defcon_kernels::op::{
-    synthetic_inputs, DeformConvOp, DeformFallback, OpFamily, SamplingMethod,
+    synthetic_offsets, DeformConvOp, DeformFallback, OpFamily, SamplingMethod,
 };
 use defcon_kernels::DeformLayerShape;
 use defcon_support::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -500,7 +500,8 @@ fn simulate_request(
     if let Some(r) = remaining_cycles {
         gpu = gpu.with_budget(Arc::new(DeadlineBudget::new(r)));
     }
-    let (x, offsets) = synthetic_inputs(&req.layer, req.policy.spread(), req.policy.seed);
+    // The trace reads offsets alone, so a miss builds no input tensor.
+    let offsets = synthetic_offsets(&req.layer, req.policy.spread(), req.policy.seed);
     // `modulation: None` — the trace is keyed on the family alone, never
     // on modulation *values*, so a served v2/v3 request needs no tensor;
     // the kernels still emit the family's mask/logit loads and arithmetic.
@@ -510,7 +511,7 @@ fn simulate_request(
         ..DeformConvOp::baseline(req.layer)
     };
     let result = match req.backend {
-        BackendKind::Gpusim => op.simulate_deform_with_fallback(&gpu, &x, &offsets),
+        BackendKind::Gpusim => op.simulate_deform_with_fallback(&gpu, &offsets),
         BackendKind::Accel => {
             // Each serving device pairs with its deployment-class
             // accelerator model; the gpusim ladder remains the fallback
@@ -519,7 +520,7 @@ fn simulate_request(
                 AccelConfig::for_serve_device(req.device.canonical_name())
                     .expect("every ServeDevice has a paired accelerator"),
             );
-            defcon_accel::launch_with_gpu_fallback(&accel, &gpu, &op, &x, &offsets).and_then(|fb| {
+            defcon_accel::launch_with_gpu_fallback(&accel, &gpu, &op, &offsets).and_then(|fb| {
                 // The accel launch is analytic and not budget-gated;
                 // replay the deadline charge walk over its reports so
                 // fresh simulations and cache hits produce identical

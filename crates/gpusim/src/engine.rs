@@ -849,13 +849,13 @@ mod tests {
 
     /// Texture-heavy vs. scattered-global kernels: the texture path must be
     /// faster — this is the microarchitectural core of the whole paper.
-    struct BilinearKernel<'a> {
+    struct BilinearKernel {
         use_texture: bool,
-        tex: LayeredTexture2d<'a>,
+        tex: LayeredTexture2d,
         blocks: usize,
     }
 
-    impl BlockTrace for BilinearKernel<'_> {
+    impl BlockTrace for BilinearKernel {
         fn grid_blocks(&self) -> usize {
             self.blocks
         }
@@ -912,10 +912,9 @@ mod tests {
 
     #[test]
     fn texture_bilinear_beats_software_bilinear() {
-        let data = vec![1.0f32; 64 * 64];
         let mk = |use_texture| BilinearKernel {
             use_texture,
-            tex: LayeredTexture2d::new(&data, 1, 64, 64, 1 << 32, 2048, 32768).unwrap(),
+            tex: LayeredTexture2d::new(1, 64, 64, 1 << 32, 2048, 32768).unwrap(),
             blocks: 64,
         };
         let gpu = Gpu::new(DeviceConfig::xavier_agx());

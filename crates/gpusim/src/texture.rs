@@ -14,10 +14,13 @@
 //! map; `tests::box_filtered_level_moves_sampled_values` keeps that argument
 //! as a test.
 //!
-//! A texture is a *view*: it borrows the row-major texels of the tensor it
-//! samples — layer `n·C + c` of an NCHW tensor is exactly its `(n, c)`
-//! slice — so binding one copies nothing. The block-linear layout exists
-//! only in the byte addresses the texture-cache model walks.
+//! A texture is *geometry*: its layers, extent, block-linear strides, base
+//! address and filter precision. It holds no texels — the sampler's cost
+//! depends only on where its taps land, so the trace walks addresses alone,
+//! and the one value path, [`LayeredTexture2d::fetch`], takes the row-major
+//! texels it filters (layer `n·C + c` of an NCHW tensor is exactly its
+//! `(n, c)` slice). The block-linear layout exists only in the byte
+//! addresses the texture-cache model walks.
 
 use defcon_support::error::DefconError;
 
@@ -31,12 +34,11 @@ const TEXEL_BYTES: usize = 4;
 /// Bytes per tile.
 const TILE_BYTES: usize = TILE_W * TILE_H * TEXEL_BYTES;
 
-/// A 2-D layered texture: a view of row-major fp32 layers (`layers`
-/// consecutive `height × width` planes, e.g. an NCHW tensor's data) that
-/// samples them with border addressing and bilinear filtering and maps
-/// texels to block-linear byte addresses.
-pub struct LayeredTexture2d<'a> {
-    data: &'a [f32],
+/// A 2-D layered texture's geometry: `layers` stacked `height × width`
+/// fp32 planes, mapped to block-linear byte addresses and sampled with
+/// border addressing and bilinear filtering.
+#[derive(Debug)]
+pub struct LayeredTexture2d {
     layers: usize,
     height: usize,
     width: usize,
@@ -47,7 +49,7 @@ pub struct LayeredTexture2d<'a> {
     /// multiply instead of rebuilding the stride every texel.
     layer_bytes: u64,
     /// Row-major texels per layer (`height · width`), the stride between
-    /// layers in `data`.
+    /// layers in the texels [`LayeredTexture2d::fetch`] filters.
     layer_texels: usize,
     /// Base byte address of the texture in the simulated address space.
     base_addr: u64,
@@ -98,25 +100,12 @@ pub struct FetchPlan {
     pub len: u8,
 }
 
-impl std::fmt::Debug for LayeredTexture2d<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LayeredTexture2d")
-            .field("layers", &self.layers)
-            .field("height", &self.height)
-            .field("width", &self.width)
-            .field("frac_bits", &self.frac_bits)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> LayeredTexture2d<'a> {
-    /// Binds a layered texture over row-major layer data
-    /// (`data.len() == layers * height * width`), borrowing it.
+impl LayeredTexture2d {
+    /// Binds a `layers × height × width` layered texture at `base_addr`.
     /// `max_layers` / `max_dim` are the device limits of §III-B (2048 and
     /// 32768 on Xavier); a texture past them is the degradable
     /// `texture-limit` [`DefconError::Constraint`].
     pub fn new(
-        data: &'a [f32],
         layers: usize,
         height: usize,
         width: usize,
@@ -148,15 +137,9 @@ impl<'a> LayeredTexture2d<'a> {
                 "texture extent {height}×{width} exceeds device limit {max_dim}"
             )));
         }
-        assert_eq!(
-            data.len(),
-            layers * height * width,
-            "texture data length mismatch"
-        );
         let tiles_x = width.div_ceil(TILE_W);
         let tiles_y = height.div_ceil(TILE_H);
         Ok(LayeredTexture2d {
-            data,
             layers,
             height,
             width,
@@ -270,13 +253,15 @@ impl<'a> LayeredTexture2d<'a> {
         plan
     }
 
-    /// Fetches the texture at fractional coordinates `(y, x)` (texel centers
-    /// at integer coordinates, matching the CPU reference sampler): the
-    /// coordinate's [`FetchPlan`] replayed against `layer` — the weighted
-    /// sum of the planned texels, in plan order, and their addresses.
-    pub fn fetch(&self, layer: usize, y: f32, x: f32) -> Fetch {
+    /// Fetches `layer` of `texels` (`layers` row-major `height × width`
+    /// planes, e.g. an NCHW tensor's data) at fractional coordinates
+    /// `(y, x)` (texel centers at integer coordinates, matching the CPU
+    /// reference sampler): the coordinate's [`FetchPlan`] replayed against
+    /// `layer` — the weighted sum of the planned texels, in plan order, and
+    /// their addresses.
+    pub fn fetch(&self, texels: &[f32], layer: usize, y: f32, x: f32) -> Fetch {
         let plan = self.plan_fetch(y, x);
-        let texels = &self.data[layer * self.layer_texels..(layer + 1) * self.layer_texels];
+        let texels = &texels[layer * self.layer_texels..(layer + 1) * self.layer_texels];
         let layer_base = self.layer_base(layer);
         let mut fetch = Fetch {
             value: 0.0,
@@ -295,34 +280,32 @@ impl<'a> LayeredTexture2d<'a> {
 mod tests {
     use super::*;
 
-    fn tex_from(data: &[f32], h: usize, w: usize) -> LayeredTexture2d<'_> {
-        LayeredTexture2d::new(data, 1, h, w, 0, 2048, 32768).unwrap()
+    fn tex(h: usize, w: usize) -> LayeredTexture2d {
+        LayeredTexture2d::new(1, h, w, 0, 2048, 32768).unwrap()
     }
 
-    /// A one-layer texture whose texel `(y, x)` holds `y·w + x`, over data
-    /// leaked for the rest of the test.
-    fn tex(h: usize, w: usize) -> LayeredTexture2d<'static> {
-        let data: Vec<f32> = (0..h * w).map(|v| v as f32).collect();
-        tex_from(data.leak(), h, w)
+    /// One layer whose texel `(y, x)` holds `y·w + x`.
+    fn ramp(h: usize, w: usize) -> Vec<f32> {
+        (0..h * w).map(|v| v as f32).collect()
     }
 
     #[test]
     fn layer_limit_enforced() {
-        let err = LayeredTexture2d::new(&[0.0; 3000], 3000, 1, 1, 0, 2048, 32768).unwrap_err();
+        let err = LayeredTexture2d::new(3000, 1, 1, 0, 2048, 32768).unwrap_err();
         assert!(err.to_string().contains("2048"), "{err}");
     }
 
     #[test]
     fn dim_limit_enforced() {
-        assert!(LayeredTexture2d::new(&[0.0; 40000], 1, 1, 40000, 0, 2048, 32768).is_err());
+        assert!(LayeredTexture2d::new(1, 1, 40000, 0, 2048, 32768).is_err());
     }
 
     #[test]
     fn fetch_at_texel_centers_is_exact() {
-        let t = tex(6, 6);
+        let (t, data) = (tex(6, 6), ramp(6, 6));
         for y in 0..6 {
             for x in 0..6 {
-                let f = t.fetch(0, y as f32, x as f32);
+                let f = t.fetch(&data, 0, y as f32, x as f32);
                 assert_eq!(f.value, (y * 6 + x) as f32);
                 assert_eq!(f.len, 1, "integer coordinate should touch one texel");
             }
@@ -331,21 +314,20 @@ mod tests {
 
     #[test]
     fn fetch_midpoint_bilinear() {
-        let t = tex(2, 2);
-        let f = t.fetch(0, 0.5, 0.5);
+        let f = tex(2, 2).fetch(&ramp(2, 2), 0, 0.5, 0.5);
         assert!((f.value - 1.5).abs() < 1e-6); // mean of 0,1,2,3
         assert_eq!(f.len, 4);
     }
 
     #[test]
     fn border_mode_zeroes_outside() {
-        let t = tex(3, 3);
-        assert_eq!(t.fetch(0, -2.0, 0.0).value, 0.0);
-        assert_eq!(t.fetch(0, -2.0, 0.0).len, 0);
+        let (t, data) = (tex(3, 3), ramp(3, 3));
+        assert_eq!(t.fetch(&data, 0, -2.0, 0.0).value, 0.0);
+        assert_eq!(t.fetch(&data, 0, -2.0, 0.0).len, 0);
         // Half-in: two texels contribute, weight 0.5.
-        let f = t.fetch(0, -0.5, 0.0);
+        let f = t.fetch(&data, 0, -0.5, 0.0);
         assert!((f.value - 0.0).abs() < 1e-6); // texel (0,0)=0 → 0·0.5
-        let f = t.fetch(0, -0.5, 1.0);
+        let f = t.fetch(&data, 0, -0.5, 1.0);
         assert!((f.value - 0.5).abs() < 1e-6); // texel (0,1)=1 → 1·0.5
     }
 
@@ -353,14 +335,14 @@ mod tests {
     fn reduced_precision_error_is_bounded() {
         // tex2D++ (8 fractional bits) must stay within one quantum of full
         // precision: |err| ≤ 2^-8 · (range of neighbours).
-        let t_full = tex(16, 16);
+        let (t_full, data) = (tex(16, 16), ramp(16, 16));
         let mut t_red = tex(16, 16);
         t_red.frac_bits = 8;
         for i in 0..200 {
             let y = (i as f32 * 0.073) % 14.0;
             let x = (i as f32 * 0.117) % 14.0;
-            let a = t_full.fetch(0, y, x).value;
-            let b = t_red.fetch(0, y, x).value;
+            let a = t_full.fetch(&data, 0, y, x).value;
+            let b = t_red.fetch(&data, 0, y, x).value;
             // Neighbour values differ by ≤ 17 here (one row apart).
             assert!(
                 (a - b).abs() <= 17.0 / 256.0 + 1e-5,
@@ -389,8 +371,7 @@ mod tests {
 
     #[test]
     fn bilinear_footprint_spans_at_most_two_lines_in_tile_interior() {
-        let t = tex(64, 64);
-        let f = t.fetch(0, 9.5, 9.5); // interior of a tile
+        let f = tex(64, 64).fetch(&ramp(64, 64), 0, 9.5, 9.5); // interior of a tile
         let mut lines: Vec<u64> = f.addresses[..f.len as usize]
             .iter()
             .map(|a| a / 128)
@@ -426,13 +407,13 @@ mod tests {
                     / 4.0
             })
             .collect();
-        let (flat, coarse) = (tex_from(&data, 16, 16), tex_from(&level1, 8, 8));
+        let (flat, coarse) = (tex(16, 16), tex(8, 8));
         let max_err = (0..50)
             .map(|i| {
                 let y = (i as f32 * 0.29) % 14.0;
                 let x = (i as f32 * 0.53) % 14.0;
-                let exact = flat.fetch(0, y, x).value;
-                (coarse.fetch(0, y * 0.5, x * 0.5).value - exact).abs()
+                let exact = flat.fetch(&data, 0, y, x).value;
+                (coarse.fetch(&level1, 0, y * 0.5, x * 0.5).value - exact).abs()
             })
             .fold(0.0f32, f32::max);
         assert!(

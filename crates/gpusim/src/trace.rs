@@ -413,8 +413,7 @@ mod tests {
     #[test]
     fn tex_fetch_counts_requests() {
         let (cfg, mut l1, mut texc, mut l2) = harness();
-        let data: Vec<f32> = (0..64).map(|v| v as f32).collect();
-        let t = LayeredTexture2d::new(&data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
+        let t = LayeredTexture2d::new(1, 8, 8, 1 << 30, 2048, 32768).unwrap();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
         sink.tex_fetch_warp_into(&t, 0, [(3.0, 4.0)]);
         assert_eq!(sink.counters.tex_requests, 1);
@@ -428,8 +427,7 @@ mod tests {
     #[test]
     fn reduced_precision_fetch_uses_fp16_pipe() {
         let (cfg, mut l1, mut texc, mut l2) = harness();
-        let data = vec![1.0f32; 64];
-        let mut t = LayeredTexture2d::new(&data, 1, 8, 8, 1 << 30, 2048, 32768).unwrap();
+        let mut t = LayeredTexture2d::new(1, 8, 8, 1 << 30, 2048, 32768).unwrap();
         t.frac_bits = 8;
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
         sink.tex_fetch_warp_into(&t, 0, [(2.5, 2.5)]);
@@ -440,8 +438,7 @@ mod tests {
     #[test]
     fn tex_locality_hits_texture_cache() {
         let (cfg, mut l1, mut texc, mut l2) = harness();
-        let data = vec![0.5f32; 64 * 64];
-        let t = LayeredTexture2d::new(&data, 1, 64, 64, 1 << 30, 2048, 32768).unwrap();
+        let t = LayeredTexture2d::new(1, 64, 64, 1 << 30, 2048, 32768).unwrap();
         let mut sink = TraceSink::new(&cfg, &mut l1, &mut texc, &mut l2, 8);
         // A tight 2-D walk: overwhelmingly texture-cache hits after warmup.
         for y in 0..8 {

@@ -20,8 +20,9 @@
 //! because the numeric pipeline is shared: every backend materializes its
 //! columns with `im2col_deform_numeric_tile` (gpusim's whole output plane
 //! is one tile), and the GEMM epilogue's per-element reduction order is
-//! blocking-invariant (see `defcon_tensor::gemm`). Timing (`launch_*`) is backend-specific
-//! by design — that is the point of having backends.
+//! blocking-invariant (see `defcon_tensor::gemm`). Timing (`launch_*`) is
+//! backend-specific by design — that is the point of having backends —
+//! and reads the operator and its offsets only, never an input tensor.
 
 use defcon_gpusim::{Gpu, KernelReport};
 use defcon_support::env;
@@ -99,7 +100,6 @@ pub trait Backend {
     fn launch_deform(
         &self,
         op: &DeformConvOp,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<DeformFallback, DefconError>;
 
@@ -108,7 +108,6 @@ pub trait Backend {
     fn launch_total(
         &self,
         op: &DeformConvOp,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<(f64, Vec<KernelReport>), DefconError>;
 
@@ -130,20 +129,18 @@ impl Backend for Gpu {
     fn launch_deform(
         &self,
         op: &DeformConvOp,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<DeformFallback, DefconError> {
-        op.simulate_deform_with_fallback(self, x, offsets)
+        op.simulate_deform_with_fallback(self, offsets)
     }
 
     fn launch_total(
         &self,
         op: &DeformConvOp,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<(f64, Vec<KernelReport>), DefconError> {
         let mut reports = op.simulate_offset_conv(self);
-        let fb = op.simulate_deform_with_fallback(self, x, offsets)?;
+        let fb = op.simulate_deform_with_fallback(self, offsets)?;
         reports.extend(fb.reports);
         let total = reports.iter().map(|r| r.time_ms).sum();
         Ok((total, reports))
@@ -158,7 +155,7 @@ impl Backend for Gpu {
 mod tests {
     use super::*;
     use crate::layer::DeformLayerShape;
-    use crate::op::{synthetic_inputs, SamplingMethod};
+    use crate::op::{synthetic_offsets, SamplingMethod};
     use defcon_gpusim::DeviceConfig;
 
     #[test]
@@ -193,10 +190,10 @@ mod tests {
         };
         let backend: &dyn Backend = &gpu;
         assert_eq!(backend.backend_name(), "gpusim");
-        let (x, offsets) = synthetic_inputs(&shape, 2.0, 7);
-        let fb = backend.launch_deform(&op, &x, &offsets).unwrap();
+        let offsets = synthetic_offsets(&shape, 2.0, 7);
+        let fb = backend.launch_deform(&op, &offsets).unwrap();
         assert_eq!(fb.method, SamplingMethod::Tex2dPlusPlus);
-        let (total, reports) = backend.launch_total(&op, &x, &offsets).unwrap();
+        let (total, reports) = backend.launch_total(&op, &offsets).unwrap();
         assert!(total > 0.0 && reports.len() >= 2);
     }
 }

@@ -26,7 +26,8 @@ use defcon_support::error::DefconError;
 use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::Tensor;
 
-/// The fused deformable convolution kernel over a layered texture.
+/// The fused deformable convolution kernel over a layered texture: a trace
+/// of where the offsets place its taps, holding no input tensor.
 pub struct FusedTexDeformKernel<'a> {
     /// Layer shape.
     pub shape: DeformLayerShape,
@@ -36,8 +37,8 @@ pub struct FusedTexDeformKernel<'a> {
     pub offsets: &'a Tensor,
     /// Offset post-processing.
     pub offset_transform: OffsetTransform,
-    /// Input feature map bound as a layered texture (a view of its data).
-    pub texture: LayeredTexture2d<'a>,
+    /// The layered texture the input is bound as.
+    pub texture: LayeredTexture2d,
     /// Texture sampling method (`tex2D` or `tex2D++`; names the launch).
     pub method: SamplingMethod,
     /// Output-channel blocking factor: the grid is additionally split into
@@ -52,21 +53,21 @@ pub struct FusedTexDeformKernel<'a> {
 }
 
 impl<'a> FusedTexDeformKernel<'a> {
-    /// DEFCON's kernel for the texture method of `op`: binds `x` as a
-    /// layered texture (border addressing, the method's filter precision)
-    /// within `cfg`'s texture limits and splits the output channels into
-    /// [`FusedTexDeformKernel::pick_co_blocks`] blocks for `cfg`. A texture
+    /// DEFCON's kernel for the texture method of `op` at `offsets`: binds
+    /// the input's layered texture (border addressing, the method's filter
+    /// precision) within `cfg`'s texture limits and splits the output
+    /// channels into [`FusedTexDeformKernel::pick_co_blocks`] blocks for
+    /// `cfg`. A texture
     /// the limits cannot hold is the degradable `texture-limit` constraint;
     /// a software-method op has no texture to fuse and is a
     /// [`DefconError::Constraint`] too.
     pub fn new(
         op: &DeformConvOp,
-        x: &'a Tensor,
         offsets: &'a Tensor,
         cfg: &DeviceConfig,
     ) -> Result<Self, DefconError> {
         let texture =
-            bind_texture(op, x, cfg.texture_limits())?.ok_or_else(|| DefconError::Constraint {
+            bind_texture(op, cfg.texture_limits())?.ok_or_else(|| DefconError::Constraint {
                 what: "fused-kernel".into(),
                 detail: format!("{} sampling binds no texture to fuse", op.method.name()),
             })?;
@@ -207,28 +208,27 @@ impl BlockTrace for FusedTexDeformKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::synthetic_inputs;
+    use crate::op::synthetic_offsets;
     use defcon_gpusim::Gpu;
 
-    fn build<'a>(
+    fn build(
         method: SamplingMethod,
         shape: DeformLayerShape,
-        x: &'a Tensor,
-        off: &'a Tensor,
-    ) -> FusedTexDeformKernel<'a> {
+        off: &Tensor,
+    ) -> FusedTexDeformKernel<'_> {
         let op = DeformConvOp {
             method,
             ..DeformConvOp::baseline(shape)
         };
-        FusedTexDeformKernel::new(&op, x, off, &DeviceConfig::xavier_agx()).unwrap()
+        FusedTexDeformKernel::new(&op, off, &DeviceConfig::xavier_agx()).unwrap()
     }
 
     #[test]
     fn software_op_is_a_typed_constraint() {
         let shape = DeformLayerShape::same3x3(4, 4, 8, 8);
-        let (x, off) = synthetic_inputs(&shape, 2.0, 6);
+        let off = synthetic_offsets(&shape, 2.0, 6);
         let op = DeformConvOp::baseline(shape);
-        let err = FusedTexDeformKernel::new(&op, &x, &off, &DeviceConfig::xavier_agx()).err();
+        let err = FusedTexDeformKernel::new(&op, &off, &DeviceConfig::xavier_agx()).err();
         assert!(
             matches!(&err, Some(DefconError::Constraint { what, .. }) if what == "fused-kernel"),
             "{err:?}"
@@ -238,8 +238,8 @@ mod tests {
     #[test]
     fn grid_is_spatial_only() {
         let shape = DeformLayerShape::same3x3(32, 32, 33, 33);
-        let (x, off) = synthetic_inputs(&shape, 2.0, 1);
-        let k = build(SamplingMethod::Tex2d, shape, &x, &off);
+        let off = synthetic_offsets(&shape, 2.0, 1);
+        let k = build(SamplingMethod::Tex2d, shape, &off);
         // 33x33 output, 16x16 tiles -> 3x3 tiles, one batch.
         assert_eq!(k.grid_blocks(), 9);
     }
@@ -247,8 +247,8 @@ mod tests {
     #[test]
     fn fetch_count_is_cin_k2_per_output() {
         let shape = DeformLayerShape::same3x3(8, 4, 16, 16);
-        let (x, off) = synthetic_inputs(&shape, 2.0, 2);
-        let k = build(SamplingMethod::Tex2d, shape, &x, &off);
+        let off = synthetic_offsets(&shape, 2.0, 2);
+        let k = build(SamplingMethod::Tex2d, shape, &off);
         let gpu = Gpu::with_policy(
             DeviceConfig::xavier_agx(),
             defcon_gpusim::SamplePolicy::exhaustive(),
@@ -281,9 +281,9 @@ mod tests {
     #[test]
     fn no_column_traffic() {
         let shape = DeformLayerShape::same3x3(16, 16, 32, 32);
-        let (x, off) = synthetic_inputs(&shape, 2.0, 3);
+        let off = synthetic_offsets(&shape, 2.0, 3);
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let r = gpu.launch(&build(SamplingMethod::Tex2d, shape, &x, &off));
+        let r = gpu.launch(&build(SamplingMethod::Tex2d, shape, &off));
         // Global stores are exactly the output tensor (per simulated share).
         let out_bytes = r.counters.gst_requested_bytes;
         let expect = (16 * 32 * 32 * 4) as u64;
@@ -296,10 +296,10 @@ mod tests {
     #[test]
     fn tex2dpp_not_slower_than_tex2d() {
         let shape = DeformLayerShape::same3x3(64, 64, 35, 35);
-        let (x, off) = synthetic_inputs(&shape, 4.0, 4);
+        let off = synthetic_offsets(&shape, 4.0, 4);
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let t2 = gpu.launch(&build(SamplingMethod::Tex2d, shape, &x, &off));
-        let tpp = gpu.launch(&build(SamplingMethod::Tex2dPlusPlus, shape, &x, &off));
+        let t2 = gpu.launch(&build(SamplingMethod::Tex2d, shape, &off));
+        let tpp = gpu.launch(&build(SamplingMethod::Tex2dPlusPlus, shape, &off));
         assert!(
             tpp.time_ms <= t2.time_ms,
             "tex2D++ {} > tex2D {}",
@@ -313,9 +313,9 @@ mod tests {
         // The fused kernel's only global loads are coalesced offsets and
         // weights — Fig. 10's "GLD efficiency reaches 100%".
         let shape = DeformLayerShape::same3x3(32, 32, 32, 32);
-        let (x, off) = synthetic_inputs(&shape, 4.0, 5);
+        let off = synthetic_offsets(&shape, 4.0, 5);
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let r = gpu.launch(&build(SamplingMethod::Tex2d, shape, &x, &off));
+        let r = gpu.launch(&build(SamplingMethod::Tex2d, shape, &off));
         assert!(
             r.counters.gld_efficiency() > 95.0,
             "{}",

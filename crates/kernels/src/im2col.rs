@@ -35,27 +35,25 @@ pub mod address_map {
     pub const TEXTURE: u64 = 0x8000_0000;
 }
 
-/// Binds `x` as the layered texture `op`'s method samples from — border
-/// addressing, the method's filter precision — within the device's
-/// `(max layers, max extent)` texture limits. The texture is a view of
-/// `x.data()`, one `(n, c)` slice per layer, so binding copies nothing.
+/// Binds the layered texture `op`'s method samples the input through —
+/// one `(n, c)` slice per layer, border addressing, the method's filter
+/// precision — within the device's `(max layers, max extent)` texture
+/// limits. It is geometry taken from `op.shape`: binding copies nothing.
 /// `None` for software sampling, which reads global memory. A texture the
 /// limits cannot hold (or an injected `texture.limit` fault) is the
 /// degradable `texture-limit` constraint the fallback ladder dispatches on.
-pub(crate) fn bind_texture<'a>(
+pub(crate) fn bind_texture(
     op: &DeformConvOp,
-    x: &'a Tensor,
     (max_layers, max_dim): (usize, usize),
-) -> Result<Option<LayeredTexture2d<'a>>, DefconError> {
+) -> Result<Option<LayeredTexture2d>, DefconError> {
     let Some(frac_bits) = op.method.frac_bits() else {
         return Ok(None);
     };
-    let (n, c, h, w) = x.shape().nchw();
+    let s = op.shape;
     let mut texture = LayeredTexture2d::new(
-        x.data(),
-        n * c,
-        h,
-        w,
+        s.n * s.c_in,
+        s.h,
+        s.w,
         address_map::TEXTURE,
         max_layers,
         max_dim,
@@ -187,14 +185,13 @@ pub(crate) fn sample_coord(
 
 /// The deformable im2col kernel: grid = `N × C_in × output tiles`, one
 /// thread per output position in the tile, each thread materializing all
-/// `k²` taps of its position for its channel.
+/// `k²` taps of its position for its channel. The trace reads the offsets
+/// alone; [`im2col_deform_numeric_tile`] takes the input it samples.
 pub struct Im2colDeformKernel<'a> {
     /// Layer shape.
     pub shape: DeformLayerShape,
     /// Thread-block tile over the output plane.
     pub tile: TileConfig,
-    /// Input feature map `[N, C_in, H, W]`.
-    pub x: &'a Tensor,
     /// Offsets `[N, 2·G·k², outH, outW]` (already transformed if bounding /
     /// rounding applies — see `offset_transform`).
     pub offsets: &'a Tensor,
@@ -202,9 +199,9 @@ pub struct Im2colDeformKernel<'a> {
     pub offset_transform: OffsetTransform,
     /// Sampling implementation (names the launch).
     pub method: SamplingMethod,
-    /// The layered texture view of `x` for the texture methods; `None`
-    /// samples in software from global memory.
-    pub texture: Option<LayeredTexture2d<'a>>,
+    /// The layered texture the texture methods sample the input through;
+    /// `None` samples in software from global memory.
+    pub texture: Option<LayeredTexture2d>,
     /// Operator generation; gates the modulation loads and arithmetic
     /// (v1 traces are byte-identical to the pre-family kernel).
     pub family: OpFamily,
@@ -216,25 +213,23 @@ pub struct Im2colDeformKernel<'a> {
 }
 
 impl<'a> Im2colDeformKernel<'a> {
-    /// The sampling stage of `op` over `x` and `offsets`. The texture
-    /// methods bind `x` as a layered texture within the device's
+    /// The sampling stage of `op` at `offsets`. The texture methods bind
+    /// the input as a layered texture within the device's
     /// `(max layers, max extent)` texture limits
     /// ([`defcon_gpusim::DeviceConfig::texture_limits`]); a texture the
     /// limits cannot hold is the degradable `texture-limit` constraint.
     pub fn new(
         op: &'a DeformConvOp,
-        x: &'a Tensor,
         offsets: &'a Tensor,
         texture_limits: (usize, usize),
     ) -> Result<Self, DefconError> {
         Ok(Im2colDeformKernel {
             shape: op.shape,
             tile: op.tile,
-            x,
             offsets,
             offset_transform: op.offset_transform,
             method: op.method,
-            texture: bind_texture(op, x, texture_limits)?,
+            texture: bind_texture(op, texture_limits)?,
             family: op.family,
             modulation: op.modulation.as_ref(),
         })
@@ -357,9 +352,9 @@ impl BlockTrace for Im2colDeformKernel<'_> {
     }
 }
 
-/// Numeric companion of [`Im2colDeformKernel`]: materializes the columns
-/// of the output window `[oy0, oy0+th) × [ox0, ox0+tw)` for batch item
-/// `ni` as a `[C_in·k², th·tw]` row-major matrix (window-local column
+/// Numeric companion of [`Im2colDeformKernel`]: samples `x` into the
+/// columns of the output window `[oy0, oy0+th) × [ox0, ox0+tw)` for batch
+/// item `ni` as a `[C_in·k², th·tw]` row-major matrix (window-local column
 /// index `ty·tw + tx`), with exactly the trace's sampling semantics
 /// (including texture filter precision). The full output plane is the
 /// one-tile window `(0, 0, outH, outW)` — how `DeformConvOp::execute`
@@ -377,6 +372,7 @@ impl BlockTrace for Im2colDeformKernel<'_> {
 /// to the corresponding columns of a full-plane GEMM.
 pub fn im2col_deform_numeric_tile(
     kernel: &Im2colDeformKernel<'_>,
+    x: &Tensor,
     ni: usize,
     oy0: usize,
     ox0: usize,
@@ -405,8 +401,8 @@ pub fn im2col_deform_numeric_tile(
                         (oy, ox),
                     );
                     let v = match &kernel.texture {
-                        None => bilinear_sample(kernel.x, ni, ci, py, px),
-                        Some(tex) => tex.fetch(ni * s.c_in + ci, py, px).value,
+                        None => bilinear_sample(x, ni, ci, py, px),
+                        Some(tex) => tex.fetch(x.data(), ni * s.c_in + ci, py, px).value,
                     };
                     let v = if neutral {
                         v
@@ -442,25 +438,25 @@ mod tests {
     }
 
     /// `op`'s sampling kernel under Xavier's texture limits.
-    fn kernel<'a>(op: &'a DeformConvOp, x: &'a Tensor, off: &'a Tensor) -> Im2colDeformKernel<'a> {
+    fn kernel<'a>(op: &'a DeformConvOp, off: &'a Tensor) -> Im2colDeformKernel<'a> {
         let limits = DeviceConfig::xavier_agx().texture_limits();
-        Im2colDeformKernel::new(op, x, off, limits).unwrap()
+        Im2colDeformKernel::new(op, off, limits).unwrap()
     }
 
     /// The full-plane columns of batch item 0 (the one-tile window).
     fn columns(op: &DeformConvOp, x: &Tensor, off: &Tensor) -> Vec<f32> {
         let (oh, ow) = op.shape.out_hw();
-        im2col_deform_numeric_tile(&kernel(op, x, off), 0, 0, 0, oh, ow)
+        im2col_deform_numeric_tile(&kernel(op, off), x, 0, 0, 0, oh, ow)
     }
 
     #[test]
     fn grid_covers_output() {
-        let (x, off, shape) = small();
+        let (_, off, shape) = small();
         let op = DeformConvOp {
             tile: TileConfig { h: 8, w: 8 },
             ..DeformConvOp::baseline(shape)
         };
-        let k = kernel(&op, &x, &off);
+        let k = kernel(&op, &off);
         // 12x12 output with 8x8 tiles -> 2x2 tiles per channel, 4 channels.
         assert_eq!(k.grid_blocks(), 16);
         assert_eq!(k.block_threads(), 64);
@@ -512,12 +508,12 @@ mod tests {
 
     #[test]
     fn software_kernel_produces_global_loads_texture_kernel_does_not_sample_input_globally() {
-        let (x, off, shape) = small();
+        let (_, off, shape) = small();
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let sw = with_method(shape, SamplingMethod::SoftwareBilinear);
         let tx = with_method(shape, SamplingMethod::Tex2d);
-        let sw_report = gpu.launch(&kernel(&sw, &x, &off));
-        let tx_report = gpu.launch(&kernel(&tx, &x, &off));
+        let sw_report = gpu.launch(&kernel(&sw, &off));
+        let tx_report = gpu.launch(&kernel(&tx, &off));
         assert!(sw_report.counters.tex_requests == 0);
         assert!(tx_report.counters.tex_requests > 0);
         // Texture kernel still loads offsets from global memory, but far

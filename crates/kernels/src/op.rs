@@ -199,43 +199,58 @@ impl DeformConvOp {
     /// For `SoftwareBilinear` and `Tex2d` this is exactly
     /// `deform_conv2d_ref`; for `Tex2dPlusPlus` it reflects the reduced
     /// filter precision.
+    ///
+    /// Panics, naming both shapes, when `x`, `offsets` or a present
+    /// modulation tensor does not match the operator's shape.
     pub fn execute(&self, x: &Tensor, offsets: &Tensor, weight: &Tensor, gpu: &Gpu) -> Tensor {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
-        let kernel = Im2colDeformKernel::new(self, x, offsets, gpu.config().texture_limits())
+        self.expect_input(x);
+        check_dims("offsets", offsets, &[s.n, s.offset_channels(), oh, ow])
+            .expect("mismatched offsets");
+        if let Some(m) = &self.modulation {
+            let taps = s.deform_groups * s.kernel * s.kernel;
+            check_dims("modulation", m, &[s.n, taps, oh, ow]).expect("mismatched modulation");
+        }
+        let kernel = Im2colDeformKernel::new(self, offsets, gpu.config().texture_limits())
             .expect("texture limits exceeded");
         let krows = s.c_in * s.kernel * s.kernel;
         let cols_n = oh * ow;
         let mut out = Tensor::zeros(&[s.n, s.c_out, oh, ow]);
         for ni in 0..s.n {
             // The full plane is the one-tile window.
-            let cols = im2col_deform_numeric_tile(&kernel, ni, 0, 0, oh, ow);
+            let cols = im2col_deform_numeric_tile(&kernel, x, ni, 0, 0, oh, ow);
             let dst = &mut out.data_mut()[ni * s.c_out * cols_n..(ni + 1) * s.c_out * cols_n];
             gemm::gemm(weight.data(), &cols, dst, s.c_out, krows, cols_n);
         }
         out
     }
 
-    /// Simulates the deformable stage on `gpu`, returning one report per
-    /// kernel launch.
+    /// [`DeformConvOp::try_simulate_deform`] for callers that hold the
+    /// input too: `x` must be this operator's `[N, C_in, H, W]` input, and
+    /// nothing else of it is read. Panics, naming both shapes, on any other
+    /// `x`, and on any error `try_simulate_deform` returns.
+    pub fn simulate_deform(&self, gpu: &Gpu, x: &Tensor, offsets: &Tensor) -> Vec<KernelReport> {
+        self.expect_input(x);
+        self.try_simulate_deform(gpu, offsets)
+            .expect("deformable stage failed (try_simulate_deform has the typed error)")
+    }
+
+    /// Simulates the deformable stage on `gpu` at `offsets`, returning one
+    /// report per kernel launch; the timing depends on where the offsets
+    /// place the taps, never on input values.
     ///
     /// The software baseline runs as PyTorch ships it — an im2col sampling
     /// kernel followed by a GEMM over the materialized column matrix. The
     /// texture variants run DEFCON's **fused** kernel (sampling feeds the
     /// convolution accumulators directly; no column buffer).
     ///
-    /// Panics on any error [`DeformConvOp::try_simulate_deform`] returns.
-    pub fn simulate_deform(&self, gpu: &Gpu, x: &Tensor, offsets: &Tensor) -> Vec<KernelReport> {
-        self.try_simulate_deform(gpu, x, offsets)
-            .expect("deformable stage failed (try_simulate_deform has the typed error)")
-    }
-
-    /// [`DeformConvOp::simulate_deform`] with failures surfaced as typed
-    /// errors instead of panics: [`DefconError::InvalidShape`] for a
-    /// malformed layer ([`DeformLayerShape::validate`], checked before
-    /// anything is built), a degradable [`DefconError::Constraint`] when
-    /// the texture setup exceeds the device's limits, and whatever
-    /// [`Gpu::try_launch`] returns.
+    /// Failures are typed: [`DefconError::InvalidShape`] for a malformed
+    /// layer ([`DeformLayerShape::validate`], checked before anything is
+    /// built) or for `offsets` that are not `[N, 2·G·k², outH, outW]`, a
+    /// degradable [`DefconError::Constraint`] when the texture setup
+    /// exceeds the device's limits, and whatever [`Gpu::try_launch`]
+    /// returns.
     ///
     /// When `N × C_in` exceeds the device's layered-texture limit, the
     /// texture methods partition the batch (paper §III-B): each partition
@@ -246,14 +261,15 @@ impl DeformConvOp {
     pub fn try_simulate_deform(
         &self,
         gpu: &Gpu,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<Vec<KernelReport>, DefconError> {
         self.shape.validate()?;
-        let max_layers = gpu.config().max_texture_layers;
         let s = self.shape;
+        let (oh, ow) = s.out_hw();
+        check_dims("offsets", offsets, &[s.n, s.offset_channels(), oh, ow])?;
+        let max_layers = gpu.config().max_texture_layers;
         if self.method == SamplingMethod::SoftwareBilinear || s.n * s.c_in <= max_layers {
-            return self.launch_partition(gpu, x, offsets);
+            return self.launch_partition(gpu, offsets);
         }
         if s.c_in > max_layers {
             return Err(DefconError::Constraint {
@@ -265,58 +281,50 @@ impl DeformConvOp {
             });
         }
         let per_chunk = max_layers / s.c_in;
-        let (oh, ow) = s.out_hw();
+        let o_stride = s.offset_channels() * oh * ow;
         let mut reports = Vec::new();
         let mut n0 = 0usize;
         while n0 < s.n {
             let n_here = per_chunk.min(s.n - n0);
-            let chunk_shape = DeformLayerShape { n: n_here, ..s };
-            // Slice the batch range out of x and offsets.
-            let x_stride = s.c_in * s.h * s.w;
-            let o_stride = s.offset_channels() * oh * ow;
-            let x_chunk = Tensor::from_vec(
-                x.data()[n0 * x_stride..(n0 + n_here) * x_stride].to_vec(),
-                &[n_here, s.c_in, s.h, s.w],
-            );
+            // The trace reads no input or modulation: slice the offsets.
             let o_chunk = Tensor::from_vec(
                 offsets.data()[n0 * o_stride..(n0 + n_here) * o_stride].to_vec(),
                 &[n_here, s.offset_channels(), oh, ow],
             );
-            let m_chunk = self.modulation.as_ref().map(|m| {
-                let mc = self.family.modulation_channels(&s);
-                let m_stride = mc * oh * ow;
-                Tensor::from_vec(
-                    m.data()[n0 * m_stride..(n0 + n_here) * m_stride].to_vec(),
-                    &[n_here, mc, oh, ow],
-                )
-            });
             let op = DeformConvOp {
-                shape: chunk_shape,
-                modulation: m_chunk,
-                ..self.clone()
+                shape: DeformLayerShape { n: n_here, ..s },
+                modulation: None,
+                ..*self
             };
-            reports.extend(op.launch_partition(gpu, &x_chunk, &o_chunk)?);
+            reports.extend(op.launch_partition(gpu, &o_chunk)?);
             n0 += n_here;
         }
         Ok(reports)
+    }
+
+    /// Panics, naming both shapes, unless `x` is this operator's
+    /// `[N, C_in, H, W]` input.
+    fn expect_input(&self, x: &Tensor) {
+        let s = self.shape;
+        check_dims("input", x, &[s.n, s.c_in, s.h, s.w])
+            .expect("x must be the operator's [N, C_in, H, W] input");
     }
 
     /// Builds and launches the deformable stage for one batch partition.
     fn launch_partition(
         &self,
         gpu: &Gpu,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<Vec<KernelReport>, DefconError> {
         let cfg = gpu.config();
         match self.method {
             SamplingMethod::SoftwareBilinear => {
-                let im2col = Im2colDeformKernel::new(self, x, offsets, cfg.texture_limits())?;
+                let im2col = Im2colDeformKernel::new(self, offsets, cfg.texture_limits())?;
                 let gemm_stage = GemmKernel::for_conv(&self.shape);
                 Ok(vec![gpu.try_launch(&im2col)?, gpu.try_launch(&gemm_stage)?])
             }
             SamplingMethod::Tex2d | SamplingMethod::Tex2dPlusPlus => {
-                let fused = FusedTexDeformKernel::new(self, x, offsets, cfg)?;
+                let fused = FusedTexDeformKernel::new(self, offsets, cfg)?;
                 Ok(vec![gpu.try_launch(&fused)?])
             }
         }
@@ -335,7 +343,6 @@ impl DeformConvOp {
     pub fn simulate_deform_with_fallback(
         &self,
         gpu: &Gpu,
-        x: &Tensor,
         offsets: &Tensor,
     ) -> Result<DeformFallback, DefconError> {
         let ladder_span = obs::span_with("kernels.fallback_ladder", || {
@@ -352,7 +359,7 @@ impl DeformConvOp {
                 method,
                 ..self.clone()
             };
-            match op.try_simulate_deform(gpu, x, offsets) {
+            match op.try_simulate_deform(gpu, offsets) {
                 Ok(reports) => {
                     ladder_span.record("selected", Json::str(method.name()));
                     ladder_span.record("degradations", Json::from(degradations.len()));
@@ -425,6 +432,7 @@ impl DeformConvOp {
 
     /// Simulates the complete deformable operation (offset prediction +
     /// sampling + GEMM). Returns total milliseconds and per-kernel reports.
+    /// `x` is only checked, as in [`DeformConvOp::simulate_deform`].
     pub fn simulate_total(
         &self,
         gpu: &Gpu,
@@ -459,21 +467,33 @@ pub fn simulate_regular_conv_ms(gpu: &Gpu, shape: &DeformLayerShape) -> f64 {
     gpu.launch(&GemmKernel::for_conv(shape)).time_ms
 }
 
-/// Deterministic synthetic inputs for latency experiments: an activation
-/// tensor and an offset field with components in `[-spread, spread]`.
-/// (Trained DCN offsets concentrate within a few pixels; `spread` models
-/// how diffuse the learned deformation is, which is what offset bounding
-/// changes at the memory-system level.)
+/// Deterministic synthetic inputs for numeric experiments: an activation
+/// tensor and the [`synthetic_offsets`] of the same seed.
 pub fn synthetic_inputs(shape: &DeformLayerShape, spread: f32, seed: u64) -> (Tensor, Tensor) {
-    let (oh, ow) = shape.out_hw();
     let x = Tensor::randn(&[shape.n, shape.c_in, shape.h, shape.w], 0.0, 1.0, seed);
-    let offsets = Tensor::rand_uniform(
-        &[shape.n, shape.offset_channels(), oh, ow],
-        -spread,
-        spread,
-        seed ^ 0x5eed,
-    );
-    (x, offsets)
+    (x, synthetic_offsets(shape, spread, seed))
+}
+
+/// Deterministic synthetic offsets for latency experiments — all a timing
+/// route reads: an `[N, 2·G·k², outH, outW]` field with components in
+/// `[-spread, spread]`. (Trained DCN offsets concentrate within a few
+/// pixels; `spread` models how diffuse the learned deformation is, which
+/// is what offset bounding changes at the memory-system level.)
+pub fn synthetic_offsets(shape: &DeformLayerShape, spread: f32, seed: u64) -> Tensor {
+    let (oh, ow) = shape.out_hw();
+    let dims = [shape.n, shape.offset_channels(), oh, ow];
+    Tensor::rand_uniform(&dims, -spread, spread, seed ^ 0x5eed)
+}
+
+/// `InvalidShape` unless `t` has `dims`, naming both shapes.
+fn check_dims(what: &str, t: &Tensor, dims: &[usize]) -> Result<(), DefconError> {
+    if t.dims() == dims {
+        return Ok(());
+    }
+    Err(DefconError::InvalidShape {
+        what: what.into(),
+        detail: format!("expected {dims:?}, got {:?}", t.dims()),
+    })
 }
 
 /// Deterministic synthetic modulation tensor for `family` at `shape`:
@@ -620,6 +640,88 @@ mod tests {
         assert!((total - reports.iter().map(|r| r.time_ms).sum::<f64>()).abs() < 1e-12);
     }
 
+    /// An offset field of any other shape is one typed error before any
+    /// kernel is built — smaller would index past it, larger would be read
+    /// at the wrong positions — and the ladder returns it unchanged.
+    #[test]
+    fn mismatched_offsets_are_a_typed_shape_error() {
+        let (shape, _, offsets, _) = small();
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        let op = DeformConvOp {
+            method: SamplingMethod::Tex2dPlusPlus,
+            ..DeformConvOp::baseline(shape)
+        };
+        for dims in [[1, 18, 10, 9], [1, 18, 11, 10], [2, 18, 10, 10]] {
+            let wrong = Tensor::zeros(&dims);
+            let err = op.try_simulate_deform(&gpu, &wrong).unwrap_err();
+            let detail = format!("expected [1, 18, 10, 10], got {dims:?}");
+            assert_eq!(
+                err,
+                DefconError::InvalidShape {
+                    what: "offsets".into(),
+                    detail
+                }
+            );
+            assert_eq!(
+                op.simulate_deform_with_fallback(&gpu, &wrong).unwrap_err(),
+                err
+            );
+        }
+        assert!(op.try_simulate_deform(&gpu, &offsets).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "expected [1, 4, 10, 10], got [1, 4, 10, 9]")]
+    fn simulate_deform_rejects_a_mismatched_input() {
+        let (shape, _, offsets, _) = small();
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        let x = Tensor::zeros(&[1, 4, 10, 9]);
+        DeformConvOp::baseline(shape).simulate_deform(&gpu, &x, &offsets);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected [1, 4, 10, 10], got [4, 10, 10]")]
+    fn simulate_total_rejects_a_mismatched_input() {
+        let (shape, _, offsets, _) = small();
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        let x = Tensor::zeros(&[4, 10, 10]);
+        DeformConvOp::baseline(shape).simulate_total(&gpu, &x, &offsets);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected [1, 4, 10, 10], got [1, 4, 12, 12]")]
+    fn execute_rejects_a_mismatched_input() {
+        let (shape, _, offsets, w) = small();
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        let op = DeformConvOp {
+            method: SamplingMethod::Tex2d,
+            ..DeformConvOp::baseline(shape)
+        };
+        op.execute(&Tensor::zeros(&[1, 4, 12, 12]), &offsets, &w, &gpu);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected [1, 18, 10, 10], got [1, 18, 8, 8]")]
+    fn execute_rejects_mismatched_offsets() {
+        let (shape, x, _, w) = small();
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        let offsets = Tensor::zeros(&[1, 18, 8, 8]);
+        DeformConvOp::baseline(shape).execute(&x, &offsets, &w, &gpu);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected [1, 9, 10, 10], got [1, 9, 10, 11]")]
+    fn execute_rejects_a_mismatched_modulation() {
+        let (shape, x, offsets, w) = small();
+        let gpu = Gpu::new(DeviceConfig::xavier_agx());
+        let op = DeformConvOp {
+            family: OpFamily::DcnV2,
+            modulation: Some(Tensor::full(&[1, 9, 10, 11], 0.5)),
+            ..DeformConvOp::baseline(shape)
+        };
+        op.execute(&x, &offsets, &w, &gpu);
+    }
+
     #[test]
     fn synthetic_inputs_respect_spread() {
         let shape = DeformLayerShape::same3x3(2, 2, 8, 8);
@@ -683,12 +785,12 @@ mod partition_tests {
         assert_eq!(max, 2048, "boundary cases assume the Xavier limit");
         let launches = |n: usize, c_in: usize| {
             let shape = layered_shape(n, c_in);
-            let (x, off) = synthetic_inputs(&shape, 2.0, 9);
+            let off = synthetic_offsets(&shape, 2.0, 9);
             let op = DeformConvOp {
                 method: SamplingMethod::Tex2d,
                 ..DeformConvOp::baseline(shape)
             };
-            op.try_simulate_deform(&gpu, &x, &off).unwrap().len()
+            op.try_simulate_deform(&gpu, &off).unwrap().len()
         };
         assert_eq!(launches(1, 2047), 1, "under the limit: single launch");
         assert_eq!(launches(1, 2048), 1, "exactly at the limit: single launch");
@@ -702,12 +804,12 @@ mod partition_tests {
         // the old assert is now a degradable Constraint error.
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let shape = layered_shape(2, 2100);
-        let (x, off) = synthetic_inputs(&shape, 2.0, 10);
+        let off = synthetic_offsets(&shape, 2.0, 10);
         let op = DeformConvOp {
             method: SamplingMethod::Tex2dPlusPlus,
             ..DeformConvOp::baseline(shape)
         };
-        let err = op.try_simulate_deform(&gpu, &x, &off).unwrap_err();
+        let err = op.try_simulate_deform(&gpu, &off).unwrap_err();
         assert!(matches!(err, DefconError::Constraint { .. }), "{err}");
         assert!(err.is_degradable());
     }
@@ -716,12 +818,12 @@ mod partition_tests {
     fn fallback_ladder_lands_on_software_when_textures_cannot_hold_the_layer() {
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let shape = layered_shape(1, 2100);
-        let (x, off) = synthetic_inputs(&shape, 2.0, 11);
+        let off = synthetic_offsets(&shape, 2.0, 11);
         let op = DeformConvOp {
             method: SamplingMethod::Tex2dPlusPlus,
             ..DeformConvOp::baseline(shape)
         };
-        let fb = op.simulate_deform_with_fallback(&gpu, &x, &off).unwrap();
+        let fb = op.simulate_deform_with_fallback(&gpu, &off).unwrap();
         assert_eq!(fb.method, SamplingMethod::SoftwareBilinear);
         assert_eq!(fb.degradations.len(), 2, "{:?}", fb.degradations);
         assert!(fb.degradations[0].starts_with("tex2D++ unavailable"));
@@ -738,7 +840,7 @@ mod partition_tests {
             method: SamplingMethod::Tex2dPlusPlus,
             ..DeformConvOp::baseline(shape)
         };
-        let fb = op.simulate_deform_with_fallback(&gpu, &x, &off).unwrap();
+        let fb = op.simulate_deform_with_fallback(&gpu, &off).unwrap();
         assert_eq!(fb.method, SamplingMethod::Tex2dPlusPlus);
         assert!(fb.degradations.is_empty());
         let direct = op.simulate_deform(&gpu, &x, &off);
@@ -750,8 +852,8 @@ mod partition_tests {
     fn malformed_shapes_are_one_typed_error_even_through_the_ladder() {
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let base = DeformLayerShape::same3x3(4, 4, 8, 8);
-        // Never read: the shape is validated before any kernel is built.
-        let (x, off) = (Tensor::zeros(&[1]), Tensor::zeros(&[1]));
+        // Never checked: the shape is validated before the offsets.
+        let off = Tensor::zeros(&[1]);
         for (shape, detail) in [
             (
                 DeformLayerShape { c_out: 0, ..base },
@@ -774,14 +876,14 @@ mod partition_tests {
                 method: SamplingMethod::Tex2dPlusPlus,
                 ..DeformConvOp::baseline(shape)
             };
-            let direct = op.try_simulate_deform(&gpu, &x, &off).unwrap_err();
+            let direct = op.try_simulate_deform(&gpu, &off).unwrap_err();
             assert!(
                 matches!(&direct, DefconError::InvalidShape { detail: d, .. } if d.contains(detail)),
                 "{direct}"
             );
             // Not degradable: the ladder returns the one error, skipping
             // no rungs.
-            let laddered = op.simulate_deform_with_fallback(&gpu, &x, &off);
+            let laddered = op.simulate_deform_with_fallback(&gpu, &off);
             assert_eq!(laddered.unwrap_err(), direct);
         }
     }

@@ -10,7 +10,7 @@ use defcon_core::pipeline::DefconConfig;
 use defcon_gpusim::Gpu;
 use defcon_kernels::gemm_kernel::{GemmKernel, RegularConvKernel};
 use defcon_kernels::im2col::address_map;
-use defcon_kernels::op::{simulate_regular_conv_ms, synthetic_inputs};
+use defcon_kernels::op::{simulate_regular_conv_ms, synthetic_offsets};
 use defcon_kernels::DeformLayerShape;
 
 /// One convolution of the full network.
@@ -151,19 +151,27 @@ pub fn num_dcn(slots: &[NetLayer]) -> usize {
 /// this call only: each distinct pure GEMM/conv launch is simulated once
 /// per network and its repeats replay the stored report, which is
 /// byte-identical to re-simulating it. The deformable sampling launches
-/// read offsets and always run.
+/// read offsets and always run; no input tensor is built, since no trace
+/// reads one.
 pub fn simulate_network(gpu: &Gpu, slots: &[NetLayer], config: &DefconConfig) -> f64 {
     let gpu = &gpu.memoizing();
     let mut total = 0.0f64;
     for layer in slots {
         if layer.dcn {
             let op = config.build_op(layer.shape, gpu);
-            let (x, offsets) = synthetic_inputs(
+            let offsets = synthetic_offsets(
                 &layer.shape,
                 config.bounded.unwrap_or(8.0),
                 0xE2E ^ (layer.shape.c_in as u64),
             );
-            total += op.simulate_total(gpu, &x, &offsets).0;
+            // The offset conv's reports, then the deformable stage's, in
+            // one running sum: `simulate_total`'s order, without an input.
+            let mut reports = op.simulate_offset_conv(gpu);
+            reports.extend(
+                op.try_simulate_deform(gpu, &offsets)
+                    .expect("DCN slot failed"),
+            );
+            total += reports.iter().map(|r| r.time_ms).sum::<f64>();
         } else {
             total += simulate_regular_conv_ms(gpu, &layer.shape);
         }

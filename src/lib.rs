@@ -64,8 +64,8 @@ pub mod prelude {
     pub use defcon_gpusim::{DeviceConfig, Gpu, SamplePolicy};
     pub use defcon_kernels::backend::{Backend, BackendKind};
     pub use defcon_kernels::op::{
-        synthetic_inputs, synthetic_modulation, DeformConvOp, OffsetPredictorKind, OpFamily,
-        SamplingMethod,
+        synthetic_inputs, synthetic_modulation, synthetic_offsets, DeformConvOp,
+        OffsetPredictorKind, OpFamily, SamplingMethod,
     };
     pub use defcon_kernels::{paper_layer_sweep, DeformLayerShape, TileConfig};
     pub use defcon_models::backbone::{BackboneConfig, SlotKind};

@@ -21,21 +21,18 @@ fn layer_kernels(
     gpu: &Gpu,
 ) -> Vec<Box<dyn BlockTrace + Send + Sync + '_>> {
     let cfg = gpu.config();
-    // The inputs and the im2col kernel's operator are leaked so the
+    // The offsets and the im2col kernel's operator are leaked so the
     // kernels (which borrow them) can be returned; the test process owns a
     // handful of layers only.
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xDEFC);
-    let x: &'static _ = Box::leak(Box::new(x));
-    let offsets: &'static _ = Box::leak(Box::new(offsets));
+    let offsets: &'static _ = Box::leak(Box::new(synthetic_offsets(&shape, 4.0, 0xDEFC)));
     let software: &'static _ = Box::leak(Box::new(DeformConvOp::baseline(shape)));
     let tex2d = DeformConvOp {
         method: SamplingMethod::Tex2d,
         ..DeformConvOp::baseline(shape)
     };
-    let im2col = Im2colDeformKernel::new(software, x, offsets, cfg.texture_limits())
+    let im2col = Im2colDeformKernel::new(software, offsets, cfg.texture_limits())
         .expect("texture limits exceeded");
-    let fused =
-        FusedTexDeformKernel::new(&tex2d, x, offsets, cfg).expect("texture limits exceeded");
+    let fused = FusedTexDeformKernel::new(&tex2d, offsets, cfg).expect("texture limits exceeded");
     vec![
         Box::new(im2col),
         Box::new(fused),

@@ -10,7 +10,7 @@ use defcon::core::lut::{LatencyKey, LatencyLut};
 use defcon::core::search::{IntervalSearch, SearchConfig, SearchModel, SearchOutcome};
 use defcon::gpusim::{BlockTrace, DeviceConfig, Gpu, TraceSink};
 use defcon::kernels::op::{
-    synthetic_inputs, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
+    synthetic_offsets, DeformConvOp, OffsetPredictorKind, OpFamily, SamplingMethod,
 };
 use defcon::kernels::DeformLayerShape;
 use defcon::nn::graph::{ParamId, ParamStore, Tape, Var};
@@ -155,7 +155,7 @@ fn texture_limit_fault_drives_the_fallback_ladder_to_software() {
     let _armed = fault::arm(FaultPlan::new(61).point("texture.limit", Schedule::Always));
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let shape = DeformLayerShape::same3x3(16, 16, 12, 12);
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 9);
+    let offsets = synthetic_offsets(&shape, 4.0, 9);
     let op = DeformConvOp {
         method: SamplingMethod::Tex2dPlusPlus,
         ..DeformConvOp::baseline(shape)
@@ -163,9 +163,7 @@ fn texture_limit_fault_drives_the_fallback_ladder_to_software() {
     // The shape fits Xavier's limits; only the injected fault makes every
     // texture build fail, so both texture rungs degrade and the software
     // sampler (which builds no textures) carries the launch.
-    let fb = op
-        .simulate_deform_with_fallback(&gpu, &x, &offsets)
-        .unwrap();
+    let fb = op.simulate_deform_with_fallback(&gpu, &offsets).unwrap();
     assert_eq!(fb.method, SamplingMethod::SoftwareBilinear);
     assert_eq!(fb.degradations.len(), 2, "{:?}", fb.degradations);
     assert!(!fb.reports.is_empty());
@@ -185,7 +183,7 @@ fn modulated_families_walk_the_fallback_ladder_with_pinned_logs() {
 
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let shape = DeformLayerShape::same3x3(16, 16, 12, 12);
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 9);
+    let offsets = synthetic_offsets(&shape, 4.0, 9);
     for family in [OpFamily::DcnV2, OpFamily::DcnV3] {
         // Obs lock first, then fault — the fixed order (see obs_invariants).
         let _obs = obs::arm(ObsConfig::default());
@@ -196,9 +194,7 @@ fn modulated_families_walk_the_fallback_ladder_with_pinned_logs() {
             modulation: synthetic_modulation(&shape, family, 9),
             ..DeformConvOp::baseline(shape)
         };
-        let fb = op
-            .simulate_deform_with_fallback(&gpu, &x, &offsets)
-            .unwrap();
+        let fb = op.simulate_deform_with_fallback(&gpu, &offsets).unwrap();
         assert_eq!(fb.method, SamplingMethod::SoftwareBilinear, "{family:?}");
         assert_eq!(
             fb.degradations.len(),
@@ -678,7 +674,7 @@ fn accel_tile_fault_degrades_to_the_gpusim_ladder_with_pinned_log() {
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let accel = Accel::new(AccelConfig::edge());
     let shape = DeformLayerShape::same3x3(16, 16, 12, 12);
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 11);
+    let offsets = synthetic_offsets(&shape, 4.0, 11);
     let op = DeformConvOp {
         method: SamplingMethod::Tex2dPlusPlus,
         ..DeformConvOp::baseline(shape)
@@ -686,7 +682,7 @@ fn accel_tile_fault_degrades_to_the_gpusim_ladder_with_pinned_log() {
     // Obs lock first, then fault — the fixed order (see obs_invariants).
     let _obs = obs::arm(ObsConfig::default());
     let _armed = fault::arm(FaultPlan::new(91).point("accel.tile", Schedule::Always));
-    let fb = launch_with_gpu_fallback(&accel, &gpu, &op, &x, &offsets).unwrap();
+    let fb = launch_with_gpu_fallback(&accel, &gpu, &op, &offsets).unwrap();
     // The gpusim ladder is healthy, so the requested rung survives.
     assert_eq!(fb.method, SamplingMethod::Tex2dPlusPlus);
     assert_eq!(fb.degradations.len(), 1, "{:?}", fb.degradations);

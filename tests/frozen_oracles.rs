@@ -136,20 +136,20 @@ fn serial_fingerprint(kernel: &dyn BlockTrace, cfg: &DeviceConfig) -> String {
 fn hot_path_reports_match_frozen_pre_optimization_digests() {
     let shape = DeformLayerShape::same3x3(4, 4, 40, 40);
     let cfg = DeviceConfig::xavier_agx();
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 0xA11C);
+    let offsets = synthetic_offsets(&shape, 4.0, 0xA11C);
     for family in OpFamily::all() {
         let op = DeformConvOp {
             family,
             modulation: synthetic_modulation(&shape, family, 0xA11C),
             ..DeformConvOp::baseline(shape)
         };
-        let im2col = Im2colDeformKernel::new(&op, &x, &offsets, cfg.texture_limits())
+        let im2col = Im2colDeformKernel::new(&op, &offsets, cfg.texture_limits())
             .expect("tiny layer fits the texture limits");
         let tex2d = DeformConvOp {
             method: SamplingMethod::Tex2d,
             ..op.clone()
         };
-        let fused = FusedTexDeformKernel::new(&tex2d, &x, &offsets, &cfg)
+        let fused = FusedTexDeformKernel::new(&tex2d, &offsets, &cfg)
             .expect("tiny layer fits the texture limits");
         for kernel in [&im2col as &dyn BlockTrace, &fused] {
             let name = kernel.label();

@@ -19,19 +19,12 @@ const CASES: u32 = 24;
 
 /// Binds a layered texture over every `(n, c)` slice of a `[1, C, H, W]`
 /// tensor, the mapping the kernels use (one feature-map slice per layer).
-fn texture_of(t: &Tensor, frac_bits: u32) -> LayeredTexture2d<'_> {
+fn texture_of(t: &Tensor, frac_bits: u32) -> LayeredTexture2d {
     let (n, c, h, w) = t.shape().nchw();
     let dev = DeviceConfig::xavier_agx();
-    let mut tex = LayeredTexture2d::new(
-        t.data(),
-        n * c,
-        h,
-        w,
-        0,
-        dev.max_texture_layers,
-        dev.max_texture_dim,
-    )
-    .expect("test shapes fit device limits");
+    let mut tex =
+        LayeredTexture2d::new(n * c, h, w, 0, dev.max_texture_layers, dev.max_texture_dim)
+            .expect("test shapes fit device limits");
     tex.frac_bits = frac_bits;
     tex
 }
@@ -64,7 +57,7 @@ fn texture_fetch_matches_software_bilinear() {
             let t = Tensor::randn(&[1, *c, *h, *w], 0.0, 1.0, *seed);
             let tex = texture_of(&t, 23);
             for &(ch, y, x) in coords {
-                let hw = tex.fetch(ch, y, x).value;
+                let hw = tex.fetch(t.data(), ch, y, x).value;
                 let sw = defcon::tensor::sample::bilinear_sample(&t, 0, ch, y, x);
                 prop_assert!(
                     (hw - sw).abs() < 1e-5,
@@ -103,7 +96,7 @@ fn tex2dpp_error_bounded_by_filter_quantum() {
             let t = Tensor::rand_uniform(&[1, 1, *h, *w], 0.0, 1.0, *seed);
             let tex = texture_of(&t, 8);
             for &(y, x) in coords {
-                let hw = tex.fetch(0, y, x).value;
+                let hw = tex.fetch(t.data(), 0, y, x).value;
                 let sw = defcon::tensor::sample::bilinear_sample(&t, 0, 0, y, x);
                 // Two axes, each fraction off by ≤ 2⁻⁹, spread ≤ 1.
                 prop_assert!(

@@ -18,7 +18,7 @@ use defcon::gpusim::{DeadlineBudget, DeviceConfig, Gpu, KernelReport, ReportCach
 use defcon::kernels::fused::FusedTexDeformKernel;
 use defcon::kernels::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
 use defcon::kernels::im2col::{address_map, Im2colDeformKernel};
-use defcon::kernels::op::{synthetic_inputs, DeformConvOp, SamplingMethod};
+use defcon::kernels::op::{synthetic_inputs, synthetic_offsets, DeformConvOp, SamplingMethod};
 use defcon::kernels::DeformLayerShape;
 use defcon_support::error::DefconError;
 use defcon_support::json::ToJson;
@@ -162,17 +162,17 @@ fn memo_keys_are_injective_over_single_field_mutants() {
 #[test]
 fn deformable_kernels_have_no_memo_key() {
     let cfg = DeviceConfig::xavier_agx();
-    let (x, offsets) = synthetic_inputs(&shape(), 4.0, 11);
+    let offsets = synthetic_offsets(&shape(), 4.0, 11);
     let sw = DeformConvOp::baseline(shape());
     let im2col =
-        Im2colDeformKernel::new(&sw, &x, &offsets, cfg.texture_limits()).expect("tiny shape fits");
+        Im2colDeformKernel::new(&sw, &offsets, cfg.texture_limits()).expect("tiny shape fits");
     assert!(im2col.memo_key().is_none());
     for method in [SamplingMethod::Tex2d, SamplingMethod::Tex2dPlusPlus] {
         let op = DeformConvOp {
             method,
             ..sw.clone()
         };
-        let fused = FusedTexDeformKernel::new(&op, &x, &offsets, &cfg).expect("tiny shape fits");
+        let fused = FusedTexDeformKernel::new(&op, &offsets, &cfg).expect("tiny shape fits");
         assert!(fused.memo_key().is_none(), "{method:?}");
     }
 }

@@ -10,7 +10,7 @@
 
 use defcon::gpusim::{DeviceConfig, Gpu, SamplePolicy};
 use defcon::kernels::im2col::Im2colDeformKernel;
-use defcon::kernels::op::{synthetic_inputs, DeformConvOp, SamplingMethod};
+use defcon::kernels::op::{synthetic_inputs, synthetic_offsets, DeformConvOp, SamplingMethod};
 use defcon::kernels::DeformLayerShape;
 use defcon_support::fault::{self, FaultPlan, Schedule};
 use defcon_support::obs::{self, find_spans, ObsConfig, SpanNode};
@@ -34,7 +34,7 @@ fn layer(h: usize, w: usize) -> Layer {
 impl Layer {
     fn kernel(&self) -> Im2colDeformKernel<'_> {
         let limits = DeviceConfig::xavier_agx().texture_limits();
-        Im2colDeformKernel::new(&self.op, &self.x, &self.off, limits).unwrap()
+        Im2colDeformKernel::new(&self.op, &self.off, limits).unwrap()
     }
 }
 
@@ -197,7 +197,7 @@ fn counter_registry_accumulates_linearly_across_launches() {
 fn fallback_events_fire_iff_a_fault_forced_the_downgrade() {
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let shape = DeformLayerShape::same3x3(16, 16, 12, 12);
-    let (x, offsets) = synthetic_inputs(&shape, 4.0, 9);
+    let offsets = synthetic_offsets(&shape, 4.0, 9);
     let op = DeformConvOp {
         method: SamplingMethod::Tex2dPlusPlus,
         ..DeformConvOp::baseline(shape)
@@ -207,9 +207,7 @@ fn fallback_events_fire_iff_a_fault_forced_the_downgrade() {
     {
         let _obs = obs::arm(ObsConfig::default());
         let _quiet = fault::quiesce();
-        let fb = op
-            .simulate_deform_with_fallback(&gpu, &x, &offsets)
-            .unwrap();
+        let fb = op.simulate_deform_with_fallback(&gpu, &offsets).unwrap();
         assert_eq!(fb.method, SamplingMethod::Tex2dPlusPlus);
         let forest = obs::snapshot();
         let ladder = find_spans(&forest, "kernels.fallback_ladder");
@@ -229,9 +227,7 @@ fn fallback_events_fire_iff_a_fault_forced_the_downgrade() {
     {
         let _obs = obs::arm(ObsConfig::default());
         let _armed = fault::arm(FaultPlan::new(61).point("texture.limit", Schedule::Always));
-        let fb = op
-            .simulate_deform_with_fallback(&gpu, &x, &offsets)
-            .unwrap();
+        let fb = op.simulate_deform_with_fallback(&gpu, &offsets).unwrap();
         assert_eq!(fb.method, SamplingMethod::SoftwareBilinear);
         assert_eq!(fb.degradations.len(), 2);
         let forest = obs::snapshot();

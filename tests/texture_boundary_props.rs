@@ -91,16 +91,15 @@ fn fetch_matches_legacy_at_address_mode_boundaries() {
         |&(layers, h, w, seed, fy, fx)| {
             let reference = Tensor::from_vec(texels(layers * h * w, seed), &[1, layers, h, w]);
             for (stream, frac_bits) in FRAC_BITS.into_iter().enumerate() {
-                let mut tex =
-                    LayeredTexture2d::new(reference.data(), layers, h, w, 0x8000_0000, 2048, 32768)
-                        .expect("within device limits");
+                let mut tex = LayeredTexture2d::new(layers, h, w, 0x8000_0000, 2048, 32768)
+                    .expect("within device limits");
                 tex.frac_bits = frac_bits;
                 let mut streams = streams.borrow_mut();
                 let bytes = &mut streams[stream];
                 for layer in 0..layers {
                     for &y in &boundary_coords(h, fy) {
                         for &x in &boundary_coords(w, fx) {
-                            let f = tex.fetch(layer, y, x);
+                            let f = tex.fetch(reference.data(), layer, y, x);
                             if frac_bits == 23 {
                                 let want = bilinear_sample(&reference, 0, layer, y, x);
                                 prop_assert_eq!(f.value.to_bits(), want.to_bits());

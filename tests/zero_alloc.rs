@@ -9,7 +9,8 @@
 //! `Vec`s.
 //!
 //! Layer shape: the paper's exhaustive Table II layer (16×16 channels,
-//! 550×550), the same layer the hot-path benchmark times.
+//! 550×550), the same layer the hot-path benchmark times. The serving
+//! test times a Table II layer instead, by the bytes a miss allocates.
 
 use defcon::gpusim::cache::Cache;
 use defcon::gpusim::device::DeviceConfig;
@@ -18,10 +19,10 @@ use defcon::kernels::fused::FusedTexDeformKernel;
 use defcon::kernels::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
 use defcon::kernels::im2col::Im2colDeformKernel;
 use defcon::kernels::op::{
-    synthetic_inputs, synthetic_modulation, DeformConvOp, OpFamily, SamplingMethod,
+    synthetic_modulation, synthetic_offsets, DeformConvOp, OpFamily, SamplingMethod,
 };
 use defcon::kernels::DeformLayerShape;
-use defcon_support::testalloc::{thread_allocations, CountingAllocator};
+use defcon_support::testalloc::{thread_allocated_bytes, thread_allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -101,28 +102,28 @@ fn retry_backoff_schedule_does_not_allocate() {
 
 #[test]
 fn im2col_software_traces_without_allocating() {
-    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 11);
+    let off = synthetic_offsets(&table2_shape(), 2.0, 11);
     let cfg = DeviceConfig::xavier_agx();
     let op = table2_op(SamplingMethod::SoftwareBilinear, OpFamily::DcnV1);
-    let k = Im2colDeformKernel::new(&op, &x, &off, cfg.texture_limits()).unwrap();
+    let k = Im2colDeformKernel::new(&op, &off, cfg.texture_limits()).unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 4), 0);
 }
 
 #[test]
 fn im2col_texture_traces_without_allocating() {
-    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 12);
+    let off = synthetic_offsets(&table2_shape(), 2.0, 12);
     let cfg = DeviceConfig::xavier_agx();
     let op = table2_op(SamplingMethod::Tex2d, OpFamily::DcnV1);
-    let k = Im2colDeformKernel::new(&op, &x, &off, cfg.texture_limits()).unwrap();
+    let k = Im2colDeformKernel::new(&op, &off, cfg.texture_limits()).unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 4), 0);
 }
 
 #[test]
 fn fused_texture_traces_without_allocating() {
-    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 13);
+    let off = synthetic_offsets(&table2_shape(), 2.0, 13);
     let cfg = DeviceConfig::xavier_agx();
     let op = table2_op(SamplingMethod::Tex2dPlusPlus, OpFamily::DcnV1);
-    let k = FusedTexDeformKernel::new(&op, &x, &off, &cfg).unwrap();
+    let k = FusedTexDeformKernel::new(&op, &off, &cfg).unwrap();
     assert_eq!(allocations_tracing(&k, &cfg, 2), 0);
 }
 
@@ -133,14 +134,14 @@ fn fused_texture_traces_without_allocating() {
 #[test]
 fn modulated_and_sparse_kernels_trace_without_allocating() {
     let shape = table2_shape();
-    let (x, off) = synthetic_inputs(&shape, 2.0, 14);
+    let off = synthetic_offsets(&shape, 2.0, 14);
     let cfg = DeviceConfig::xavier_agx();
     for family in [OpFamily::DcnV2, OpFamily::DcnV3] {
         let tex2d = DeformConvOp {
             modulation: synthetic_modulation(&shape, family, 14),
             ..table2_op(SamplingMethod::Tex2d, family)
         };
-        let im2col = Im2colDeformKernel::new(&tex2d, &x, &off, cfg.texture_limits()).unwrap();
+        let im2col = Im2colDeformKernel::new(&tex2d, &off, cfg.texture_limits()).unwrap();
         assert_eq!(
             allocations_tracing(&im2col, &cfg, 2),
             0,
@@ -150,27 +151,61 @@ fn modulated_and_sparse_kernels_trace_without_allocating() {
             method: SamplingMethod::Tex2dPlusPlus,
             ..tex2d.clone()
         };
-        let fused = FusedTexDeformKernel::new(&tex2dpp, &x, &off, &cfg).unwrap();
+        let fused = FusedTexDeformKernel::new(&tex2dpp, &off, &cfg).unwrap();
         assert_eq!(allocations_tracing(&fused, &cfg, 2), 0, "{family:?} fused");
     }
 }
 
-/// A layered texture is a view of the tensor it samples (layer `n·C + c`
-/// is the NCHW slice `(n, c)`), so binding one for either texture kernel
-/// allocates nothing: no copy of the 550×550 input.
+/// A layered texture is geometry only (layer `n·C + c` is the NCHW slice
+/// `(n, c)` of an input no kernel holds), so binding one for either
+/// texture kernel allocates nothing: no copy of the 550×550 input.
 #[test]
 fn binding_a_texture_copies_nothing() {
-    let (x, off) = synthetic_inputs(&table2_shape(), 2.0, 15);
+    let off = synthetic_offsets(&table2_shape(), 2.0, 15);
     let cfg = DeviceConfig::xavier_agx();
     let tex2d = table2_op(SamplingMethod::Tex2d, OpFamily::DcnV1);
     let tex2dpp = table2_op(SamplingMethod::Tex2dPlusPlus, OpFamily::DcnV1);
     let before = thread_allocations();
-    let im2col = Im2colDeformKernel::new(&tex2d, &x, &off, cfg.texture_limits());
-    let fused = FusedTexDeformKernel::new(&tex2dpp, &x, &off, &cfg);
+    let im2col = Im2colDeformKernel::new(&tex2d, &off, cfg.texture_limits());
+    let fused = FusedTexDeformKernel::new(&tex2dpp, &off, &cfg);
     let allocations = thread_allocations() - before;
     assert!(im2col.is_ok_and(|k| k.texture.is_some()), "tex2D binds");
     assert!(fused.is_ok(), "tex2D++ binds");
     assert_eq!(allocations, 0);
+}
+
+/// A serving miss builds only the offsets its trace reads: one
+/// `SimServer::serve` miss on the Xavier 256→256 @ 69² layer allocates
+/// fewer bytes than that layer's 4.9 MB input tensor. One worker runs the
+/// miss on this thread, where the counter sees it.
+#[test]
+fn a_serving_miss_allocates_less_than_its_input_tensor() {
+    use defcon::core::serve::{
+        RequestPolicy, ServeConfig, ServeDevice, ServeOutcome, SimRequest, SimServer,
+    };
+    use defcon::kernels::backend::BackendKind;
+    let layer = DeformLayerShape::same3x3(256, 256, 69, 69);
+    let input_bytes = (layer.n * layer.c_in * layer.h * layer.w * 4) as u64;
+    let mut server = SimServer::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let req = SimRequest {
+        device: ServeDevice::XavierAgx,
+        layer,
+        kernel_family: SamplingMethod::Tex2dPlusPlus,
+        op_family: OpFamily::DcnV1,
+        backend: BackendKind::Gpusim,
+        policy: RequestPolicy::default(),
+    };
+    let before = thread_allocated_bytes();
+    let resp = server.serve(&[req]);
+    let bytes = thread_allocated_bytes() - before;
+    assert!(!resp[0].from_cache && resp[0].outcome == ServeOutcome::Served);
+    assert!(
+        bytes < input_bytes,
+        "the miss allocated {bytes} bytes; the input tensor is {input_bytes}"
+    );
 }
 
 #[test]
