@@ -522,6 +522,18 @@ mod tests {
         }
     }
 
+    /// The accel shares gpusim's numeric tile, and with it the tensor
+    /// checks: a texture method no longer binds `x`, so nothing else would
+    /// catch a larger input read at the wrong positions.
+    #[test]
+    #[should_panic(expected = "expected [1, 4, 12, 12], got [1, 4, 12, 13]")]
+    fn execute_rejects_a_mismatched_input() {
+        let op = small_op(SamplingMethod::Tex2d);
+        let off = synthetic_offsets(&op.shape, 2.0, 7);
+        let (x, w) = (Tensor::zeros(&[1, 4, 12, 13]), Tensor::zeros(&[6, 4, 3, 3]));
+        Accel::new(AccelConfig::edge()).execute(&op, &x, &off, &w);
+    }
+
     #[test]
     fn launch_total_includes_the_offset_predictor() {
         let accel = Accel::new(AccelConfig::edge());

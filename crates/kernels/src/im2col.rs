@@ -62,6 +62,17 @@ pub(crate) fn bind_texture(
     Ok(Some(texture))
 }
 
+/// `InvalidShape` unless `t` has `dims`, naming both shapes.
+pub(crate) fn check_dims(what: &str, t: &Tensor, dims: &[usize]) -> Result<(), DefconError> {
+    if t.dims() == dims {
+        return Ok(());
+    }
+    Err(DefconError::InvalidShape {
+        what: what.into(),
+        detail: format!("expected {dims:?}, got {:?}", t.dims()),
+    })
+}
+
 /// The output tile one thread block covers. Threads cover the tile
 /// row-major; lanes of one warp are consecutive threads (so consecutive
 /// output columns, wrapping at tile width — the standard CUDA mapping).
@@ -370,6 +381,9 @@ impl BlockTrace for Im2colDeformKernel<'_> {
 /// independent of which columns are present (see `defcon_tensor::gemm`),
 /// so a GEMM over a tile's columns produces byte-identical output values
 /// to the corresponding columns of a full-plane GEMM.
+///
+/// Panics, naming both shapes, when `x`, the offsets or a present
+/// modulation tensor does not match the kernel's shape.
 pub fn im2col_deform_numeric_tile(
     kernel: &Im2colDeformKernel<'_>,
     x: &Tensor,
@@ -380,7 +394,19 @@ pub fn im2col_deform_numeric_tile(
     tw: usize,
 ) -> Vec<f32> {
     let s = kernel.shape;
+    let (oh, ow) = s.out_hw();
     let kk = s.kernel * s.kernel;
+    check_dims("input", x, &[s.n, s.c_in, s.h, s.w]).expect("mismatched input");
+    check_dims(
+        "offsets",
+        kernel.offsets,
+        &[s.n, s.offset_channels(), oh, ow],
+    )
+    .expect("mismatched offsets");
+    if let Some(m) = kernel.modulation {
+        check_dims("modulation", m, &[s.n, s.deform_groups * kk, oh, ow])
+            .expect("mismatched modulation");
+    }
     let neutral = kernel.family == OpFamily::DcnV1;
     let mut cols = vec![0.0f32; s.c_in * kk * th * tw];
     for ci in 0..s.c_in {

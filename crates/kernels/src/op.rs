@@ -11,7 +11,7 @@
 
 use crate::fused::FusedTexDeformKernel;
 use crate::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
-use crate::im2col::{im2col_deform_numeric_tile, Im2colDeformKernel};
+use crate::im2col::{check_dims, im2col_deform_numeric_tile, Im2colDeformKernel};
 use crate::layer::{DeformLayerShape, TileConfig};
 use defcon_gpusim::{Gpu, KernelReport};
 use defcon_support::error::DefconError;
@@ -205,13 +205,6 @@ impl DeformConvOp {
     pub fn execute(&self, x: &Tensor, offsets: &Tensor, weight: &Tensor, gpu: &Gpu) -> Tensor {
         let s = self.shape;
         let (oh, ow) = s.out_hw();
-        self.expect_input(x);
-        check_dims("offsets", offsets, &[s.n, s.offset_channels(), oh, ow])
-            .expect("mismatched offsets");
-        if let Some(m) = &self.modulation {
-            let taps = s.deform_groups * s.kernel * s.kernel;
-            check_dims("modulation", m, &[s.n, taps, oh, ow]).expect("mismatched modulation");
-        }
         let kernel = Im2colDeformKernel::new(self, offsets, gpu.config().texture_limits())
             .expect("texture limits exceeded");
         let krows = s.c_in * s.kernel * s.kernel;
@@ -483,17 +476,6 @@ pub fn synthetic_offsets(shape: &DeformLayerShape, spread: f32, seed: u64) -> Te
     let (oh, ow) = shape.out_hw();
     let dims = [shape.n, shape.offset_channels(), oh, ow];
     Tensor::rand_uniform(&dims, -spread, spread, seed ^ 0x5eed)
-}
-
-/// `InvalidShape` unless `t` has `dims`, naming both shapes.
-fn check_dims(what: &str, t: &Tensor, dims: &[usize]) -> Result<(), DefconError> {
-    if t.dims() == dims {
-        return Ok(());
-    }
-    Err(DefconError::InvalidShape {
-        what: what.into(),
-        detail: format!("expected {dims:?}, got {:?}", t.dims()),
-    })
 }
 
 /// Deterministic synthetic modulation tensor for `family` at `shape`:
