@@ -396,13 +396,9 @@ pub fn im2col_deform_numeric_tile(
     let s = kernel.shape;
     let (oh, ow) = s.out_hw();
     let kk = s.kernel * s.kernel;
-    check_dims("input", x, &[s.n, s.c_in, s.h, s.w]).expect("mismatched input");
-    check_dims(
-        "offsets",
-        kernel.offsets,
-        &[s.n, s.offset_channels(), oh, ow],
-    )
-    .expect("mismatched offsets");
+    let (input, offsets) = ([s.n, s.c_in, s.h, s.w], [s.n, s.offset_channels(), oh, ow]);
+    check_dims("input", x, &input).expect("mismatched input");
+    check_dims("offsets", kernel.offsets, &offsets).expect("mismatched offsets");
     if let Some(m) = kernel.modulation {
         check_dims("modulation", m, &[s.n, s.deform_groups * kk, oh, ow])
             .expect("mismatched modulation");
