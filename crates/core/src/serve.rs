@@ -60,13 +60,13 @@
 //! against the budget up front, a LUT-backed preflight rejects requests
 //! whose tabulated cost already exceeds what remains (uniformly, *before*
 //! the cache is consulted, so temperature cannot change the verdict), and
-//! a miss simulation runs against a [`DeadlineBudget`] that fails the
-//! first launch whose charge crosses the remainder. A cache hit replays the same verdict by walking the cached per-launch
-//! cycle charges — hit and miss agree because a budget trips at the first
-//! launch whose cumulative `ceil(cycles)` crosses the remainder, and that
-//! is a pure function of the (deterministic) report stream. Exceeded
-//! requests are never cached. The `serve.deadline` fault point forces the
-//! verdict at admission.
+//! every answer that comes back with reports — a cache hit, a gpusim miss
+//! or an accel miss — is judged by one walk over them: each launch is
+//! charged `ceil(cycles)`, and the first launch whose running sum passes
+//! the remainder fails the request. The walk reads only the
+//! (deterministic) reports, so a hit and the miss that filled it get the
+//! same verdict. Exceeded requests are never cached. The `serve.deadline`
+//! fault point forces the verdict at admission.
 //!
 //! ## Circuit breaker over the kernel ladder
 //!
@@ -83,11 +83,10 @@
 //! setup, so there is always a rung to land on. The `breaker.trip` fault
 //! point force-opens the requested rung at admission.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use defcon_accel::{Accel, AccelConfig};
-use defcon_gpusim::{DeadlineBudget, DeviceConfig, Gpu, KernelReport, ReportCache, SamplePolicy};
+use defcon_gpusim::{DeviceConfig, Gpu, KernelReport, ReportCache, SamplePolicy};
 use defcon_kernels::backend::BackendKind;
 use defcon_kernels::op::{
     synthetic_offsets, DeformConvOp, DeformFallback, OpFamily, SamplingMethod,
@@ -346,8 +345,8 @@ pub enum ServeOutcome {
     /// response carries the final `Overloaded` error and no reports.
     Shed,
     /// The virtual-time deadline verdict fired (at admission, preflight,
-    /// or mid-simulation); the response carries the `DeadlineExceeded`
-    /// rendering and no reports.
+    /// backoff, or on the answer's launches); the response carries the
+    /// `DeadlineExceeded` rendering and no reports.
     DeadlineExceeded,
     /// The simulation itself failed with a non-deadline error. The chaos
     /// soak asserts this never happens (the software floor always runs).
@@ -473,11 +472,7 @@ impl Answer {
     }
 }
 
-fn simulate_request(
-    req: &SimRequest,
-    device: &DeviceConfig,
-    remaining_cycles: Option<u64>,
-) -> Answer {
+fn simulate_request(req: &SimRequest, device: &DeviceConfig) -> Answer {
     let t0 = Instant::now();
     // A malformed layer is a typed, uncached failure, checked before the
     // synthetic inputs are shaped from it.
@@ -486,20 +481,13 @@ fn simulate_request(
     }
     // One serial engine per miss: the miss is already one item of the
     // drain's worker map, so it fans nothing out further.
-    let mut gpu = Gpu::with_policy(
+    let gpu = Gpu::with_policy(
         device.clone(),
         SamplePolicy {
             max_blocks: req.policy.max_blocks,
             threads: 1,
         },
     );
-    // Deadline enforcement: the remaining budget (deadline minus retry
-    // backoffs already charged) rides into the engine as a cooperative
-    // cancellation token — launches past the budget unwind and surface as
-    // DeadlineExceeded, which is non-degradable and exits the ladder.
-    if let Some(r) = remaining_cycles {
-        gpu = gpu.with_budget(Arc::new(DeadlineBudget::new(r)));
-    }
     // The trace reads offsets alone, so a miss builds no input tensor.
     let offsets = synthetic_offsets(&req.layer, req.policy.spread(), req.policy.seed);
     // `modulation: None` — the trace is keyed on the family alone, never
@@ -520,17 +508,7 @@ fn simulate_request(
                 AccelConfig::for_serve_device(req.device.canonical_name())
                     .expect("every ServeDevice has a paired accelerator"),
             );
-            defcon_accel::launch_with_gpu_fallback(&accel, &gpu, &op, &offsets).and_then(|fb| {
-                // The accel launch is analytic and not budget-gated;
-                // replay the deadline charge walk over its reports so
-                // fresh simulations and cache hits produce identical
-                // verdicts. (Reports from the gpusim fallback already
-                // passed the engine's budget, so the walk re-passes.)
-                match remaining_cycles.and_then(|r| hit_deadline_verdict(r, &fb.reports)) {
-                    Some(e) => Err(e),
-                    None => Ok(fb),
-                }
-            })
+            defcon_accel::launch_with_gpu_fallback(&accel, &gpu, &op, &offsets)
         }
     };
     Answer {
@@ -539,16 +517,15 @@ fn simulate_request(
     }
 }
 
-/// Replays the deadline verdict for a cache hit: walks the cached
-/// per-launch reports accumulating the same integer charge the engine's
-/// [`DeadlineBudget`] applies, and returns the error of the first launch
-/// whose cumulative charge crosses `remaining` — the exact launch a fresh
-/// budgeted simulation of the same (deterministic) report stream would
-/// have failed at, so hit and miss produce byte-identical errors.
-fn hit_deadline_verdict(remaining: u64, reports: &[KernelReport]) -> Option<DefconError> {
+/// The deadline verdict on an answer's per-launch reports: charges each
+/// launch [`charge_units`] of its cycles and returns the error of the
+/// first launch whose running sum passes `remaining`. It reads nothing but
+/// the reports, so a cache hit and the miss that filled it get the same
+/// verdict, byte for byte.
+fn deadline_verdict(remaining: u64, reports: &[KernelReport]) -> Option<DefconError> {
     let mut acc = 0u64;
     for r in reports {
-        acc = acc.saturating_add(DeadlineBudget::charge_units(r.cycles));
+        acc = acc.saturating_add(charge_units(r.cycles));
         if acc > remaining {
             return Some(DefconError::DeadlineExceeded {
                 what: format!("launch {}", r.kernel),
@@ -557,6 +534,13 @@ fn hit_deadline_verdict(remaining: u64, reports: &[KernelReport]) -> Option<Defc
         }
     }
     None
+}
+
+/// The integer charge for `cycles` simulated cycles: `ceil`, saturated to
+/// `[0, u64::MAX]` by the cast, so a running sum has no float rounding to
+/// depend on.
+fn charge_units(cycles: f64) -> u64 {
+    cycles.ceil() as u64
 }
 
 /// Per-rung circuit breakers over the texture rungs of the fallback
@@ -806,21 +790,19 @@ impl SimServer {
         let entry = lut.get(&LatencyKey::of(&req.layer))?;
         let cfg = self.device_config(req.device);
         let est_cycles = entry.deform_ms * cfg.core_clock_ghz * 1e6;
-        (DeadlineBudget::charge_units(est_cycles) > remaining).then(|| {
-            DefconError::DeadlineExceeded {
-                what: "serve preflight".to_string(),
-                budget_cycles: remaining,
-            }
+        (charge_units(est_cycles) > remaining).then(|| DefconError::DeadlineExceeded {
+            what: "serve preflight".to_string(),
+            budget_cycles: remaining,
         })
     }
 
     /// Serves everything queued and returns responses in submission
     /// order. Three phases keep the result deterministic: (A) deadline
     /// gate and cache consultation on the owner thread in request order,
-    /// (B) miss simulation mapped across workers, results in miss order
-    /// (each against its request's remaining deadline budget), (C)
-    /// settlement — deadline replay for hits, cache insertion, and breaker
-    /// feedback — back on the owner thread in request order.
+    /// (B) miss simulation mapped across workers, results in miss order,
+    /// (C) settlement — the deadline walk over every answer, cache
+    /// insertion, and breaker feedback — back on the owner thread in
+    /// request order.
     pub fn drain(&mut self) -> Vec<SimResponse> {
         let batch = std::mem::take(&mut self.queue);
         if batch.is_empty() {
@@ -844,7 +826,7 @@ impl SimServer {
         // device state; answers come back in miss order.
         let answers = par::map(&jobs, self.cfg.workers, |&j| {
             let (req, _) = &batch[j];
-            simulate_request(req, self.device_config(req.device), admitted[j].remaining)
+            simulate_request(req, self.device_config(req.device))
         });
 
         // Phase C — settle each request, in order.
@@ -919,7 +901,7 @@ impl SimServer {
             Plan::Miss => {
                 obs::counter_add("serve.cache_misses", 1);
                 let device = self.device_config(req.device);
-                Some(simulate_request(&req, device, admitted.remaining))
+                Some(simulate_request(&req, device))
             }
         };
         obs::counter_add("serve.requests", 1);
@@ -958,11 +940,10 @@ impl SimServer {
     }
 
     /// Settles one admitted request on the owner thread; `sim` is its
-    /// simulation when it missed. A gated request fails its deadline; a
-    /// hit replays the deadline verdict against its cached launch charges
-    /// (the same predicate a budgeted fresh simulation evaluates); a miss
-    /// answers with its simulation, cached only when it succeeded — so
-    /// everything inserted fit its budget.
+    /// simulation when it missed. A gated request fails its deadline; any
+    /// other answer with reports, hit or miss, gets [`deadline_verdict`]
+    /// against the remaining budget; a miss is cached only when it
+    /// succeeded and passed — so everything inserted fit its budget.
     fn settle(
         &mut self,
         req: SimRequest,
@@ -976,22 +957,28 @@ impl SimServer {
             remaining,
             plan,
         } = admitted;
-        let (answer, from_cache) = match plan {
+        let (mut answer, hit) = match plan {
             Plan::Deadline(e) => (Answer::failed(e), false),
-            Plan::Hit { served, latency_ns } => {
-                let verdict = remaining.and_then(|r| hit_deadline_verdict(r, &served.reports));
-                let from_cache = verdict.is_none();
-                let result = verdict.map_or(Ok(served), Err);
-                (Answer { result, latency_ns }, from_cache)
-            }
-            Plan::Miss => {
-                let sim = sim.expect("every miss is simulated before it settles");
-                if let Ok(served) = &sim.result {
-                    self.cache.insert(key, canonical, served.clone());
-                }
-                (sim, false)
-            }
+            Plan::Hit { served, latency_ns } => (
+                Answer {
+                    result: Ok(served),
+                    latency_ns,
+                },
+                true,
+            ),
+            Plan::Miss => (
+                sim.expect("every miss is simulated before it settles"),
+                false,
+            ),
         };
+        if let Ok(served) = &answer.result {
+            if let Some(e) = remaining.and_then(|r| deadline_verdict(r, &served.reports)) {
+                answer.result = Err(e);
+            } else if !hit {
+                self.cache.insert(key, canonical, served.clone());
+            }
+        }
+        let from_cache = hit && answer.result.is_ok();
         let response = self.respond(req, key, answer, from_cache, degraded_admission);
         // Breaker feedback: the ladder's recorded degradations mark the
         // failed rungs, the served method the healthy one. Only genuine
@@ -1240,7 +1227,7 @@ impl SimServer {
     }
 
     /// Requests that ended deadline-exceeded (admission gate, preflight,
-    /// backoff exhaustion, cached-verdict replay, or mid-simulation).
+    /// backoff exhaustion, or the walk over the answer's launches).
     pub fn deadline_exceeded(&self) -> u64 {
         self.deadline_exceeded
     }
@@ -1490,22 +1477,38 @@ mod tests {
     fn malformed_layer_is_a_failed_response_and_never_cached() {
         let _quiet = fault::quiesce();
         let mut server = SimServer::new(cfg(1));
-        let req = SimRequest {
-            layer: DeformLayerShape {
-                stride: 0,
-                ..DeformLayerShape::same3x3(4, 4, 10, 10)
-            },
-            ..tiny_request(4, SamplingMethod::Tex2dPlusPlus)
-        };
-        for _ in 0..2 {
-            let out = server.serve(std::slice::from_ref(&req));
-            assert_eq!(out[0].outcome, ServeOutcome::Failed);
-            assert!(out[0].reports.is_empty() && out[0].degradations.is_empty());
-            let rendered = out[0].error.as_deref().expect("failure carries an error");
-            assert!(rendered.contains("stride must be positive"), "{rendered}");
+        let base = DeformLayerShape::same3x3(4, 4, 10, 10);
+        let cases = [
+            (
+                DeformLayerShape { stride: 0, ..base },
+                "stride must be positive",
+            ),
+            // Served before any tensor is shaped from it: its offsets alone
+            // would be 18·2³² floats.
+            (
+                DeformLayerShape {
+                    h: 1 << 16,
+                    w: 1 << 16,
+                    ..base
+                },
+                "the input buffer's 68719476736 bytes overrun",
+            ),
+        ];
+        for (layer, detail) in cases {
+            let req = SimRequest {
+                layer,
+                ..tiny_request(4, SamplingMethod::Tex2dPlusPlus)
+            };
+            for _ in 0..2 {
+                let out = server.serve(std::slice::from_ref(&req));
+                assert_eq!(out[0].outcome, ServeOutcome::Failed);
+                assert!(out[0].reports.is_empty() && out[0].degradations.is_empty());
+                let rendered = out[0].error.as_deref().expect("failure carries an error");
+                assert!(rendered.contains(detail), "{rendered}");
+            }
         }
         assert_eq!(server.cache().len(), 0);
-        assert_eq!(server.cache().misses(), 2);
+        assert_eq!(server.cache().misses(), 4);
     }
 
     #[test]
@@ -1522,6 +1525,31 @@ mod tests {
         // A budgeted request keys separately from its unbudgeted twin.
         let unbudgeted = tiny_request(2, SamplingMethod::SoftwareBilinear);
         assert_ne!(req.cache_key(), unbudgeted.cache_key());
+    }
+
+    /// A deadline the miss's first launch fits and its second does not:
+    /// the verdict names the GEMM, cold and warm alike.
+    #[test]
+    fn deadline_on_a_miss_second_launch_names_that_launch() {
+        let _quiet = fault::quiesce();
+        let probe =
+            SimServer::new(cfg(1)).serve(&[tiny_request(4, SamplingMethod::SoftwareBilinear)]);
+        let charges: Vec<u64> = probe[0]
+            .reports
+            .iter()
+            .map(|r| r.cycles.ceil() as u64)
+            .collect();
+        assert_eq!(charges.len(), 2, "software im2col + GEMM");
+        let deadline = charges[0] + charges[1] / 2;
+        let mut server = SimServer::new(cfg(1));
+        let req = deadline_request(4, deadline);
+        let cold = server.serve(std::slice::from_ref(&req));
+        let warm = server.serve(std::slice::from_ref(&req));
+        assert_eq!(cold[0].outcome, ServeOutcome::DeadlineExceeded);
+        let want = format!("launch conv_gemm deadline exceeded (budget {deadline} cycles)");
+        assert_eq!(cold[0].error.as_deref(), Some(want.as_str()));
+        assert_eq!(cold[0].content_string(), warm[0].content_string());
+        assert_eq!(server.cache().len(), 0);
     }
 
     #[test]
@@ -1542,10 +1570,8 @@ mod tests {
 
     #[test]
     fn hit_verdict_replays_the_engine_charge_exactly() {
-        // The replay must trip at the first launch whose cumulative
-        // integer charge crosses the remaining budget — mirroring
-        // `DeadlineBudget::charge` on a fresh simulation of the same
-        // report stream.
+        // The walk must trip at the first launch whose cumulative integer
+        // charge crosses the remaining budget.
         let mk = |kernel: &str, cycles: f64| KernelReport {
             device: "test".into(),
             kernel: kernel.to_string(),
@@ -1557,8 +1583,8 @@ mod tests {
         };
         let reports = [mk("a", 100.2), mk("b", 50.0)];
         // ceil(100.2) = 101; 101 + 50 = 151.
-        assert!(hit_deadline_verdict(151, &reports).is_none());
-        match hit_deadline_verdict(150, &reports) {
+        assert!(deadline_verdict(151, &reports).is_none());
+        match deadline_verdict(150, &reports) {
             Some(DefconError::DeadlineExceeded {
                 what,
                 budget_cycles,
@@ -1568,12 +1594,12 @@ mod tests {
             }
             other => panic!("expected a deadline verdict, got {other:?}"),
         }
-        match hit_deadline_verdict(100, &reports) {
+        match deadline_verdict(100, &reports) {
             Some(DefconError::DeadlineExceeded { what, .. }) => assert_eq!(what, "launch a"),
             other => panic!("expected a deadline verdict, got {other:?}"),
         }
-        // The charge the replay applies is the engine's own unit function.
-        assert_eq!(DeadlineBudget::charge_units(100.2), 101);
+        // The charge the walk applies is the ceiling of the cycles.
+        assert_eq!(charge_units(100.2), 101);
     }
 
     #[test]

@@ -35,8 +35,7 @@ use defcon_support::json::Json;
 use defcon_support::obs;
 use defcon_support::rng::fnv1a64;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Simulator worker threads implied by the environment: the
 /// `DEFCON_THREADS` env var if set to a positive integer, else **1**, so
@@ -169,117 +168,10 @@ fn spare_caches(caches: [Cache; 3]) {
     });
 }
 
-/// A per-request virtual-time budget with a cooperative cancellation
-/// token (the serving layer's deadline enforcement — DESIGN.md §12).
-///
-/// Virtual, never wall clock: `charge` is fed each completed launch's
-/// *simulated* cycle count, so whether a budget trips is a pure function
-/// of (request, budget), byte-reproducible across machines and thread
-/// counts. Spent cycles accumulate as `ceil(cycles)` per launch — an
-/// integer, so accumulation order cannot change the total through float
-/// rounding.
-///
-/// Charges land on the launching thread after each launch completes; an
-/// explicit [`DeadlineBudget::cancel`] may come from any thread at any
-/// time. A launch checks the flag at entry and once more after its walk,
-/// so a cancel raised mid-launch fails that whole launch — all-or-nothing,
-/// never a torn report.
-#[derive(Debug)]
-pub struct DeadlineBudget {
-    budget_cycles: u64,
-    spent_cycles: AtomicU64,
-    cancelled: AtomicBool,
-}
-
-impl DeadlineBudget {
-    /// A fresh budget of `budget_cycles` virtual cycles.
-    pub fn new(budget_cycles: u64) -> Self {
-        DeadlineBudget {
-            budget_cycles,
-            spent_cycles: AtomicU64::new(0),
-            cancelled: AtomicBool::new(false),
-        }
-    }
-
-    /// The configured budget.
-    pub fn budget_cycles(&self) -> u64 {
-        self.budget_cycles
-    }
-
-    /// Virtual cycles charged so far.
-    pub fn spent_cycles(&self) -> u64 {
-        self.spent_cycles.load(Ordering::SeqCst)
-    }
-
-    /// Budget not yet spent (0 when exceeded).
-    pub fn remaining_cycles(&self) -> u64 {
-        self.budget_cycles.saturating_sub(self.spent_cycles())
-    }
-
-    /// True once the spend has passed the budget.
-    pub fn exceeded(&self) -> bool {
-        self.spent_cycles() > self.budget_cycles
-    }
-
-    /// Requests cooperative cancellation: an in-flight launch fails when
-    /// its walk ends, future launches fail at entry.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// True when cancellation was requested (explicitly or by an
-    /// over-budget charge).
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::SeqCst)
-    }
-
-    /// The integer charge for a launch of `cycles` simulated cycles:
-    /// `ceil`, clamped to `[0, u64::MAX]`. Public so the serving layer's
-    /// cache-hit verdict can replay *exactly* the arithmetic a live
-    /// budget applies.
-    pub fn charge_units(cycles: f64) -> u64 {
-        if cycles <= 0.0 {
-            0
-        } else if cycles >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            cycles.ceil() as u64
-        }
-    }
-
-    /// Charges `cycles` simulated cycles (rounded up to an integer) and
-    /// returns whether the budget still holds; an over-budget charge also
-    /// raises the cancellation flag so the next launch fails fast.
-    pub fn charge(&self, cycles: f64) -> bool {
-        let units = Self::charge_units(cycles);
-        let prev = self.spent_cycles.fetch_add(units, Ordering::SeqCst);
-        let total = prev.saturating_add(units);
-        if total > self.budget_cycles {
-            self.cancel();
-            false
-        } else {
-            true
-        }
-    }
-
-    /// The typed error a tripped budget surfaces. Carries only the budget
-    /// (never the spend at detection — see the variant docs).
-    pub fn deadline_error(&self, what: &str) -> DefconError {
-        DefconError::DeadlineExceeded {
-            what: what.to_string(),
-            budget_cycles: self.budget_cycles,
-        }
-    }
-}
-
 /// The simulated GPU.
 pub struct Gpu {
     cfg: DeviceConfig,
     policy: SamplePolicy,
-    /// Optional deadline budget; when attached, launches check the
-    /// cancellation token and charge their cycles. `None` (the default)
-    /// is byte-identical to the pre-budget engine.
-    budget: Option<Arc<DeadlineBudget>>,
     /// The launch memo of a [`Gpu::memoizing`] copy; `None` otherwise.
     memo: Option<Mutex<ReportCache<KernelReport>>>,
 }
@@ -295,39 +187,22 @@ impl Gpu {
         Gpu {
             cfg,
             policy,
-            budget: None,
             memo: None,
         }
     }
 
-    /// A copy of this GPU — same config, policy and budget — with an empty
-    /// launch memo (see the module docs). A kernel whose
-    /// [`BlockTrace::memo_key`] is `Some` is simulated once per copy; each
-    /// later launch of an equal key returns the stored report, charging an
-    /// attached budget its cycles exactly as a fresh launch would. Keys
-    /// are FNV-1a hashed and verified in full, so a collision only misses.
-    /// The memo lives and dies with the copy.
+    /// A copy of this GPU — same config and policy — with an empty launch
+    /// memo (see the module docs). A kernel whose [`BlockTrace::memo_key`]
+    /// is `Some` is simulated once per copy; each later launch of an equal
+    /// key returns the stored report. Keys are FNV-1a hashed and verified
+    /// in full, so a collision only misses. The memo lives and dies with
+    /// the copy.
     pub fn memoizing(&self) -> Gpu {
         Gpu {
             cfg: self.cfg.clone(),
             policy: self.policy,
-            budget: self.budget.clone(),
             memo: Some(Mutex::new(ReportCache::new(MEMO_CAPACITY))),
         }
-    }
-
-    /// Attaches a deadline budget: subsequent launches via
-    /// [`Gpu::try_launch`] fail with [`DefconError::DeadlineExceeded`]
-    /// once the budget is cancelled or exhausted, and each completed
-    /// launch charges its simulated cycles.
-    pub fn with_budget(mut self, budget: Arc<DeadlineBudget>) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// The attached deadline budget, if any.
-    pub fn budget(&self) -> Option<&Arc<DeadlineBudget>> {
-        self.budget.as_ref()
     }
 
     /// Device configuration.
@@ -348,46 +223,9 @@ impl Gpu {
     /// thread and share one launch-wide L2 (see the module docs).
     ///
     /// The device config is trusted, and the launch panics on an empty
-    /// grid, a zero `max_blocks` or a tripped deadline budget; paths fed by
-    /// external configuration or carrying a budget use [`Gpu::try_launch`].
+    /// grid or a zero `max_blocks`; paths fed by external configuration use
+    /// [`Gpu::try_launch`].
     pub fn launch(&self, kernel: &dyn BlockTrace) -> KernelReport {
-        self.launch_impl(kernel)
-            .expect("launch(): deadline budget tripped — use try_launch on budgeted paths")
-    }
-
-    /// [`Gpu::launch`] behind validation: the device config, the launch
-    /// shape and the sampling budget are checked first, and violations
-    /// come back as typed [`DefconError::Constraint`]s instead of panics.
-    /// When a [`DeadlineBudget`] is attached and is (or becomes) cancelled
-    /// or exhausted, the launch fails with [`DefconError::DeadlineExceeded`].
-    /// A valid, unbudgeted launch is byte-identical to `launch`.
-    pub fn try_launch(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
-        self.cfg.validate()?;
-        let constraint = |detail: String| DefconError::Constraint {
-            what: "launch".to_string(),
-            detail,
-        };
-        if kernel.grid_blocks() == 0 {
-            return Err(constraint("empty grid (grid_blocks() == 0)".to_string()));
-        }
-        if kernel.block_threads() == 0 {
-            return Err(constraint("empty block (block_threads() == 0)".to_string()));
-        }
-        if self.policy.max_blocks == 0 {
-            return Err(constraint("empty sample (max_blocks == 0)".to_string()));
-        }
-        self.launch_impl(kernel)
-    }
-
-    fn launch_impl(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
-        // Fail fast between launches: the token only transitions on the
-        // owner thread (charge / explicit cancel), so this entry check is
-        // deterministic for a fixed (request, budget) pair.
-        if let Some(b) = &self.budget {
-            if b.is_cancelled() || b.exceeded() {
-                return Err(b.deadline_error(&format!("launch {}", kernel.label())));
-            }
-        }
         let grid = kernel.grid_blocks();
         assert!(grid > 0, "empty grid");
         // The key is built only on a memoizing copy, so an unmemoized
@@ -419,11 +257,11 @@ impl Gpu {
                         ("cycles", Json::from(report.cycles)),
                     ]
                 });
-                self.charge(kernel, report)
+                report
             }
             None => {
                 obs::counter_add("gpusim.memo.misses", 1);
-                let report = self.simulate(kernel, grid)?;
+                let report = self.simulate(kernel, grid);
                 // Stored without the device and kernel labels, which a hit
                 // takes back from `self.cfg` and `kernel` (where
                 // `finish_report` got them). A memo lives through a whole
@@ -440,14 +278,36 @@ impl Gpu {
                     ..report
                 };
                 lock().insert(key, canonical, stored);
-                Ok(report)
+                report
             }
         }
     }
 
+    /// [`Gpu::launch`] behind validation: the device config, the launch
+    /// shape and the sampling budget are checked first, and violations
+    /// come back as typed [`DefconError::Constraint`]s instead of panics.
+    /// A valid launch is byte-identical to `launch`.
+    pub fn try_launch(&self, kernel: &dyn BlockTrace) -> Result<KernelReport, DefconError> {
+        self.cfg.validate()?;
+        let constraint = |detail: String| DefconError::Constraint {
+            what: "launch".to_string(),
+            detail,
+        };
+        if kernel.grid_blocks() == 0 {
+            return Err(constraint("empty grid (grid_blocks() == 0)".to_string()));
+        }
+        if kernel.block_threads() == 0 {
+            return Err(constraint("empty block (block_threads() == 0)".to_string()));
+        }
+        if self.policy.max_blocks == 0 {
+            return Err(constraint("empty sample (max_blocks == 0)".to_string()));
+        }
+        Ok(self.launch(kernel))
+    }
+
     /// Simulates a launch of a non-empty grid: walks the sampled blocks in
-    /// order, scales the sums to the grid and charges the budget.
-    fn simulate(&self, kernel: &dyn BlockTrace, grid: usize) -> Result<KernelReport, DefconError> {
+    /// order and scales the sums to the grid.
+    fn simulate(&self, kernel: &dyn BlockTrace, grid: usize) -> KernelReport {
         let warps = kernel.block_threads().div_ceil(self.cfg.warp_size);
         let sample = self.policy.select(grid);
         let launch_span = obs::span_with("gpusim.launch", || {
@@ -479,13 +339,6 @@ impl Gpu {
 
         spare_caches([l1, tex, l2]);
 
-        // A cancel raised by another thread while the walk ran fails the
-        // whole launch: its sums are discarded, never reported torn.
-        if let Some(b) = &self.budget {
-            if b.is_cancelled() {
-                return Err(b.deadline_error(&format!("launch {}", kernel.label())));
-            }
-        }
         if obs::armed() {
             // Pre-scale aggregates of the walk.
             launch_span.record("cycles", Json::from(sm_cycles_total));
@@ -512,25 +365,7 @@ impl Gpu {
             obs::counter_add("gpusim.texture.plan_warps", plan_warps);
             obs::counter_add("gpusim.texture.plan_evals", counters.tex_requests);
         }
-        let report = self.finish_report(kernel, grid, sample.len(), sm_cycles_total, counters);
-        self.charge(kernel, report)
-    }
-
-    /// Owner-thread charge, after the launch completes (or is answered by
-    /// the memo): `ceil(cycles)` integer units, so the running spend is
-    /// order-exact. An over-budget charge fails *this* launch (its report
-    /// is discarded) and cancels the token so the next one fails at entry.
-    fn charge(
-        &self,
-        kernel: &dyn BlockTrace,
-        report: KernelReport,
-    ) -> Result<KernelReport, DefconError> {
-        if let Some(b) = &self.budget {
-            if !b.charge(report.cycles) {
-                return Err(b.deadline_error(&format!("launch {}", kernel.label())));
-            }
-        }
-        Ok(report)
+        self.finish_report(kernel, grid, sample.len(), sm_cycles_total, counters)
     }
 
     /// Extrapolates sampled totals to the full grid and integrates time.
@@ -933,116 +768,6 @@ mod tests {
         assert_eq!(hw.counters.gld_requests, 0);
         assert!(hw.counters.tex_requests > 0);
         assert!(sw.counters.gld_efficiency() < 100.0);
-    }
-
-    #[test]
-    fn budget_charges_per_launch_and_trips_across_launches() {
-        let _quiet = fault::quiesce();
-        let k = StreamKernel {
-            blocks: 64,
-            threads: 128,
-            loads_per_thread: 3,
-            fma_per_thread: 8,
-        };
-        // Measure one launch to size the budget: room for exactly two.
-        let probe = Gpu::new(DeviceConfig::xavier_agx()).launch(&k);
-        let per_launch = probe.cycles.ceil() as u64;
-        let budget = Arc::new(DeadlineBudget::new(2 * per_launch));
-        let gpu = Gpu::new(DeviceConfig::xavier_agx()).with_budget(Arc::clone(&budget));
-
-        let r1 = gpu.try_launch(&k).expect("first launch fits");
-        let r2 = gpu.try_launch(&k).expect("second launch fits exactly");
-        assert_eq!(budget.spent_cycles(), 2 * per_launch);
-        assert!(!budget.exceeded());
-        // Third launch pushes the spend past the budget: the launch fails,
-        // its report is discarded, and the token is now cancelled.
-        let e = gpu.try_launch(&k).unwrap_err();
-        assert!(matches!(
-            e,
-            DefconError::DeadlineExceeded { budget_cycles, .. } if budget_cycles == 2 * per_launch
-        ));
-        assert!(budget.is_cancelled());
-        // Fourth fails at entry, without simulating anything.
-        assert!(gpu.try_launch(&k).is_err());
-        // The two completed reports are bytes-identical to unbudgeted runs.
-        assert_eq!(r1.to_json().to_string(), probe.to_json().to_string());
-        assert_eq!(r2.to_json().to_string(), probe.to_json().to_string());
-    }
-
-    #[test]
-    fn pre_cancelled_budget_fails_at_entry() {
-        let _quiet = fault::quiesce();
-        let k = StreamKernel {
-            blocks: 16,
-            threads: 64,
-            loads_per_thread: 1,
-            fma_per_thread: 1,
-        };
-        let budget = Arc::new(DeadlineBudget::new(u64::MAX));
-        budget.cancel();
-        let gpu = Gpu::new(DeviceConfig::xavier_agx()).with_budget(Arc::clone(&budget));
-        let e = gpu.try_launch(&k).unwrap_err();
-        assert!(matches!(e, DefconError::DeadlineExceeded { .. }));
-        assert_eq!(budget.spent_cycles(), 0, "nothing was simulated");
-    }
-
-    #[test]
-    fn generous_budget_is_byte_identical_to_no_budget() {
-        let _quiet = fault::quiesce();
-        let k = StreamKernel {
-            blocks: 300,
-            threads: 128,
-            loads_per_thread: 3,
-            fma_per_thread: 8,
-        };
-        let plain = Gpu::new(DeviceConfig::xavier_agx());
-        let budgeted = Gpu::new(DeviceConfig::xavier_agx())
-            .with_budget(Arc::new(DeadlineBudget::new(u64::MAX)));
-        assert_eq!(
-            budgeted
-                .try_launch(&k)
-                .expect("u64::MAX budget cannot trip")
-                .to_json()
-                .to_string(),
-            plain.launch(&k).to_json().to_string()
-        );
-    }
-
-    #[test]
-    fn mid_flight_cancel_unwinds_the_launch_cleanly() {
-        let _quiet = fault::quiesce();
-        // Cancel raised by another thread while the launch walks its
-        // blocks: the launch must come back Err (never a torn report, never
-        // a panic). The token may flip before, during, or after the walk —
-        // all three outcomes are legal here; what the test pins is that a
-        // raised token is always *eventually* fatal and never corrupts a
-        // report.
-        let k = StreamKernel {
-            blocks: 2000,
-            threads: 256,
-            loads_per_thread: 8,
-            fma_per_thread: 32,
-        };
-        let budget = Arc::new(DeadlineBudget::new(u64::MAX));
-        let gpu = Gpu::with_policy(DeviceConfig::xavier_agx(), SamplePolicy::exhaustive())
-            .with_budget(Arc::clone(&budget));
-        let canceller = {
-            let b = Arc::clone(&budget);
-            std::thread::spawn(move || b.cancel())
-        };
-        let first = gpu.try_launch(&k);
-        canceller.join().unwrap();
-        if let Ok(report) = first {
-            // Raced ahead of the cancel: the completed report must be exact.
-            let plain = Gpu::with_policy(DeviceConfig::xavier_agx(), SamplePolicy::exhaustive());
-            assert_eq!(
-                report.to_json().to_string(),
-                plain.launch(&k).to_json().to_string()
-            );
-        }
-        // Once the token is set, every subsequent launch fails at entry.
-        let e = gpu.try_launch(&k).unwrap_err();
-        assert!(matches!(e, DefconError::DeadlineExceeded { .. }));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod texture;
 pub mod trace;
 
 pub use device::DeviceConfig;
-pub use engine::{default_threads, DeadlineBudget, Gpu, SamplePolicy};
+pub use engine::{default_threads, Gpu, SamplePolicy};
 pub use report::{Counters, KernelReport};
 pub use report_cache::ReportCache;
 pub use texture::LayeredTexture2d;

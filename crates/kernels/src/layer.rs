@@ -1,5 +1,6 @@
 //! Layer shapes and thread-block tile configurations.
 
+use crate::im2col::address_map;
 use defcon_support::error::DefconError;
 use defcon_tensor::conv::Conv2dParams;
 use defcon_tensor::sample::DeformConv2dParams;
@@ -47,9 +48,12 @@ impl DeformLayerShape {
 
     /// Checks that the shape is a convolution the kernels can run: every
     /// dimension and the stride positive, the kernel no larger than the
-    /// padded input, and `c_in` split evenly across the deformable groups
-    /// (an uneven split indexes past the last group's offsets). Violations
-    /// are [`DefconError::InvalidShape`].
+    /// padded input, `c_in` split evenly across the deformable groups (an
+    /// uneven split indexes past the last group's offsets), and every
+    /// buffer the operator's kernels address inside its `address_map`
+    /// region (a longer one would alias the next region in the modelled
+    /// caches, and its `usize` index math can wrap). Violations are
+    /// [`DefconError::InvalidShape`].
     pub fn validate(&self) -> Result<(), DefconError> {
         let invalid = |detail: String| {
             Err(DefconError::InvalidShape {
@@ -86,7 +90,50 @@ impl DeformLayerShape {
                 self.c_in, self.deform_groups
             ));
         }
+        let Some(buffers) = self.buffer_bytes() else {
+            return invalid("a buffer's byte extent overflows".into());
+        };
+        for (name, bytes) in buffers {
+            if bytes > REGION_BYTES {
+                return invalid(format!(
+                    "the {name} buffer's {bytes} bytes overrun its {REGION_BYTES}-byte address region"
+                ));
+            }
+        }
         Ok(())
+    }
+
+    /// Bytes of each buffer the operator's kernels address, by
+    /// `address_map` region, or `None` when one overflows. Channel counts
+    /// take the widest operator: the v2/v3 predictor's `3·G·k²` outputs
+    /// (in the offsets region from the pointwise stage, in the output
+    /// region from a regular conv), and the lightweight predictor's
+    /// `C_in`-channel depthwise result (written to the output region, read
+    /// back from the input region).
+    fn buffer_bytes(&self) -> Option<[(&'static str, u64); 6]> {
+        let dim = |v: usize| v as u64;
+        let bytes = |dims: &[u64]| dims.iter().try_fold(4u64, |acc, &d| acc.checked_mul(d));
+        let out = |side: usize| {
+            let padded = self.pad.checked_mul(2)?.checked_add(side)?;
+            Some(dim((padded - self.kernel) / self.stride + 1))
+        };
+        let plane = out(self.h)?.checked_mul(out(self.w)?)?;
+        let taps = dim(self.kernel).checked_mul(dim(self.kernel))?;
+        let modulation = dim(self.deform_groups).checked_mul(taps)?;
+        let predictor = modulation.checked_mul(3)?;
+        let (n, c_in, c_out) = (dim(self.n), dim(self.c_in), dim(self.c_out));
+        let input = plane.max(dim(self.h).checked_mul(dim(self.w))?);
+        Some([
+            ("input", bytes(&[n, c_in, input])?),
+            ("offsets", bytes(&[n, predictor, plane])?),
+            ("columns", bytes(&[n, c_in, taps, plane])?),
+            ("weights", bytes(&[c_out.max(predictor), c_in, taps])?),
+            (
+                "output",
+                bytes(&[n, c_out.max(c_in).max(predictor), plane])?,
+            ),
+            ("modulation", bytes(&[n, modulation, plane])?),
+        ])
     }
 
     /// The convolution window as `Conv2dParams`.
@@ -123,6 +170,9 @@ impl DeformLayerShape {
         (self.n * self.c_out * self.c_in * self.kernel * self.kernel * oh * ow) as u64
     }
 }
+
+/// The spacing of the `address_map` regions each buffer starts at.
+const REGION_BYTES: u64 = address_map::OFFSETS - address_map::INPUT;
 
 /// The six layer shapes of the paper's layer-wise speedup tables
 /// (Table II on Xavier, Table IV on the 2080 Ti, Fig. 7/9/10).
@@ -207,6 +257,38 @@ mod tests {
         let a = DeformLayerShape::same3x3(128, 128, 69, 69);
         let b = DeformLayerShape::same3x3(256, 256, 69, 69);
         assert_eq!(b.conv_macs(), 4 * a.conv_macs());
+    }
+
+    #[test]
+    fn buffers_must_fit_their_address_regions() {
+        // A 1×1 kernel over 4 channels: the input, column and output
+        // buffers are 4·4·H·W bytes, exactly one region at 4096².
+        let fits = DeformLayerShape {
+            kernel: 1,
+            pad: 0,
+            ..DeformLayerShape::same3x3(4, 4, 4096, 4096)
+        };
+        assert_eq!(fits.validate(), Ok(()));
+        let over = DeformLayerShape { w: 4097, ..fits };
+        let err = over.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("the input buffer's 268500992 bytes overrun its 268435456-byte"),
+            "{err}"
+        );
+        // Extents past u64 are one typed error, whichever factor overflows.
+        for hostile in [
+            DeformLayerShape {
+                n: usize::MAX,
+                ..fits
+            },
+            DeformLayerShape {
+                pad: usize::MAX / 2,
+                ..fits
+            },
+        ] {
+            let err = hostile.validate().unwrap_err().to_string();
+            assert!(err.contains("byte extent overflows"), "{err}");
+        }
     }
 
     #[test]

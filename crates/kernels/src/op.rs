@@ -329,7 +329,7 @@ impl DeformConvOp {
     /// that fails with a degradable error — its texture setup exceeds the
     /// layer/dimension limits, or an injected `texture.limit` fault fires —
     /// is recorded in `degradations` and the next rung is tried; any other
-    /// error (a malformed shape, a tripped deadline) ends the walk. The
+    /// error (a malformed shape, say) ends the walk. The
     /// software rung reads global memory and cannot hit texture limits, so
     /// a texture-capable op always completes — at reduced fidelity to the
     /// requested configuration.
@@ -348,9 +348,11 @@ impl DeformConvOp {
         let mut degradations = Vec::new();
         let mut method = self.method;
         loop {
+            // No trace reads modulation values, so no rung copies them.
             let op = DeformConvOp {
                 method,
-                ..self.clone()
+                modulation: None,
+                ..*self
             };
             match op.try_simulate_deform(gpu, offsets) {
                 Ok(reports) => {
@@ -852,6 +854,14 @@ mod partition_tests {
                     ..base
                 },
                 "not divisible",
+            ),
+            (
+                DeformLayerShape {
+                    h: 1 << 16,
+                    w: 1 << 16,
+                    ..base
+                },
+                "the input buffer's 68719476736 bytes overrun",
             ),
         ] {
             let op = DeformConvOp {

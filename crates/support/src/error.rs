@@ -100,11 +100,11 @@ pub enum DefconError {
         capacity: usize,
     },
     /// A request's virtual-time deadline budget was exhausted (serving-mode
-    /// SLO enforcement). Deliberately carries only the *budget*, not the
-    /// cycles spent when the budget tripped: a cancelled simulation stops
-    /// at a launch boundary while a cache hit evaluates the full report
-    /// set, so spent-at-detection differs between byte-identical outcomes
-    /// and must not leak into response content.
+    /// SLO enforcement): a verdict at admission, or the first launch whose
+    /// running `ceil(cycles)` charge over the answer's reports passes the
+    /// budget. Carries the budget and, in `what`, the stage or launch that
+    /// overran it — never the cycles spent, which a stage verdict does not
+    /// have — so a cache hit and a fresh simulation render the same error.
     DeadlineExceeded {
         /// What ran out of budget (e.g. "serve request").
         what: String,
@@ -184,9 +184,8 @@ impl DefconError {
     /// from (constraint violations, non-finite values, corrupt inputs,
     /// admission rejections); false for programming/environment errors
     /// that will not heal. `DeadlineExceeded` is deliberately **not**
-    /// degradable: a deadline must propagate straight out of the fallback
-    /// ladder (trying a slower rung can only spend more of a budget that
-    /// is already gone).
+    /// degradable: trying a slower rung can only spend more of a budget
+    /// that is already gone.
     pub fn is_degradable(&self) -> bool {
         matches!(
             self,

@@ -171,8 +171,9 @@ fn texture_limit_fault_drives_the_fallback_ladder_to_software() {
 }
 
 /// The modulated (DCNv2) and sparse (DCNv3) operators walk the same
-/// tex2D++ → tex2D → software ladder as v1 when texture builds fail: the
-/// modulation tensor rides along every rung, the fault log is pinned (one
+/// tex2D++ → tex2D → software ladder as v1 when texture builds fail. Each
+/// rung runs the family's kernels without a copy of the modulation
+/// tensor, whose values no trace reads. The fault log is pinned (one
 /// `texture.limit` fire per texture rung, deterministic order), one
 /// `kernels.fallback` obs event fires per degraded rung, and the surviving
 /// software report keeps the family's label suffix.

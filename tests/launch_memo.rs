@@ -7,20 +7,15 @@
 //!    the same launch — and kernels that read tensor data have no key;
 //! 2. a hit returns **the bytes a fresh launch returns**, at any engine
 //!    thread count;
-//! 3. a forced 64-bit key **collision misses** instead of aliasing;
-//! 4. a hit charges a deadline budget **exactly** as the launch it
-//!    replaces, so budgets trip on the same launch with the same error.
-
-use std::sync::Arc;
+//! 3. a forced 64-bit key **collision misses** instead of aliasing.
 
 use defcon::gpusim::trace::BlockTrace;
-use defcon::gpusim::{DeadlineBudget, DeviceConfig, Gpu, KernelReport, ReportCache, SamplePolicy};
+use defcon::gpusim::{DeviceConfig, Gpu, KernelReport, ReportCache, SamplePolicy};
 use defcon::kernels::fused::FusedTexDeformKernel;
 use defcon::kernels::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
 use defcon::kernels::im2col::{address_map, Im2colDeformKernel};
 use defcon::kernels::op::{synthetic_inputs, synthetic_offsets, DeformConvOp, SamplingMethod};
 use defcon::kernels::DeformLayerShape;
-use defcon_support::error::DefconError;
 use defcon_support::json::ToJson;
 use defcon_support::{fault, obs};
 
@@ -265,44 +260,4 @@ fn a_forced_key_collision_misses() {
         Some("b".into())
     );
     assert_eq!((cache.hits(), cache.misses(), cache.len()), (3, 1, 2));
-}
-
-#[test]
-fn budgets_trip_on_the_same_launch_with_the_same_error() {
-    let _quiet = fault::quiesce();
-    let small = gemm();
-    let big = GemmKernel { m: 64, ..gemm() };
-    let probe = gpu(1);
-    let small_cycles = DeadlineBudget::charge_units(probe.launch(&small).cycles);
-    assert!(DeadlineBudget::charge_units(probe.launch(&big).cycles) > small_cycles);
-    // Room for exactly two launches of `small`; the third launch is a hit
-    // (small again) or a miss (big), and must trip either way.
-    for (case, third) in [&small, &big].into_iter().enumerate() {
-        let run = |memoize: bool| {
-            let budget = Arc::new(DeadlineBudget::new(2 * small_cycles));
-            let plain = gpu(1).with_budget(Arc::clone(&budget));
-            let gpu = if memoize { plain.memoizing() } else { plain };
-            let first = gpu.try_launch(&small).map(|r| bytes(&r));
-            let second = gpu.try_launch(&small).map(|r| bytes(&r));
-            let third = gpu.try_launch(third).map(|r| bytes(&r));
-            let after = gpu.try_launch(&small).map(|r| bytes(&r));
-            (
-                first,
-                second,
-                third,
-                after,
-                budget.spent_cycles(),
-                budget.is_cancelled(),
-            )
-        };
-        let (memo, plain) = (run(true), run(false));
-        assert_eq!(memo, plain, "case {case}");
-        assert!(memo.0.is_ok() && memo.1.is_ok());
-        assert!(matches!(
-            memo.2,
-            Err(DefconError::DeadlineExceeded { ref what, budget_cycles })
-                if what == "launch conv_gemm" && budget_cycles == 2 * small_cycles
-        ));
-        assert!(memo.3.is_err() && memo.5, "a tripped budget fails at entry");
-    }
 }
