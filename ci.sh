@@ -135,6 +135,8 @@ full_golden repro_table2_xavier table2_xavier_full.json
 full_golden repro_table4_2080ti table4_2080ti_full.json
 full_golden repro_fig10_counters fig10_counters_full.json
 full_golden repro_backends backends_table_full.json
+full_golden repro_fig8_tilesearch fig8_tilesearch_full.json
+full_golden repro_fig9_algo_opts fig9_algo_opts_full.json
 
 echo "==> cargo check --all-targets --offline (benches + bins compile)"
 cargo check --all-targets --offline

@@ -5,12 +5,24 @@
 //! evaluation budget — the paper's ytopt workflow. The paper's takeaway:
 //! "tile size significantly affects the resulting speedup, and our
 //! autotuning-based tile size search results in the best performance."
+//!
+//! `DEFCON_JSON=1` appends a one-line JSON report of every printed cell,
+//! each ms and speedup as a round-trip f64.
 
-use defcon_bench::{f2, speedup, Table};
+use defcon_bench::{emit_json, f2, speedup, Table};
 use defcon_core::autotune::{Autotuner, Strategy};
 use defcon_gpusim::{DeviceConfig, Gpu};
 use defcon_kernels::op::synthetic_inputs;
 use defcon_kernels::{DeformConvOp, DeformLayerShape, SamplingMethod, TileConfig};
+use defcon_support::json::Json;
+
+/// A `{tile, ms}` JSON cell.
+fn tile_cell(tile: TileConfig, ms: f64) -> Json {
+    Json::obj(vec![
+        ("tile", Json::str(tile.to_string())),
+        ("ms", Json::from(ms)),
+    ])
+}
 
 fn main() {
     // Must be first and live for the whole run: the guard writes the
@@ -40,6 +52,7 @@ fn main() {
         .0
     };
 
+    let mut json_methods = Vec::new();
     for method in [SamplingMethod::Tex2d, SamplingMethod::Tex2dPlusPlus] {
         let space = TileConfig::search_space();
         let exhaustive = Autotuner {
@@ -55,8 +68,14 @@ fn main() {
         let mut table = Table::new(&["tile", "ms", "speedup"]);
         let mut evs = exhaustive.evaluations.clone();
         evs.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let mut json_rows = Vec::new();
         for (t, ms) in &evs {
             table.row(&[t.to_string(), f2(*ms), speedup(baseline_ms / ms)]);
+            json_rows.push(Json::obj(vec![
+                ("tile", Json::str(t.to_string())),
+                ("ms", Json::from(*ms)),
+                ("speedup", Json::from(baseline_ms / ms)),
+            ]));
         }
         table.print();
 
@@ -78,5 +97,22 @@ fn main() {
             f2(worst.1),
             worst.1 / exhaustive.best_value
         );
+        json_methods.push(Json::obj(vec![
+            ("method", Json::str(method.name())),
+            ("rows", Json::Arr(json_rows)),
+            ("bayesian_best", tile_cell(bo.best, bo.best_value)),
+            (
+                "exhaustive_best",
+                tile_cell(exhaustive.best, exhaustive.best_value),
+            ),
+            ("worst", tile_cell(worst.0, worst.1)),
+            ("spread", Json::from(worst.1 / exhaustive.best_value)),
+        ]));
     }
+    emit_json(&Json::obj(vec![
+        ("experiment", Json::str("fig8")),
+        ("device", Json::str(&gpu.config().name)),
+        ("baseline_ms", Json::from(baseline_ms)),
+        ("methods", Json::Arr(json_methods)),
+    ]));
 }

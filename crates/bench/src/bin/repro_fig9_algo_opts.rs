@@ -8,11 +8,15 @@
 //! jump (>2×); (3) *bounded offsets do not speed up the GPU* (unlike on
 //! FPGA accelerators) — bounding changes access locality slightly but the
 //! texture cache already absorbs it.
+//!
+//! `DEFCON_JSON=1` appends a one-line JSON report: per layer, the
+//! baseline's ms and every column's ms and speedup as round-trip f64s.
 
-use defcon_bench::{speedup, Table, SAMPLERS};
+use defcon_bench::{emit_json, speedup, Table, SAMPLERS};
 use defcon_gpusim::{DeviceConfig, Gpu};
 use defcon_kernels::op::{synthetic_inputs, OffsetPredictorKind};
 use defcon_kernels::{paper_layer_sweep, DeformConvOp, DeformLayerShape};
+use defcon_support::json::Json;
 use defcon_support::par;
 use defcon_tensor::sample::OffsetTransform;
 
@@ -80,14 +84,30 @@ fn main() {
     let ms = par::map(&cells, gpu.policy().threads, |&(shape, c)| {
         cell_ms(&gpu, shape, c)
     });
+    let mut json_rows = Vec::new();
     for (shape, row_ms) in shapes.iter().zip(ms.chunks(columns.len())) {
         let baseline = row_ms[0];
-        let mut row = vec![format!(
-            "{},{},{},{}",
-            shape.c_in, shape.c_out, shape.h, shape.w
-        )];
+        let layer = format!("{},{},{},{}", shape.c_in, shape.c_out, shape.h, shape.w);
+        let mut row = vec![layer.clone()];
         row.extend(row_ms[1..].iter().map(|ms| speedup(baseline / ms)));
         table.row(&row);
+        let cells = headers[1..].iter().zip(&row_ms[1..]).map(|(name, &ms)| {
+            Json::obj(vec![
+                ("column", Json::str(name)),
+                ("ms", Json::from(ms)),
+                ("speedup", Json::from(baseline / ms)),
+            ])
+        });
+        json_rows.push(Json::obj(vec![
+            ("layer", Json::str(layer)),
+            ("baseline_ms", Json::from(baseline)),
+            ("cells", Json::Arr(cells.collect())),
+        ]));
     }
     table.print();
+    emit_json(&Json::obj(vec![
+        ("experiment", Json::str("fig9")),
+        ("device", Json::str(&gpu.config().name)),
+        ("rows", Json::Arr(json_rows)),
+    ]));
 }

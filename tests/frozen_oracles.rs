@@ -10,6 +10,11 @@
 //! what comparing against the copies did. The file has no bless path: a
 //! digest that stops matching is a behaviour change, never a re-record.
 //!
+//! The dense launches (GEMM, implicit-GEMM and depthwise convolution) are
+//! pinned the same way, by digests recorded from the code that staged and
+//! coalesced every lane of their warp accesses, before those accesses were
+//! traced as address runs.
+//!
 //! (The texture sampler's frozen digests are checked next to its live
 //! oracle in `tests/texture_boundary_props.rs`.)
 
@@ -17,7 +22,8 @@ use defcon::gpusim::cache::Cache;
 use defcon::gpusim::report::Counters;
 use defcon::gpusim::trace::{BlockTrace, TraceSink};
 use defcon::kernels::fused::FusedTexDeformKernel;
-use defcon::kernels::im2col::Im2colDeformKernel;
+use defcon::kernels::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};
+use defcon::kernels::im2col::{address_map, Im2colDeformKernel};
 use defcon::prelude::*;
 use defcon::tensor::conv::Conv2dParams;
 use defcon::tensor::sample::{
@@ -169,6 +175,74 @@ fn hot_path_reports_match_frozen_pre_optimization_digests() {
                 digest(serial_fingerprint(kernel, &cfg).as_bytes()),
                 frozen("hot_path_fingerprint", &format!("tiny {name}")),
                 "{name}: counters or latency moved off the frozen pre-optimization simulator"
+            );
+        }
+    }
+}
+
+/// A padded 3×3 convolution at `stride` whose output spans more than one
+/// 8×32 tile in both directions and whose 40 output channels leave a
+/// partial 32-channel block.
+fn padded_conv(stride: usize) -> DeformLayerShape {
+    DeformLayerShape {
+        stride,
+        ..DeformLayerShape::same3x3(3, 40, 19, 70)
+    }
+}
+
+/// The dense byte gate on tiny layers: on both presets, the exhaustive
+/// launch reports at 1 and 4 engine threads and the serial counters +
+/// latency fingerprints of the conv GEMM, a pointwise GEMM whose `n` is
+/// not a multiple of the 64-wide tile and whose `k` is not a multiple of
+/// the 8-deep k step, and padded regular and depthwise convolutions at
+/// stride 1 and 2, against digests frozen from the lane-staging trace.
+#[test]
+fn dense_launches_match_frozen_lane_trace_digests() {
+    let pointwise = GemmKernel {
+        m: 18,
+        k: 13,
+        n: 11 * 9,
+        batch: 2,
+        a_base: address_map::WEIGHTS,
+        b_base: address_map::INPUT,
+        c_base: address_map::OFFSETS,
+        name: "offset_pointwise".into(),
+    };
+    let conv_gemm = GemmKernel::for_conv(&DeformLayerShape::same3x3(8, 8, 20, 20));
+    let regular = [1, 2].map(|s| RegularConvKernel::new(padded_conv(s), "offset_conv"));
+    let depthwise = [1, 2].map(|s| DepthwiseConvKernel {
+        shape: padded_conv(s),
+    });
+    let kernels: [(&str, &dyn BlockTrace); 6] = [
+        ("conv_gemm", &conv_gemm),
+        ("pointwise_gemm", &pointwise),
+        ("regular s1", &regular[0]),
+        ("regular s2", &regular[1]),
+        ("depthwise s1", &depthwise[0]),
+        ("depthwise s2", &depthwise[1]),
+    ];
+    for (preset, cfg) in [
+        ("xavier", DeviceConfig::xavier_agx()),
+        ("2080ti", DeviceConfig::rtx2080ti()),
+    ] {
+        for (name, kernel) in kernels {
+            let key = format!("{preset} {name}");
+            for threads in [1usize, 4] {
+                let gpu = Gpu::with_policy(
+                    cfg.clone(),
+                    SamplePolicy::exhaustive().with_threads(threads),
+                );
+                let report = gpu.launch(kernel).to_json().to_string();
+                assert_eq!(
+                    digest(report.as_bytes()),
+                    frozen("dense_report", &key),
+                    "{key}: {threads}-thread report moved off the frozen lane trace"
+                );
+            }
+            assert_eq!(
+                digest(serial_fingerprint(kernel, &cfg).as_bytes()),
+                frozen("dense_fingerprint", &key),
+                "{key}: counters or latency moved off the frozen lane trace"
             );
         }
     }
