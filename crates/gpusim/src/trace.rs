@@ -11,6 +11,34 @@
 //! values (the numeric path samples through [`LayeredTexture2d::fetch`]),
 //! and each block keeps one ledger — its [`Counters`] plus a [`BlockCost`]
 //! holding only what the counters cannot.
+//!
+//! # Two forms of a warp access, one sector walk
+//!
+//! A global load names its lanes in one of two forms:
+//!
+//! * **lanes** ([`TraceSink::global_load_into`]) — one byte address per
+//!   lane, for lanes that scatter (the software sampler's bilinear corner
+//!   gathers). The sink stages them and coalesces them into sectors
+//!   through the bitmap of [`coalesce_into`].
+//! * **runs** ([`TraceSink::global_load_runs`], and
+//!   [`TraceSink::global_store_runs`] for every store) — a list of [`Run`]s,
+//!   each `lanes` 4-byte words spaced `spacing` bytes apart, for the dense
+//!   streams of the GEMM, convolution and column traces and the offset and
+//!   modulation planes. No lane is staged: a run spaced at most one 32-byte
+//!   sector apart touches exactly the contiguous sectors
+//!   `[first / 32, (last word + 3) / 32]`, because each word starts at most
+//!   one sector after the previous word's first sector, so no sector
+//!   between the two ends is skipped. Runs that each start at or after the
+//!   sector the previous one ended on concatenate into the ascending,
+//!   unique list the coalescer would return, once a shared boundary sector
+//!   is dropped. Any other list — a wider spacing, or a run that starts
+//!   before the last emitted sector — is expanded into lane addresses and
+//!   takes the lane path, so the entry point is exact for any input.
+//!
+//! Both forms leave the same sorted sector list in the sink's scratch, and
+//! one walk — L1 → L2 → DRAM in ascending order, with the same MRU
+//! shortcut — serves both, so a run and its lanes produce the same
+//! counters, latency and cache state (`tests/hot_path_equivalence.rs`).
 
 use crate::cache::{Access, Cache};
 use crate::coalesce::{coalesce_into, SECTOR_BYTES};
@@ -52,7 +80,7 @@ pub trait BlockTrace {
 /// counters (ALU ops and LSU sectors come from there), and reports the
 /// texture figures on the `gpusim.launch` span and as `gpusim.texture.*`
 /// registry counters; none of it enters the report JSON.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockCost {
     /// Scalar FP ops (an FMA counts once; [`Counters::flops`] counts it
     /// twice).
@@ -75,6 +103,41 @@ pub struct BlockCost {
     pub warps: usize,
 }
 
+/// A dense warp access: `lanes` 4-byte words, lane `i` at byte address
+/// `first + i · spacing`. One warp instruction is a list of runs in lane
+/// order (a warp that wraps across rows of a tile is one run per row).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Run {
+    /// Byte address of the first lane's word.
+    pub first: u64,
+    /// Number of lanes.
+    pub lanes: usize,
+    /// Bytes from one lane's word to the next.
+    pub spacing: u64,
+}
+
+impl Run {
+    /// `lanes` consecutive words from byte address `first`.
+    pub fn words(first: u64, lanes: usize) -> Run {
+        Run {
+            first,
+            lanes,
+            spacing: 4,
+        }
+    }
+
+    /// Byte address of the last lane's word (`first` for an empty run).
+    pub fn last_word(&self) -> u64 {
+        self.first + self.lanes.saturating_sub(1) as u64 * self.spacing
+    }
+
+    /// The run's lane byte addresses, in lane order.
+    pub fn lane_addrs(&self) -> impl Iterator<Item = u64> {
+        let Run { first, spacing, .. } = *self;
+        (0..self.lanes as u64).map(move |i| first + i * spacing)
+    }
+}
+
 /// The event sink handed to kernels.
 ///
 /// Owns the per-SM caches for the current block (L1 and texture cache are
@@ -83,12 +146,13 @@ pub struct BlockCost {
 /// # Zero-allocation contract
 ///
 /// The sink owns fixed-capacity [`LaneBuf`] scratch for every warp-level
-/// event class (lane addresses, coalesced sectors, texture fetch plans).
-/// Every warp-level entry point takes its lanes as an iterator
-/// ([`TraceSink::global_load_into`], [`TraceSink::global_store_into`],
+/// event class (lane addresses, address runs, coalesced sectors, texture
+/// fetch plans). Every warp-level entry point takes its lanes or runs as
+/// an iterator ([`TraceSink::global_load_into`],
+/// [`TraceSink::global_load_runs`], [`TraceSink::global_store_runs`],
 /// [`TraceSink::tex_fetch_warp_into`]) and drains it into that scratch, so
 /// a traced block performs **zero heap allocations** — the contract
-/// `tests/zero_alloc.rs` pins for all four kernel families.
+/// `tests/zero_alloc.rs` pins for every kernel family.
 pub struct TraceSink<'a> {
     cfg: &'a DeviceConfig,
     l1: &'a mut Cache,
@@ -98,8 +162,10 @@ pub struct TraceSink<'a> {
     pub counters: Counters,
     /// The rest of the current block's ledger.
     pub cost: BlockCost,
-    /// Staged lane byte addresses of the current load/store instruction.
+    /// Staged lane byte addresses of the current scattered load.
     lane_addrs: LaneBuf<u64>,
+    /// Staged address runs of the current dense load or store.
+    runs: LaneBuf<Run>,
     /// Unique coalesced sectors of the current instruction.
     sectors: LaneBuf<u64>,
     /// Layer-independent fetch plans staged for the current texture warp —
@@ -142,6 +208,7 @@ impl<'a> TraceSink<'a> {
                 ..Default::default()
             },
             lane_addrs: LaneBuf::new(),
+            runs: LaneBuf::new(),
             sectors: LaneBuf::new(),
             plans: LaneBuf::new(),
             l1_sector_shift,
@@ -170,11 +237,12 @@ impl<'a> TraceSink<'a> {
     }
 
     /// One warp-level global **load** instruction over the lane byte
-    /// addresses `lane_addrs` yields (4-byte accesses). Coalesces into
-    /// sectors, walks L1 → L2 → DRAM, accumulates latency of the slowest
-    /// sector. Kernels stream addresses straight from their index math; the
-    /// iterator may borrow the kernel freely — it is drained into the sink's
-    /// scratch before any cache work starts.
+    /// addresses `lane_addrs` yields (4-byte accesses) — the form for lanes
+    /// that scatter, such as the software sampler's bilinear corner
+    /// gathers. Coalesces them into sectors through the bitmap of
+    /// [`coalesce_into`], then takes the one sector walk. The iterator may
+    /// borrow the kernel freely — it is drained into the sink's scratch
+    /// before any cache work starts.
     pub fn global_load_into(&mut self, lane_addrs: impl IntoIterator<Item = u64>) {
         self.lane_addrs.fill_from(lane_addrs);
         if self.lane_addrs.is_empty() {
@@ -184,9 +252,70 @@ impl<'a> TraceSink<'a> {
         self.global_load_coalesced(requested);
     }
 
-    /// Load path over the coalesced `sectors`: the L1 → L2 → DRAM walk in
-    /// ascending sector order (the order [`crate::coalesce::coalesce`]
-    /// returns them in, which the golden snapshots depend on).
+    /// One warp-level global **load** instruction whose lanes form the
+    /// address [`Run`]s `runs` yields — the form for dense accesses. The
+    /// sectors are derived from each run's first and last word (the
+    /// contiguous-range argument in the module docs), then walked exactly
+    /// as [`TraceSink::global_load_into`] walks the same lanes.
+    pub fn global_load_runs(&mut self, runs: impl IntoIterator<Item = Run>) {
+        if let Some(requested) = self.stage_runs(runs) {
+            self.global_load_coalesced(requested);
+        }
+    }
+
+    /// One warp-level global **store** instruction over the address
+    /// [`Run`]s `runs` yields (every store the kernels issue is dense).
+    /// Stores are modelled as write-through to DRAM (no allocate), which
+    /// matches how NVIDIA L1s treat global writes.
+    pub fn global_store_runs(&mut self, runs: impl IntoIterator<Item = Run>) {
+        let Some(requested) = self.stage_runs(runs) else {
+            return;
+        };
+        let transactions = self.sectors.len() as u64;
+        self.counters.gst_requests += 1;
+        self.counters.gst_transactions += transactions;
+        self.counters.gst_requested_bytes += requested;
+        self.counters.dram_write_bytes += transactions * SECTOR_BYTES;
+    }
+
+    /// Writes the sorted, unique sectors of the lanes of `runs` into
+    /// `sectors` — the list [`coalesce_into`] returns for the same lanes —
+    /// and returns the requested bytes, or `None` when no run has a lane.
+    /// Ascending runs spaced at most a sector apart are ranges of sectors
+    /// (module docs); any other list is expanded into lane addresses and
+    /// coalesced like [`TraceSink::global_load_into`]'s.
+    fn stage_runs(&mut self, runs: impl IntoIterator<Item = Run>) -> Option<u64> {
+        self.runs
+            .fill_from(runs.into_iter().filter(|run| run.lanes > 0));
+        if self.runs.is_empty() {
+            return None;
+        }
+        self.sectors.clear();
+        for run in self.runs.iter() {
+            let first = run.first / SECTOR_BYTES;
+            let last = (run.last_word() + 3) / SECTOR_BYTES;
+            let prev = self.sectors.last().copied();
+            if run.spacing > SECTOR_BYTES || prev.is_some_and(|prev| first < prev) {
+                self.lane_addrs
+                    .fill_from(self.runs.iter().flat_map(Run::lane_addrs));
+                return Some(coalesce_into(&self.lane_addrs, 4, &mut self.sectors));
+            }
+            let start = if prev == Some(first) {
+                first + 1
+            } else {
+                first
+            };
+            for sector in start..=last {
+                self.sectors.push(sector);
+            }
+        }
+        Some(4 * self.runs.iter().map(|run| run.lanes as u64).sum::<u64>())
+    }
+
+    /// The one sector walk, over the sorted, unique `sectors` both load
+    /// forms stage: L1 → L2 → DRAM in ascending sector order (the order
+    /// [`crate::coalesce::coalesce`] returns them in, which the golden
+    /// snapshots depend on).
     fn global_load_coalesced(&mut self, requested: u64) {
         let transactions = self.sectors.len() as u64;
         self.counters.gld_requests += 1;
@@ -219,27 +348,6 @@ impl<'a> TraceSink<'a> {
             worst = worst.max(lat);
         }
         self.cost.latency_cycles += worst as u64;
-    }
-
-    /// One warp-level global **store** instruction over the lane addresses
-    /// `lane_addrs` yields. Stores are modelled as write-through to DRAM
-    /// (no allocate), which matches how NVIDIA L1s treat global writes.
-    pub fn global_store_into(&mut self, lane_addrs: impl IntoIterator<Item = u64>) {
-        self.lane_addrs.fill_from(lane_addrs);
-        if self.lane_addrs.is_empty() {
-            return;
-        }
-        let requested = coalesce_into(&self.lane_addrs, 4, &mut self.sectors);
-        self.global_store_coalesced(requested);
-    }
-
-    /// Store path over the coalesced `sectors`.
-    fn global_store_coalesced(&mut self, requested: u64) {
-        let transactions = self.sectors.len() as u64;
-        self.counters.gst_requests += 1;
-        self.counters.gst_transactions += transactions;
-        self.counters.gst_requested_bytes += requested;
-        self.counters.dram_write_bytes += transactions * SECTOR_BYTES;
     }
 
     fn global_line_access(&mut self, line: u64) -> u32 {
@@ -408,6 +516,52 @@ mod tests {
         let lat_warm = sink.cost.latency_cycles - lat_cold;
         assert!(lat_warm < lat_cold, "warm {lat_warm} vs cold {lat_cold}");
         assert!(sink.counters.l1_hits > 0);
+    }
+
+    #[test]
+    fn dense_run_loads_like_its_lanes() {
+        let (cfg, mut l1, mut tex, mut l2) = harness();
+        let mut sink = TraceSink::new(&cfg, &mut l1, &mut tex, &mut l2, 8);
+        sink.global_load_runs([Run::words(0, 32)]);
+        assert_eq!(sink.counters.gld_requests, 1);
+        assert_eq!(sink.counters.gld_transactions, 4);
+        assert_eq!(sink.counters.gld_requested_bytes, 128);
+        // A run of zero lanes is no instruction at all.
+        sink.global_load_runs([Run::words(4096, 0)]);
+        assert_eq!(sink.counters.gld_requests, 1);
+    }
+
+    #[test]
+    fn runs_sharing_a_sector_count_it_once_and_out_of_order_runs_fall_back() {
+        let (cfg, mut l1, mut tex, mut l2) = harness();
+        let mut sink = TraceSink::new(&cfg, &mut l1, &mut tex, &mut l2, 8);
+        // Words 0..4 and 4..8 of sector 0, then sectors 1–2 at stride 8.
+        sink.global_load_runs([
+            Run::words(0, 4),
+            Run::words(16, 2),
+            Run {
+                first: 32,
+                lanes: 8,
+                spacing: 8,
+            },
+        ]);
+        assert_eq!(sink.counters.gld_transactions, 3);
+        // Descending runs: the lane path coalesces them into the same set.
+        sink.global_load_runs([Run::words(96, 8), Run::words(0, 8)]);
+        assert_eq!(sink.counters.gld_transactions, 3 + 2);
+        assert_eq!(sink.counters.gld_requested_bytes, 4 * (14 + 16));
+    }
+
+    #[test]
+    fn store_run_writes_its_sectors_through() {
+        let (cfg, mut l1, mut tex, mut l2) = harness();
+        let mut sink = TraceSink::new(&cfg, &mut l1, &mut tex, &mut l2, 8);
+        // 20 words from byte 16 span bytes 16..96: sectors 0, 1 and 2.
+        sink.global_store_runs([Run::words(16, 20)]);
+        assert_eq!(sink.counters.gst_requests, 1);
+        assert_eq!(sink.counters.gst_transactions, 3);
+        assert_eq!(sink.counters.dram_write_bytes, 3 * SECTOR_BYTES);
+        assert_eq!(sink.counters.l1_accesses, 0, "stores do not allocate");
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //!
 //! These stages are identical across the deformable variants, so they are
 //! modelled with regular, well-coalesced access streams — real addresses,
-//! but no per-element irregularity. The interesting physics (Fig. 7–10)
-//! lives in `im2col.rs`.
+//! but no per-element irregularity. Every access they issue is therefore a
+//! list of address runs ([`Run`]: equally spaced words along a matrix or
+//! feature-map row), which the sink turns into sectors by arithmetic; no
+//! lane is staged or coalesced one by one (`defcon_gpusim::trace` module
+//! docs). The interesting physics (Fig. 7–10) lives in `im2col.rs`, whose
+//! bilinear gathers are the per-lane accesses.
 
-use crate::im2col::address_map;
+use crate::im2col::{address_map, row_segments};
 use crate::layer::DeformLayerShape;
-use defcon_gpusim::trace::{BlockTrace, LaneBuf, TraceSink};
+use defcon_gpusim::trace::{BlockTrace, Run, TraceSink};
+use std::ops::Range;
 
 /// Output tile side of the GEMM blocking (64×64 output tile per block).
 const GEMM_TILE: usize = 64;
@@ -94,14 +99,11 @@ impl BlockTrace for GemmKernel {
         for k0 in (0..self.k).step_by(GEMM_KSTEP) {
             let ksz = GEMM_KSTEP.min(self.k - k0);
             // Stage A panel (rows × ksz) and B panel (ksz × cols) through
-            // global memory. The 256 threads load the panel cooperatively:
-            // lane addresses are gathered panel-wide and issued as full
-            // 32-lane warp instructions (each lane one float), the way a
-            // real tiled GEMM stages its shared-memory tiles.
-            // The panel's lane addresses are streamed straight into the
-            // sink in the same flattened row-major order — and the same
-            // 32-lane warp boundaries — the old collect-then-`chunks(32)`
-            // produced, without materializing the panel address list.
+            // global memory. The 256 threads load the panel cooperatively,
+            // flattened row-major and issued as full 32-lane warp
+            // instructions (each lane one float), the way a real tiled GEMM
+            // stages its shared-memory tiles. A warp's 32 elements are one
+            // run per panel row they cover.
             let mut stage = |base: u64,
                              row_len: usize,
                              rows_here: usize,
@@ -110,10 +112,13 @@ impl BlockTrace for GemmKernel {
                              width: usize| {
                 let total = rows_here * width;
                 for chunk0 in (0..total).step_by(32) {
-                    sink.global_load_into((chunk0..(chunk0 + 32).min(total)).map(|i| {
-                        let (r, w0) = (i / width, i % width);
-                        base + (((row0 + r) * row_len + col0 + w0) * 4) as u64
-                    }));
+                    let chunk_end = (chunk0 + 32).min(total);
+                    sink.global_load_runs(row_segments(chunk0, chunk_end, width).map(
+                        |(r, c, len)| {
+                            let first = base + (((row0 + r) * row_len + col0 + c) * 4) as u64;
+                            Run::words(first, len)
+                        },
+                    ));
                 }
             };
             stage(a_batch, self.k, rows, ti * GEMM_TILE, k0, ksz);
@@ -128,7 +133,7 @@ impl BlockTrace for GemmKernel {
             let row_addr = c_batch + (((ti * GEMM_TILE + r) * self.n + tj * GEMM_TILE) * 4) as u64;
             for w0 in (0..cols).step_by(32) {
                 let lanes = 32.min(cols - w0);
-                sink.global_store_into((0..lanes).map(|l| row_addr + ((w0 + l) * 4) as u64));
+                sink.global_store_runs([Run::words(row_addr + (w0 * 4) as u64, lanes)]);
             }
         }
     }
@@ -204,33 +209,26 @@ impl BlockTrace for RegularConvKernel {
         let co_here = CO_PER_BLOCK.min(s.c_out - co_blk * CO_PER_BLOCK);
 
         // 8 rows × 32 cols of output positions per block; each warp is one
-        // output row (32 consecutive columns). Lane staging is `LaneBuf` /
-        // iterator based — no heap allocation per block.
-        let mut lanes: LaneBuf<usize> = LaneBuf::new();
+        // output row (32 consecutive columns), so every access is one run.
+        let cols = tile_columns(s, tile_x);
+        let nl = cols.len() as u64;
         for r in 0..8usize {
             let oy = tile_y * 8 + r;
             if oy >= oh {
                 continue;
             }
-            lanes.fill_from((0..32).map(|l| tile_x * 32 + l).filter(|&ox| ox < ow));
-            if lanes.is_empty() {
-                continue;
-            }
-            let nl = lanes.len() as u64;
             for ci in 0..s.c_in {
                 for ki in 0..s.kernel {
                     let iy = oy * s.stride + ki;
                     if iy < s.pad || iy - s.pad >= s.h {
                         continue;
                     }
+                    let row = self.input_addr(ni, ci, iy - s.pad, 0);
                     for kj in 0..s.kernel {
-                        // One coalesced warp load per (ci, tap): lanes read
-                        // consecutive x.
-                        sink.global_load_into(lanes.iter().filter_map(|&ox| {
-                            let ix = ox * s.stride + kj;
-                            (ix >= s.pad && ix - s.pad < s.w)
-                                .then(|| self.input_addr(ni, ci, iy - s.pad, ix - s.pad))
-                        }));
+                        // One coalesced warp load per (ci, tap).
+                        if let Some(run) = tap_run(s, &cols, kj, row) {
+                            sink.global_load_runs([run]);
+                        }
                         // co_here output channels accumulate from this tap.
                         sink.fma(nl * co_here as u64);
                     }
@@ -240,21 +238,42 @@ impl BlockTrace for RegularConvKernel {
             // once into registers/smem — model one coalesced stream.
             let wf = s.c_in * s.kernel * s.kernel * co_here;
             for w0 in (0..wf).step_by(32) {
-                let lanes_w = 32.min(wf - w0);
-                sink.global_load_into(
-                    (0..lanes_w).map(|l| address_map::WEIGHTS + ((w0 + l) * 4) as u64),
-                );
+                let first = address_map::WEIGHTS + (w0 * 4) as u64;
+                sink.global_load_runs([Run::words(first, 32.min(wf - w0))]);
             }
             // Output stores.
             for co in 0..co_here {
-                sink.global_store_into(lanes.iter().map(|&ox| {
-                    address_map::OUTPUT
-                        + 4 * (((ni * s.c_out + co_blk * CO_PER_BLOCK + co) * oh + oy) * ow + ox)
-                            as u64
-                }));
+                let row = ((ni * s.c_out + co_blk * CO_PER_BLOCK + co) * oh + oy) * ow;
+                let first = address_map::OUTPUT + 4 * (row + cols.start) as u64;
+                sink.global_store_runs([Run::words(first, cols.len())]);
             }
         }
     }
+}
+
+/// The output columns of column tile `tile_x` (32 wide) of `s`'s output
+/// plane: one warp's lanes.
+fn tile_columns(s: &DeformLayerShape, tile_x: usize) -> Range<usize> {
+    let ow = s.out_hw().1;
+    let start = (tile_x * 32).min(ow);
+    start..(start + 32).min(ow)
+}
+
+/// The warp load of tap column `kj` by the lanes of output columns `cols`
+/// from the input row whose column 0 is at byte address `row`, or `None`
+/// when no lane's input column `ox·stride + kj − pad` lands inside the
+/// row. That column grows with `ox`, so the lanes that land inside are one
+/// interval, found by arithmetic, reading every `stride`-th word.
+fn tap_run(s: &DeformLayerShape, cols: &Range<usize>, kj: usize, row: u64) -> Option<Run> {
+    let lo = cols.start.max(s.pad.saturating_sub(kj).div_ceil(s.stride));
+    let hi = cols
+        .end
+        .min((s.w + s.pad).checked_sub(kj + 1)? / s.stride + 1);
+    (lo < hi).then(|| Run {
+        first: row + 4 * (lo * s.stride + kj - s.pad) as u64,
+        lanes: hi - lo,
+        spacing: 4 * s.stride as u64,
+    })
 }
 
 /// Depthwise 3×3 convolution trace (one channel per block row-group).
@@ -292,37 +311,30 @@ impl BlockTrace for DepthwiseConvKernel {
         let ni = block / (s.c_in * per_c);
         let t = block % per_c;
         let (tile_y, tile_x) = (t / tx_count, t % tx_count);
-        let mut lanes: LaneBuf<usize> = LaneBuf::new();
+        let cols = tile_columns(s, tile_x);
+        let nl = cols.len() as u64;
+        let plane = (ni * s.c_in + ci) * s.h;
         for r in 0..8usize {
             let oy = tile_y * 8 + r;
             if oy >= oh {
                 continue;
             }
-            lanes.fill_from((0..32).map(|l| tile_x * 32 + l).filter(|&ox| ox < ow));
-            if lanes.is_empty() {
-                continue;
-            }
-            let nl = lanes.len() as u64;
             for ki in 0..s.kernel {
                 let iy = oy * s.stride + ki;
                 if iy < s.pad || iy - s.pad >= s.h {
                     continue;
                 }
+                let row = address_map::INPUT + 4 * ((plane + iy - s.pad) * s.w) as u64;
                 for kj in 0..s.kernel {
-                    sink.global_load_into(lanes.iter().filter_map(|&ox| {
-                        let ix = ox * s.stride + kj;
-                        (ix >= s.pad && ix - s.pad < s.w).then(|| {
-                            address_map::INPUT
-                                + 4 * (((ni * s.c_in + ci) * s.h + iy - s.pad) * s.w + ix - s.pad)
-                                    as u64
-                        })
-                    }));
+                    if let Some(run) = tap_run(s, &cols, kj, row) {
+                        sink.global_load_runs([run]);
+                    }
                     sink.fma(nl);
                 }
             }
-            sink.global_store_into(lanes.iter().map(|&ox| {
-                address_map::OUTPUT + 4 * (((ni * s.c_in + ci) * oh + oy) * ow + ox) as u64
-            }));
+            let row = ((ni * s.c_in + ci) * oh + oy) * ow;
+            let first = address_map::OUTPUT + 4 * (row + cols.start) as u64;
+            sink.global_store_runs([Run::words(first, cols.len())]);
         }
     }
 }

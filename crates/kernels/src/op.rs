@@ -5,9 +5,9 @@
 //! Every kernel this operator launches — the im2col sampling stage, the
 //! fused texture kernel, the GEMM epilogue, and both offset-predictor
 //! convolutions (regular and depthwise+pointwise) — stages its warp events
-//! through the sink's fixed-capacity scratch (`global_load_into` /
-//! `tex_fetch_warp_into`), so a simulated block allocates nothing on the
-//! heap. `tests/zero_alloc.rs` pins that contract for each family.
+//! through the sink's fixed-capacity scratch (`global_load_into`,
+//! `global_load_runs` / `global_store_runs`, `tex_fetch_warp_into`), so a
+//! simulated block allocates nothing on the heap. `tests/zero_alloc.rs` pins that contract for each family.
 
 use crate::fused::FusedTexDeformKernel;
 use crate::gemm_kernel::{DepthwiseConvKernel, GemmKernel, RegularConvKernel};

@@ -1,11 +1,14 @@
 //! Equivalence tests for the zero-allocation trace hot path.
 //!
-//! Two families:
+//! Three families:
 //!
 //! 1. The in-place coalescer (`coalesce_into`) must be **bit-equal** to the
 //!    allocating reference oracle (`coalesce`) on every warp shape — the
 //!    golden snapshots depend on the sector order the cache walk sees.
-//! 2. The cache's masked set indexing must agree with plain modulo wherever
+//! 2. A warp access given as address runs must trace exactly like the same
+//!    lanes given one by one: same counters, same block cost, same cache
+//!    state afterwards — for loads and for stores.
+//! 3. The cache's masked set indexing must agree with plain modulo wherever
 //!    the set count is a power of two, and the shipped device geometries
 //!    must exercise both paths. NOTE: not every shipped geometry has a
 //!    power-of-two set count — the Xavier texture cache is 48 KB / (128 B ×
@@ -14,8 +17,10 @@
 //!    geometry rather than assuming pow2 everywhere.
 
 use defcon::gpusim::cache::{Access, Cache};
-use defcon::gpusim::coalesce::{coalesce, coalesce_into};
+use defcon::gpusim::coalesce::{coalesce, coalesce_into, SECTOR_BYTES};
 use defcon::gpusim::device::{CacheGeometry, DeviceConfig};
+use defcon::gpusim::report::Counters;
+use defcon::gpusim::trace::{BlockCost, Run, TraceSink};
 use defcon_support::lanebuf::LaneBuf;
 use defcon_support::prop::{self, Config};
 use defcon_support::prop_assert_eq;
@@ -53,6 +58,159 @@ fn coalesce_into_bit_equal_to_reference() {
             let requested = coalesce_into(addrs, *access_bytes, &mut buf);
             prop_assert_eq!(buf.as_slice(), r.sectors.as_slice());
             prop_assert_eq!(requested, r.requested_bytes);
+            Ok(())
+        },
+    );
+}
+
+/// A random warp access as a run list: up to 4 runs of 0–32 lanes in all,
+/// spacings 4–32 B (now and then 0, or wider than a sector), word-aligned
+/// or not. Each run starts near the previous run's last word: on the same
+/// word, in the same sector or line, across a line boundary, or — about
+/// one list in five — before it, a non-ascending list that must take the
+/// lane path.
+fn gen_runs(rng: &mut impl Rng) -> Vec<Run> {
+    let mut runs = Vec::new();
+    let mut budget = rng.gen_range(0usize..33);
+    let mut next = 0x1000_0000 + rng.gen_range(0u64..4096);
+    if rng.gen_range(0u32..4) > 0 {
+        next &= !3;
+    }
+    for _ in 0..rng.gen_range(1usize..5) {
+        let lanes = rng.gen_range(0..=budget);
+        budget -= lanes;
+        let spacing = match rng.gen_range(0u32..10) {
+            0 => 0,
+            1 => [36, 64, 100][rng.gen_range(0usize..3)],
+            _ => 4 * rng.gen_range(1u64..9),
+        };
+        let run = Run {
+            first: next,
+            lanes,
+            spacing,
+        };
+        let end = run.last_word() + 4;
+        next = match rng.gen_range(0u32..10) {
+            0 => run.last_word(),                     // the same word again
+            1..=3 => end + rng.gen_range(0u64..32),   // same or next sector
+            4..=5 => end + rng.gen_range(32u64..160), // same or next line
+            6..=7 => (end / 128 + 1) * 128 - 4 * rng.gen_range(0u64..3), // straddles a line
+            8 => end.saturating_sub(rng.gen_range(8u64..256)), // before it: falls back
+            _ => end + rng.gen_range(0u64..8192),     // far away
+        };
+        runs.push(run);
+    }
+    runs
+}
+
+/// The three caches of one SM over `cfg`, with the lines `warm` already
+/// resident (so walks see hits as well as misses).
+fn warm_caches(cfg: &DeviceConfig, warm: &[u64]) -> (Cache, Cache, Cache) {
+    let (mut l1, tex, mut l2) = (
+        Cache::new(cfg.l1),
+        Cache::new(cfg.tex_cache),
+        Cache::new(cfg.l2),
+    );
+    for &line in warm {
+        l1.access_line(line);
+        l2.access_line(line);
+    }
+    (l1, tex, l2)
+}
+
+/// The L1 lines and the hit/miss sequence a probe of each of them sees in
+/// `l1` and `l2`, for every line the lanes of `warps` touch.
+fn probe(
+    cfg: &DeviceConfig,
+    caches: &mut (Cache, Cache, Cache),
+    warps: &[Vec<Run>],
+) -> Vec<(u64, Access, Access)> {
+    let line_bytes = cfg.l1.line_bytes as u64;
+    let mut lines: Vec<u64> = warps
+        .iter()
+        .flat_map(|runs| {
+            let lanes: Vec<u64> = runs.iter().flat_map(Run::lane_addrs).collect();
+            coalesce(&lanes, 4).sectors
+        })
+        .map(|sector| sector * SECTOR_BYTES / line_bytes)
+        .collect();
+    lines.dedup();
+    lines
+        .into_iter()
+        .map(|line| (line, caches.0.access_line(line), caches.2.access_line(line)))
+        .collect()
+}
+
+/// A run list traces exactly like its expanded lane addresses. For loads,
+/// two sinks over equal, partly warm caches take a sequence of warps — one
+/// through `global_load_runs`, one through `global_load_into` — and must
+/// end with equal `Counters` and `BlockCost`, and equal caches (a probe of
+/// every touched line sees the same hits and misses in L1 and L2). For
+/// stores, which have only the run form, each warp's counters must equal
+/// what the reference coalescer gives for its lanes, and the caches must
+/// be left exactly as they were (write-through, no allocate).
+#[test]
+fn runs_trace_like_their_lanes() {
+    let cfg = DeviceConfig::xavier_agx();
+    prop::check(
+        "runs_trace_like_their_lanes",
+        &Config::new(256, 0xDEFC_0023),
+        |rng| {
+            let base_line = 0x1000_0000 / 128;
+            let warm: Vec<u64> = (0..rng.gen_range(0usize..24))
+                .map(|_| base_line + rng.gen_range(0u64..96))
+                .collect();
+            let warps: Vec<Vec<Run>> = (0..rng.gen_range(1usize..4))
+                .map(|_| gen_runs(rng))
+                .collect();
+            (warm, warps)
+        },
+        |(warm, warps)| {
+            let (mut runs, mut lanes) = (warm_caches(&cfg, warm), warm_caches(&cfg, warm));
+            {
+                let mut by_runs = TraceSink::new(&cfg, &mut runs.0, &mut runs.1, &mut runs.2, 8);
+                let mut by_lanes =
+                    TraceSink::new(&cfg, &mut lanes.0, &mut lanes.1, &mut lanes.2, 8);
+                for warp in warps {
+                    by_runs.global_load_runs(warp.iter().copied());
+                    by_lanes.global_load_into(warp.iter().flat_map(Run::lane_addrs));
+                }
+                prop_assert_eq!(by_runs.counters, by_lanes.counters);
+                prop_assert_eq!(by_runs.cost, by_lanes.cost);
+            }
+            prop_assert_eq!(
+                probe(&cfg, &mut runs, warps),
+                probe(&cfg, &mut lanes, warps)
+            );
+
+            let (mut stored, mut untouched) = (warm_caches(&cfg, warm), warm_caches(&cfg, warm));
+            for warp in warps {
+                let mut sink = TraceSink::new(&cfg, &mut stored.0, &mut stored.1, &mut stored.2, 8);
+                sink.global_store_runs(warp.iter().copied());
+                let addrs: Vec<u64> = warp.iter().flat_map(Run::lane_addrs).collect();
+                let r = coalesce(&addrs, 4);
+                let expect = if addrs.is_empty() {
+                    Counters::default()
+                } else {
+                    Counters {
+                        gst_requests: 1,
+                        gst_transactions: r.transactions(),
+                        gst_requested_bytes: r.requested_bytes,
+                        dram_write_bytes: r.moved_bytes(),
+                        ..Counters::default()
+                    }
+                };
+                prop_assert_eq!(sink.counters, expect);
+                let idle = BlockCost {
+                    warps: 8,
+                    ..BlockCost::default()
+                };
+                prop_assert_eq!(sink.cost, idle);
+            }
+            prop_assert_eq!(
+                probe(&cfg, &mut stored, warps),
+                probe(&cfg, &mut untouched, warps)
+            );
             Ok(())
         },
     );
