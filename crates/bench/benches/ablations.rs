@@ -27,9 +27,7 @@ use defcon_models::dataset::{batch_images, DeformedShapesConfig};
 use defcon_support::bench::Bench;
 use defcon_support::env;
 use defcon_support::json::Json;
-use defcon_tensor::sample::{
-    deform_conv2d_ref, deform_conv2d_v2_ref, deform_conv2d_v3_ref, OffsetTransform,
-};
+use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::Tensor;
 
 /// How much the *spread* of learned offsets (which bounding caps) changes
@@ -123,35 +121,15 @@ fn family_row(
     offsets: &Tensor,
     w: &Tensor,
 ) -> (Json, [f64; 3], u64, u64) {
-    let p = shape.deform_params();
     let modulation = synthetic_modulation(&shape, family, 0xAB1A);
-    let reference = match family {
-        OpFamily::DcnV1 => deform_conv2d_ref(x, offsets, w, None, &p, OffsetTransform::Identity),
-        OpFamily::DcnV2 => deform_conv2d_v2_ref(
-            x,
-            offsets,
-            modulation.as_ref().expect("v2 mask"),
-            w,
-            None,
-            &p,
-            OffsetTransform::Identity,
-        ),
-        OpFamily::DcnV3 => deform_conv2d_v3_ref(
-            x,
-            offsets,
-            modulation.as_ref().expect("v3 logits"),
-            w,
-            None,
-            &p,
-            OffsetTransform::Identity,
-        ),
-    };
     let op = |method: SamplingMethod, m: Option<Tensor>| DeformConvOp {
         family,
         method,
         modulation: m,
         ..DeformConvOp::baseline(shape)
     };
+    let reference =
+        op(SamplingMethod::SoftwareBilinear, modulation.clone()).reference(x, offsets, w);
 
     let sw = op(SamplingMethod::SoftwareBilinear, modulation.clone()).execute(x, offsets, w, gpu);
     let t2 = op(SamplingMethod::Tex2d, modulation.clone()).execute(x, offsets, w, gpu);

@@ -17,7 +17,7 @@ use defcon_gpusim::{Gpu, KernelReport};
 use defcon_support::error::DefconError;
 use defcon_support::json::Json;
 use defcon_support::obs;
-use defcon_tensor::sample::OffsetTransform;
+use defcon_tensor::sample::{deform_conv2d_ref, Modulation, OffsetTransform};
 use defcon_tensor::{gemm, Tensor};
 
 /// The three sampling implementations of the paper's comparison.
@@ -217,6 +217,36 @@ impl DeformConvOp {
             gemm::gemm(weight.data(), &cols, dst, s.c_out, krows, cols_n);
         }
         out
+    }
+
+    /// The CPU reference of this operator ([`deform_conv2d_ref`] with its
+    /// family's modulation, offset transform and shape): what `execute`
+    /// computes on exact f32 sampling. A v2 or v3 operator without a
+    /// modulation tensor takes its family's neutral element, as `execute`
+    /// does: the all-ones mask, or constant logits (every tap `fl(1/k²)`).
+    pub fn reference(&self, x: &Tensor, offsets: &Tensor, weight: &Tensor) -> Tensor {
+        let s = self.shape;
+        let (oh, ow) = s.out_hw();
+        let neutral_logits;
+        let modulation = match (self.family, &self.modulation) {
+            (OpFamily::DcnV1, _) | (OpFamily::DcnV2, None) => Modulation::None,
+            (OpFamily::DcnV2, Some(mask)) => Modulation::Mask(mask),
+            (OpFamily::DcnV3, Some(logits)) => Modulation::Softmax(logits),
+            (OpFamily::DcnV3, None) => {
+                neutral_logits = Tensor::zeros(&[s.n, self.family.modulation_channels(&s), oh, ow]);
+                Modulation::Softmax(&neutral_logits)
+            }
+        };
+        let p = s.deform_params();
+        deform_conv2d_ref(
+            x,
+            offsets,
+            modulation,
+            weight,
+            None,
+            &p,
+            self.offset_transform,
+        )
     }
 
     /// [`DeformConvOp::try_simulate_deform`] for callers that hold the
@@ -507,7 +537,6 @@ pub fn synthetic_modulation(
 mod tests {
     use super::*;
     use defcon_gpusim::DeviceConfig;
-    use defcon_tensor::sample::deform_conv2d_ref;
 
     fn small() -> (DeformLayerShape, Tensor, Tensor, Tensor) {
         let shape = DeformLayerShape::same3x3(4, 6, 10, 10);
@@ -522,14 +551,7 @@ mod tests {
         let gpu = Gpu::new(DeviceConfig::xavier_agx());
         let op = DeformConvOp::baseline(shape);
         let got = op.execute(&x, &offsets, &w, &gpu);
-        let expect = deform_conv2d_ref(
-            &x,
-            &offsets,
-            &w,
-            None,
-            &shape.deform_params(),
-            OffsetTransform::Identity,
-        );
+        let expect = op.reference(&x, &offsets, &w);
         defcon_tensor::assert_close(&got, &expect, 1e-3, 1e-3);
     }
 
@@ -542,14 +564,7 @@ mod tests {
             ..DeformConvOp::baseline(shape)
         };
         let got = op.execute(&x, &offsets, &w, &gpu);
-        let expect = deform_conv2d_ref(
-            &x,
-            &offsets,
-            &w,
-            None,
-            &shape.deform_params(),
-            OffsetTransform::Identity,
-        );
+        let expect = op.reference(&x, &offsets, &w);
         defcon_tensor::assert_close(&got, &expect, 1e-3, 1e-3);
     }
 
@@ -562,14 +577,7 @@ mod tests {
             ..DeformConvOp::baseline(shape)
         };
         let got = op.execute(&x, &offsets, &w, &gpu);
-        let expect = deform_conv2d_ref(
-            &x,
-            &offsets,
-            &w,
-            None,
-            &shape.deform_params(),
-            OffsetTransform::Identity,
-        );
+        let expect = op.reference(&x, &offsets, &w);
         // Reduced filter precision: small relative error, never wild.
         defcon_tensor::assert_close(&got, &expect, 0.05, 0.02);
     }

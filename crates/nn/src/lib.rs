@@ -6,7 +6,8 @@
 //! * regular / depthwise / pointwise convolutions and batch norm with full
 //!   training gradients,
 //! * a trainable [`modules::DeformConv2d`] whose offsets receive gradients
-//!   through the bilinear kernel (paper Eq. 2–3),
+//!   through the bilinear kernel (paper Eq. 2–3), and which becomes the
+//!   modulated DCNv2 with the joint offset + mask predictor,
 //! * the *lightweight* offset predictor (depthwise 3×3 + pointwise 1×1,
 //!   paper §III-A-b),
 //! * the dual-path Gumbel-Softmax layer used by the interval search

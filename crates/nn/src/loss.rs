@@ -4,114 +4,6 @@ use crate::graph::{Tape, Var};
 use crate::ops;
 use defcon_tensor::Tensor;
 
-/// Mean softmax cross-entropy over a batch of logits `[N, K]` with integer
-/// class labels.
-pub fn softmax_cross_entropy(t: &mut Tape, logits: Var, labels: &[usize]) -> Var {
-    let lv = t.value(logits).clone();
-    let (n, k) = (lv.dims()[0], lv.dims()[1]);
-    assert_eq!(labels.len(), n, "one label per batch row");
-    assert!(labels.iter().all(|&l| l < k), "label out of range");
-
-    // Forward: mean of -log softmax(logits)[label].
-    let mut probs = vec![0.0f32; n * k];
-    let mut loss = 0.0f32;
-    for i in 0..n {
-        let row = &lv.data()[i * k..(i + 1) * k];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|v| (v - m).exp()).collect();
-        let z: f32 = exps.iter().sum();
-        for j in 0..k {
-            probs[i * k + j] = exps[j] / z;
-        }
-        loss -= (probs[i * k + labels[i]].max(1e-12)).ln();
-    }
-    loss /= n as f32;
-
-    let labels = labels.to_vec();
-    t.push(
-        Tensor::from_vec(vec![loss], &[1]),
-        vec![logits],
-        Some(Box::new(move |gy| {
-            let g = gy.data()[0] / n as f32;
-            let mut gl = probs;
-            for (i, &lab) in labels.iter().enumerate() {
-                gl[i * k + lab] -= 1.0;
-            }
-            for v in &mut gl {
-                *v *= g;
-            }
-            vec![Tensor::from_vec(gl, &[n, k])]
-        })),
-    )
-}
-
-/// Mean binary cross-entropy with logits. `targets` must be the same shape
-/// as `logits` with values in `[0, 1]`. Numerically stable formulation:
-/// `max(x,0) − x·t + ln(1 + e^{−|x|})`.
-pub fn bce_with_logits(t: &mut Tape, logits: Var, targets: &Tensor) -> Var {
-    let lv = t.value(logits).clone();
-    assert_eq!(lv.dims(), targets.dims(), "bce shape mismatch");
-    let n = lv.numel() as f32;
-    let mut loss = 0.0f32;
-    for (&x, &tg) in lv.data().iter().zip(targets.data().iter()) {
-        loss += x.max(0.0) - x * tg + (1.0 + (-x.abs()).exp()).ln();
-    }
-    loss /= n;
-    let targets = targets.clone();
-    t.push(
-        Tensor::from_vec(vec![loss], &[1]),
-        vec![logits],
-        Some(Box::new(move |gy| {
-            let g = gy.data()[0] / n;
-            let gl: Vec<f32> = lv
-                .data()
-                .iter()
-                .zip(targets.data().iter())
-                .map(|(&x, &tg)| g * (1.0 / (1.0 + (-x).exp()) - tg))
-                .collect();
-            vec![Tensor::from_vec(gl, lv.dims())]
-        })),
-    )
-}
-
-/// Mean smooth-L1 (Huber) loss between `pred` and a constant target, the
-/// standard box-regression loss:
-/// `0.5 d²/β` for `|d| < β`, else `|d| − 0.5 β`.
-pub fn smooth_l1(t: &mut Tape, pred: Var, target: &Tensor, beta: f32) -> Var {
-    let pv = t.value(pred).clone();
-    assert_eq!(pv.dims(), target.dims(), "smooth_l1 shape mismatch");
-    assert!(beta > 0.0);
-    let n = pv.numel() as f32;
-    let mut loss = 0.0f32;
-    for (&p, &tg) in pv.data().iter().zip(target.data().iter()) {
-        let d = (p - tg).abs();
-        loss += if d < beta {
-            0.5 * d * d / beta
-        } else {
-            d - 0.5 * beta
-        };
-    }
-    loss /= n;
-    let target = target.clone();
-    t.push(
-        Tensor::from_vec(vec![loss], &[1]),
-        vec![pred],
-        Some(Box::new(move |gy| {
-            let g = gy.data()[0] / n;
-            let gp: Vec<f32> = pv
-                .data()
-                .iter()
-                .zip(target.data().iter())
-                .map(|(&p, &tg)| {
-                    let d = p - tg;
-                    g * if d.abs() < beta { d / beta } else { d.signum() }
-                })
-                .collect();
-            vec![Tensor::from_vec(gp, pv.dims())]
-        })),
-    )
-}
-
 /// Mean squared error against a constant target.
 pub fn mse(t: &mut Tape, pred: Var, target: &Tensor) -> Var {
     let tv = t.input(target.clone());
@@ -131,99 +23,6 @@ pub fn l2_penalty(t: &mut Tape, x: Var, coef: f32) -> Var {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ce_uniform_logits_is_log_k() {
-        let mut t = Tape::new();
-        let logits = t.input(Tensor::zeros(&[2, 4]));
-        let l = softmax_cross_entropy(&mut t, logits, &[0, 3]);
-        assert!((t.value(l).data()[0] - (4.0f32).ln()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn ce_gradient_matches_fd() {
-        let lv = Tensor::randn(&[2, 3], 0.0, 1.0, 70);
-        let labels = [1usize, 2];
-        let run = |lv: &Tensor| {
-            let mut t = Tape::new();
-            let x = t.input(lv.clone());
-            let l = softmax_cross_entropy(&mut t, x, &labels);
-            t.value(l).data()[0]
-        };
-        let mut t = Tape::new();
-        let x = t.input(lv.clone());
-        let l = softmax_cross_entropy(&mut t, x, &labels);
-        t.backward(l);
-        let g = t.grad(x).unwrap().clone();
-        for i in 0..6 {
-            let mut p = lv.clone();
-            p.data_mut()[i] += 1e-3;
-            let mut m = lv.clone();
-            m.data_mut()[i] -= 1e-3;
-            let fd = (run(&p) - run(&m)) / 2e-3;
-            assert!((g.data()[i] - fd).abs() < 1e-3, "{} vs {fd}", g.data()[i]);
-        }
-    }
-
-    #[test]
-    fn ce_decreases_under_gradient_descent() {
-        let mut lv = Tensor::randn(&[4, 5], 0.0, 0.5, 71);
-        let labels = [0usize, 1, 2, 3];
-        let mut prev = f32::MAX;
-        for _ in 0..20 {
-            let mut t = Tape::new();
-            let x = t.input(lv.clone());
-            let l = softmax_cross_entropy(&mut t, x, &labels);
-            let loss = t.value(l).data()[0];
-            assert!(loss <= prev + 1e-5);
-            prev = loss;
-            t.backward(l);
-            let g = t.grad(x).unwrap().clone();
-            for (v, gv) in lv.data_mut().iter_mut().zip(g.data().iter()) {
-                *v -= 1.0 * gv;
-            }
-        }
-        assert!(prev < 1.0);
-    }
-
-    #[test]
-    fn bce_gradient_matches_fd() {
-        let lv = Tensor::randn(&[6], 0.0, 1.5, 72);
-        let tg = Tensor::from_vec(vec![0.0, 1.0, 0.5, 1.0, 0.0, 0.25], &[6]);
-        let run = |lv: &Tensor| {
-            let mut t = Tape::new();
-            let x = t.input(lv.clone());
-            let l = bce_with_logits(&mut t, x, &tg);
-            t.value(l).data()[0]
-        };
-        let mut t = Tape::new();
-        let x = t.input(lv.clone());
-        let l = bce_with_logits(&mut t, x, &tg);
-        t.backward(l);
-        let g = t.grad(x).unwrap().clone();
-        for i in 0..6 {
-            let mut p = lv.clone();
-            p.data_mut()[i] += 1e-3;
-            let mut m = lv.clone();
-            m.data_mut()[i] -= 1e-3;
-            let fd = (run(&p) - run(&m)) / 2e-3;
-            assert!((g.data()[i] - fd).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn smooth_l1_quadratic_then_linear() {
-        let mut t = Tape::new();
-        let p = t.input(Tensor::from_vec(vec![0.5, 3.0], &[2]));
-        let tg = Tensor::zeros(&[2]);
-        let l = smooth_l1(&mut t, p, &tg, 1.0);
-        // (0.5*0.25 + (3-0.5)) / 2 = (0.125 + 2.5)/2
-        assert!((t.value(l).data()[0] - 1.3125).abs() < 1e-5);
-        t.backward(l);
-        let g = t.grad(p).unwrap();
-        assert!((g.data()[0] - 0.25).abs() < 1e-6); // d/2 within beta, /n
-        assert!((g.data()[1] - 0.5).abs() < 1e-6); // sign/n outside
-    }
 
     #[test]
     fn l2_penalty_scales() {

@@ -3,7 +3,10 @@
 //! Dense `f32` tensors and the CPU numeric kernels that back the DEFCON
 //! reproduction: im2col convolution over a `support::par`-parallel GEMM,
 //! depthwise and pointwise convolutions, pooling, batch normalization,
-//! bilinear sampling and the deformable-convolution forward reference.
+//! bilinear sampling, and the deformable-convolution reference: one
+//! forward for every operator family (DCNv1, the mask-modulated DCNv2,
+//! the softmax-aggregated DCNv3), chosen by its per-tap
+//! [`sample::Modulation`], and one backward for the two that train.
 //!
 //! The crate is deliberately small and NCHW-only. It is the numeric ground
 //! truth that the GPU-simulator kernels in `defcon-kernels` are validated
@@ -37,8 +40,8 @@ pub mod shape;
 pub mod tensor;
 
 pub use sample::{
-    deform_conv2d_ref, deform_conv2d_v2_ref, deform_conv2d_v3_ref, sigmoid, tap_softmax,
-    DeformConv2dParams,
+    deform_conv2d_backward_ref, deform_conv2d_ref, sigmoid, tap_softmax, DeformConv2dParams,
+    Modulation,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -43,6 +43,7 @@ fn numeric_equivalence_across_the_whole_operator_stack() {
     let reference = defcon::tensor::sample::deform_conv2d_ref(
         &x,
         &offsets,
+        defcon::tensor::sample::Modulation::None,
         &weight,
         None,
         &shape.deform_params(),
@@ -60,8 +61,8 @@ fn numeric_equivalence_across_the_whole_operator_stack() {
         &mut tape,
         xv,
         ov,
-        wv,
         None,
+        wv,
         shape.deform_params(),
         OffsetTransform::Identity,
     );

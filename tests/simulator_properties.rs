@@ -80,7 +80,7 @@ fn bilinear_within_neighbour_hull() {
 #[test]
 fn zero_offsets_are_rigid() {
     use defcon::tensor::conv::{conv2d, Conv2dParams};
-    use defcon::tensor::sample::{deform_conv2d_ref, deform_conv2d_v2_ref};
+    use defcon::tensor::sample::{deform_conv2d_ref, Modulation};
     let gpu = Gpu::new(DeviceConfig::xavier_agx());
     let accel = Accel::new(AccelConfig::edge());
     prop::check(
@@ -141,12 +141,13 @@ fn zero_offsets_are_rigid() {
                         .all(|(p, q)| (p - q).abs() < 1e-4)
             };
             let p = shape.deform_params();
-            let reference = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
-            prop_assert!(close(&reference, &rigid), "CPU v1 reference");
+            let reference =
+                |m| deform_conv2d_ref(&x, &off, m, &w, None, &p, OffsetTransform::Identity);
+            let reference_v1 = reference(Modulation::None);
+            prop_assert!(close(&reference_v1, &rigid), "CPU v1 reference");
             let ones = Tensor::full(&[1, groups * 9, oh, ow], 1.0);
             let halves = Tensor::full(&[1, groups * 9, oh, ow], 0.5);
-            let reference_v2 =
-                deform_conv2d_v2_ref(&x, &off, &halves, &w, None, &p, OffsetTransform::Identity);
+            let reference_v2 = reference(Modulation::Mask(&halves));
             prop_assert!(close(&reference_v2, &half), "CPU v2 reference, 0.5 mask");
             for (family, modulation, expect) in [
                 (OpFamily::DcnV1, None, &rigid),
@@ -451,9 +452,7 @@ fn tap_softmax_normalized_shift_invariant_equivariant() {
 /// `fl(1/k²)` mask — the two reduction identities, on random shapes.
 #[test]
 fn family_reduction_identities_hold_on_random_shapes() {
-    use defcon::tensor::sample::{
-        deform_conv2d_ref, deform_conv2d_v2_ref, deform_conv2d_v3_ref, DeformConv2dParams,
-    };
+    use defcon::tensor::sample::{deform_conv2d_ref, DeformConv2dParams, Modulation};
     prop::check(
         "family_reduction_identities_hold_on_random_shapes",
         &Config::new(12, 0xDEFC_000A),
@@ -470,16 +469,16 @@ fn family_reduction_identities_hold_on_random_shapes() {
             let x = Tensor::randn(&[1, c, hw, hw], 0.0, 1.0, seed);
             let w = Tensor::randn(&[2, c, 3, 3], 0.0, 0.4, seed ^ 7);
             let off = Tensor::randn(&[1, 18, hw, hw], 0.0, 1.5, seed ^ 13);
-            let v1 = deform_conv2d_ref(&x, &off, &w, None, &p, OffsetTransform::Identity);
+            let reference =
+                |m| deform_conv2d_ref(&x, &off, m, &w, None, &p, OffsetTransform::Identity);
             let ones = Tensor::full(&[1, 9, hw, hw], 1.0);
-            let v2 = deform_conv2d_v2_ref(&x, &off, &ones, &w, None, &p, OffsetTransform::Identity);
+            let v1 = reference(Modulation::None);
+            let v2 = reference(Modulation::Mask(&ones));
             prop_assert_eq!(v1.data(), v2.data());
             let logits = Tensor::full(&[1, 9, hw, hw], logit);
-            let v3 =
-                deform_conv2d_v3_ref(&x, &off, &logits, &w, None, &p, OffsetTransform::Identity);
             let flat = Tensor::full(&[1, 9, hw, hw], (1.0f64 / 9.0) as f32);
-            let v2_flat =
-                deform_conv2d_v2_ref(&x, &off, &flat, &w, None, &p, OffsetTransform::Identity);
+            let v3 = reference(Modulation::Softmax(&logits));
+            let v2_flat = reference(Modulation::Mask(&flat));
             prop_assert_eq!(v3.data(), v2_flat.data());
             Ok(())
         },
