@@ -94,29 +94,39 @@ cargo test -q --offline --test zero_alloc
 # detector, whose traces log every epoch's mean loss at full precision, and
 # Fig. 6's interval search logs every search step's losses. They are the
 # end-to-end pin of the deformable forward and backward the nn layers train
-# through. Each golden was blessed at DEFCON_THREADS=1 and equals the run at 2.
+# through. The trainers' results — Table I's and Table V's mAP cells,
+# Fig. 5's bounded evaluations, Fig. 6's placement — are printed, not
+# traced, so each trainer's stdout must also equal its blessed golden (the
+# third argument; "-" for none). Each golden was blessed at
+# DEFCON_THREADS=1 and equals the run at 2.
 trace_twice() {
-    bin="$1" golden="crates/bench/tests/golden/$2"
-    shift 2
-    trace="$(mktemp)"
+    bin="$1" golden="crates/bench/tests/golden/$2" stdout_golden="$3"
+    shift 3
+    trace="$(mktemp)" out="$(mktemp)"
     for run in 1 2; do
         echo "==> DEFCON_TRACE golden (release $bin, $*, run $run)"
         # Each run starts from an empty file, so a run that writes no
         # trace fails the cmp instead of passing on the last run's bytes.
         : > "$trace"
-        env "$@" DEFCON_THREADS=1 DEFCON_TRACE="$trace" "./target/release/$bin" > /dev/null
+        env "$@" DEFCON_THREADS=1 DEFCON_TRACE="$trace" "./target/release/$bin" > "$out"
         cmp "$trace" "$golden" || {
             echo "trace golden FAIL: $bin DEFCON_TRACE output (run $run) differs from $golden" >&2
             exit 1
         }
+        if [ "$stdout_golden" != - ]; then
+            cmp "$out" "crates/bench/tests/golden/$stdout_golden" || {
+                echo "stdout golden FAIL: $bin stdout (run $run) differs from $stdout_golden" >&2
+                exit 1
+            }
+        fi
     done
-    rm -f "$trace"
+    rm -f "$trace" "$out"
 }
-trace_twice repro_table2_xavier table2_trace.json DEFCON_TINY=1
-trace_twice repro_table1 table1_fast_trace.json DEFCON_FAST=1
-trace_twice repro_fig5_boundary fig5_boundary_fast_trace.json DEFCON_FAST=1
-trace_twice repro_fig6_interval fig6_interval_fast_trace.json DEFCON_FAST=1
-trace_twice repro_table5 table5_fast_trace.json DEFCON_FAST=1
+trace_twice repro_table2_xavier table2_trace.json - DEFCON_TINY=1
+trace_twice repro_table1 table1_fast_trace.json table1_fast_stdout.txt DEFCON_FAST=1
+trace_twice repro_fig5_boundary fig5_boundary_fast_trace.json fig5_boundary_fast_stdout.txt DEFCON_FAST=1
+trace_twice repro_fig6_interval fig6_interval_fast_trace.json fig6_interval_fast_stdout.txt DEFCON_FAST=1
+trace_twice repro_table5 table5_fast_trace.json table5_fast_stdout.txt DEFCON_FAST=1
 
 # Full-size byte gates, end to end on the release binaries: each repro's
 # DEFCON_JSON line at the paper's shapes must equal its golden, at one
