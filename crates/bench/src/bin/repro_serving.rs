@@ -8,22 +8,17 @@
 //!
 //! The session is fully deterministic — it backs the golden obs trace in
 //! `crates/bench/tests/golden/serving_trace.json`. `DEFCON_TINY=1` uses
-//! the tiny layer sweep; `DEFCON_SERVE_QUEUE` / `DEFCON_SERVE_CACHE`
-//! override the server sizing; `DEFCON_JSON=1` appends a JSON report
-//! line; `DEFCON_TRACE=<path>` records the trace.
+//! the tiny layer sweep; `DEFCON_JSON=1` appends a JSON report line;
+//! `DEFCON_TRACE=<path>` records the trace.
 
 use defcon_bench::{emit_json, f2, Table};
 use defcon_core::serve::{fnv1a64, RequestPolicy, ServeConfig, ServeDevice, SimRequest, SimServer};
 use defcon_kernels::backend::BackendKind;
 use defcon_kernels::op::{OpFamily, SamplingMethod};
-use defcon_support::env;
 use defcon_support::json::Json;
 
 /// 16 requests: 8 distinct, then the same 8 again.
 fn session_requests() -> Vec<SimRequest> {
-    // `DEFCON_BACKEND` reroutes the whole session; unset keeps the
-    // default gpusim substrate so the golden trace bytes are stable.
-    let backend = env::or_die(BackendKind::from_env());
     let sweep = defcon_bench::layer_sweep();
     let devices = ServeDevice::all();
     let families = SamplingMethod::ladder();
@@ -35,7 +30,7 @@ fn session_requests() -> Vec<SimRequest> {
             // Pinned to v1: the session backs the serving golden trace,
             // whose canonical request bytes predate the op_family field.
             op_family: OpFamily::DcnV1,
-            backend,
+            backend: BackendKind::Gpusim,
             policy: RequestPolicy::default(),
         })
         .collect();
@@ -49,14 +44,10 @@ fn main() {
     println!("DEFCON throughput-mode serving: 16 requests, capacity-8 queue");
     println!("=============================================================");
 
-    let cfg = env::or_die(
-        ServeConfig {
-            queue_capacity: 8,
-            ..ServeConfig::default()
-        }
-        .with_env_overrides(),
-    );
-    let mut server = SimServer::new(cfg);
+    let mut server = SimServer::new(ServeConfig {
+        queue_capacity: 8,
+        ..ServeConfig::default()
+    });
     let reqs = session_requests();
     let responses = server.serve(&reqs);
 

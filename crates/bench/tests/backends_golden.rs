@@ -26,7 +26,6 @@ fn run_report() -> String {
         .env("DEFCON_THREADS", "1")
         .env_remove("DEFCON_BLESS")
         .env_remove("DEFCON_BENCH_OUT")
-        .env_remove("DEFCON_BACKEND")
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(

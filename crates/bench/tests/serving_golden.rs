@@ -21,8 +21,6 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// Runs `repro_serving` in tiny mode with tracing to a unique temp file.
-/// Serving env knobs are stripped so the session shape is always the
-/// fixed 16-request / capacity-8 one the golden was blessed from.
 fn run_traced(threads: usize, tag: &str) -> String {
     let bin = env!("CARGO_BIN_EXE_repro_serving");
     let trace = std::env::temp_dir().join(format!(
@@ -36,8 +34,6 @@ fn run_traced(threads: usize, tag: &str) -> String {
         .env("DEFCON_TRACE", &trace)
         .env_remove("DEFCON_OBS_WALL")
         .env_remove("DEFCON_BLESS")
-        .env_remove("DEFCON_SERVE_QUEUE")
-        .env_remove("DEFCON_SERVE_CACHE")
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(

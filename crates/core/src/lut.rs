@@ -14,15 +14,13 @@ use defcon_kernels::op::{
 };
 use defcon_kernels::{DeformLayerShape, TileConfig};
 use defcon_support::error::DefconError;
-use defcon_support::fault;
-use defcon_support::json::{FromJson, Json, JsonError, ToJson};
 use defcon_support::par;
 use defcon_tensor::sample::OffsetTransform;
 use defcon_tensor::Tensor;
 use std::collections::HashMap;
 
 /// LUT key: the latency-relevant coordinates of a 3×3 convolution slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LatencyKey {
     /// Input channels.
     pub c_in: usize,
@@ -65,30 +63,6 @@ impl LatencyKey {
     }
 }
 
-impl ToJson for LatencyKey {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("c_in", Json::from(self.c_in)),
-            ("c_out", Json::from(self.c_out)),
-            ("h", Json::from(self.h)),
-            ("w", Json::from(self.w)),
-            ("stride", Json::from(self.stride)),
-        ])
-    }
-}
-
-impl FromJson for LatencyKey {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(LatencyKey {
-            c_in: j.usize_field("c_in")?,
-            c_out: j.usize_field("c_out")?,
-            h: j.usize_field("h")?,
-            w: j.usize_field("w")?,
-            stride: j.usize_field("stride")?,
-        })
-    }
-}
-
 /// One LUT entry: measured latencies of the operator choices at a key.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyEntry {
@@ -103,24 +77,6 @@ impl LatencyEntry {
     /// going deformable at this slot.
     pub fn dcn_overhead_ms(&self) -> f64 {
         (self.deform_ms - self.regular_ms).max(0.0)
-    }
-}
-
-impl ToJson for LatencyEntry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("regular_ms", Json::from(self.regular_ms)),
-            ("deform_ms", Json::from(self.deform_ms)),
-        ])
-    }
-}
-
-impl FromJson for LatencyEntry {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(LatencyEntry {
-            regular_ms: j.num_field("regular_ms")?,
-            deform_ms: j.num_field("deform_ms")?,
-        })
     }
 }
 
@@ -143,8 +99,8 @@ impl LatencyLut {
     ///
     /// Keys are independent items of one `par::map` on
     /// `gpu.policy().threads` workers (`DEFCON_THREADS` by default); each
-    /// launch is one serial walk, so the table's entries — and its
-    /// serialized bytes — are identical at every thread count.
+    /// launch is one serial walk, so the table's entries are bitwise
+    /// identical at every thread count.
     pub fn build(
         gpu: &Gpu,
         keys: &[LatencyKey],
@@ -198,75 +154,6 @@ impl LatencyLut {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Serializes to JSON (the paper's workflow collects the table offline).
-    ///
-    /// The format is `[device, [[key, entry], ...]]` with the pairs sorted
-    /// by key, so the same table always serializes to the same bytes no
-    /// matter what order the `HashMap` happens to iterate in.
-    pub fn to_json(&self) -> String {
-        let mut pairs: Vec<(&LatencyKey, &LatencyEntry)> = self.entries.iter().collect();
-        pairs.sort_by_key(|(k, _)| **k);
-        let pair_values = pairs
-            .into_iter()
-            .map(|(k, e)| Json::Arr(vec![k.to_json(), e.to_json()]))
-            .collect();
-        Json::Arr(vec![Json::str(&self.device), Json::Arr(pair_values)]).to_string()
-    }
-
-    /// Deserializes from [`LatencyLut::to_json`] output.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let doc = Json::parse(s)?;
-        let top = doc
-            .as_arr()
-            .ok_or_else(|| JsonError::msg("LUT document must be an array"))?;
-        let [device, pairs] = top else {
-            return Err(JsonError::msg("LUT document must be [device, pairs]"));
-        };
-        let device = device
-            .as_str()
-            .ok_or_else(|| JsonError::msg("LUT device must be a string"))?;
-        let pairs = pairs
-            .as_arr()
-            .ok_or_else(|| JsonError::msg("LUT pairs must be an array"))?;
-        let mut entries = HashMap::with_capacity(pairs.len());
-        for pair in pairs {
-            let [key, entry] = pair
-                .as_arr()
-                .ok_or_else(|| JsonError::msg("LUT pair must be an array"))?
-            else {
-                return Err(JsonError::msg("LUT pair must be [key, entry]"));
-            };
-            entries.insert(LatencyKey::from_json(key)?, LatencyEntry::from_json(entry)?);
-        }
-        Ok(LatencyLut {
-            device: device.to_string(),
-            entries,
-        })
-    }
-
-    /// Writes the table to `path` (atomic: temp file + rename).
-    pub fn save(&self, path: &std::path::Path) -> Result<(), DefconError> {
-        let text = self.to_json();
-        let tmp = path.with_extension("lut-tmp");
-        let display = path.display().to_string();
-        std::fs::write(&tmp, text.as_bytes()).map_err(|e| DefconError::io(&display, &e))?;
-        std::fs::rename(&tmp, path).map_err(|e| DefconError::io(&display, &e))?;
-        Ok(())
-    }
-
-    /// Loads a table written by [`LatencyLut::save`]. IO failures and
-    /// malformed JSON both come back as typed [`DefconError`]s — a corrupt
-    /// LUT file must never panic the search that consumes it.
-    ///
-    /// Fault point `lut.load` corrupts the file bytes after reading
-    /// (truncation or byte flip), for degradation tests.
-    pub fn load(path: &std::path::Path) -> Result<Self, DefconError> {
-        let display = path.display().to_string();
-        let mut text = std::fs::read_to_string(path).map_err(|e| DefconError::io(&display, &e))?;
-        fault::corrupt_string("lut.load", &mut text);
-        LatencyLut::from_json(&text).map_err(|e| DefconError::json(&display, e))
-    }
 }
 
 /// The operator a LUT times at `key` (default tile, raw offsets, neutral
@@ -294,7 +181,8 @@ fn key_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use defcon_gpusim::DeviceConfig;
+    use defcon_gpusim::{DeviceConfig, SamplePolicy};
+    use defcon_support::fault;
 
     fn tiny_keys() -> Vec<LatencyKey> {
         vec![
@@ -400,84 +288,31 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() -> Result<(), DefconError> {
+    fn entries_are_bitwise_equal_across_key_order_and_thread_count() {
         let _quiet = fault::quiesce();
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let lut = LatencyLut::build(
-            &gpu,
-            &tiny_keys(),
-            SamplingMethod::Tex2d,
-            OffsetPredictorKind::Lightweight,
-            OpFamily::DcnV1,
-        );
-        let s = lut.to_json();
-        let back = LatencyLut::from_json(&s).unwrap();
-        assert_eq!(back.len(), lut.len());
-        assert_eq!(back.device, lut.device);
-        for key in tiny_keys() {
-            assert!((back.dcn_overhead_ms(&key)? - lut.dcn_overhead_ms(&key)?).abs() < 1e-12);
-        }
-        Ok(())
-    }
-
-    #[test]
-    fn serialization_is_deterministic() {
-        let _quiet = fault::quiesce();
-        // HashMap iteration order varies run to run; the sorted pair list
-        // must not.
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let mut keys = tiny_keys();
-        let a = LatencyLut::build(
-            &gpu,
-            &keys,
-            SamplingMethod::Tex2d,
-            OffsetPredictorKind::Lightweight,
-            OpFamily::DcnV1,
-        );
-        keys.reverse();
-        let b = LatencyLut::build(
-            &gpu,
-            &keys,
-            SamplingMethod::Tex2d,
-            OffsetPredictorKind::Lightweight,
-            OpFamily::DcnV1,
-        );
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(
-            a.to_json(),
-            LatencyLut::from_json(&a.to_json()).unwrap().to_json()
-        );
-    }
-
-    #[test]
-    fn save_load_round_trip_and_corrupt_file_is_typed() {
-        use defcon_support::fault::{self, FaultPlan, Schedule};
-        let gpu = Gpu::new(DeviceConfig::xavier_agx());
-        let lut = {
-            let _quiet = fault::quiesce();
+        let build = |keys: &[LatencyKey], threads: usize| {
+            let policy = SamplePolicy {
+                threads,
+                ..SamplePolicy::default()
+            };
             LatencyLut::build(
-                &gpu,
-                &tiny_keys(),
+                &Gpu::with_policy(DeviceConfig::xavier_agx(), policy),
+                keys,
                 SamplingMethod::Tex2d,
                 OffsetPredictorKind::Lightweight,
                 OpFamily::DcnV1,
             )
         };
-        let mut path = std::env::temp_dir();
-        path.push(format!("defcon-lut-test-{}.json", std::process::id()));
-        lut.save(&path).unwrap();
-        let back = LatencyLut::load(&path).unwrap();
-        assert_eq!(back.to_json(), lut.to_json());
-        // Injected corruption on load → typed Json error, never a panic.
-        {
-            let _g = fault::arm(FaultPlan::new(17).point("lut.load", Schedule::Always));
-            let err = LatencyLut::load(&path).unwrap_err();
-            assert!(matches!(err, DefconError::Json { .. }));
+        let mut keys = tiny_keys();
+        let a = build(&keys, 1);
+        keys.reverse();
+        let b = build(&keys, 4);
+        assert_eq!(a.len(), b.len());
+        for key in &keys {
+            let (ea, eb) = (a.get(key).expect("entry"), b.get(key).expect("entry"));
+            assert_eq!(ea.regular_ms.to_bits(), eb.regular_ms.to_bits(), "{key:?}");
+            assert_eq!(ea.deform_ms.to_bits(), eb.deform_ms.to_bits(), "{key:?}");
         }
-        // A missing file is an Io error naming the path.
-        std::fs::remove_file(&path).unwrap();
-        let err = LatencyLut::load(&path).unwrap_err();
-        assert!(matches!(err, DefconError::Io { .. }));
     }
 
     #[test]

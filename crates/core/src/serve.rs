@@ -55,7 +55,7 @@
 //!
 //! A request may carry a deadline in **virtual cycles**
 //! ([`RequestPolicy::deadline_cycles`], or the server-wide
-//! `DEFCON_SERVE_DEADLINE` default). Enforcement never reads a wall
+//! [`ServeConfig::default_deadline_cycles`]). Enforcement never reads a wall
 //! clock, so verdicts are byte-reproducible: retry backoffs are charged
 //! against the budget up front, a LUT-backed preflight rejects requests
 //! whose tabulated cost already exceeds what remains (uniformly, *before*
@@ -96,7 +96,7 @@ use defcon_support::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use defcon_support::error::DefconError;
 use defcon_support::json::{Json, ToJson};
 use defcon_support::retry::RetryPolicy;
-use defcon_support::{env, fault, obs, par};
+use defcon_support::{fault, obs, par};
 
 use crate::lut::{LatencyKey, LatencyLut};
 
@@ -121,17 +121,12 @@ impl ServeDevice {
         }
     }
 
-    /// Resolves a canonical name back to a device.
-    pub fn from_name(name: &str) -> Option<ServeDevice> {
-        ServeDevice::all()
-            .into_iter()
-            .find(|d| d.canonical_name() == name)
-    }
-
     /// The device preset this request target resolves to.
     pub fn config(&self) -> DeviceConfig {
-        DeviceConfig::preset(self.canonical_name())
-            .expect("every ServeDevice name is a DeviceConfig preset")
+        match self {
+            ServeDevice::XavierAgx => DeviceConfig::xavier_agx(),
+            ServeDevice::Rtx2080Ti => DeviceConfig::rtx2080ti(),
+        }
     }
 
     /// Every servable device.
@@ -275,9 +270,7 @@ impl SimRequest {
     }
 }
 
-/// Server sizing and robustness tuning. The sizing knobs and the
-/// retry/deadline knobs have env overrides (see
-/// [`ServeConfig::with_env_overrides`]).
+/// Server sizing and robustness tuning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Workers for miss simulation. Worker count never changes response
@@ -309,28 +302,6 @@ impl Default for ServeConfig {
             default_deadline_cycles: 0,
             breaker: BreakerConfig::default(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Applies `DEFCON_SERVE_QUEUE` / `DEFCON_SERVE_CACHE` /
-    /// `DEFCON_RETRY_MAX` / `DEFCON_SERVE_DEADLINE` overrides on top of
-    /// `self`. (`workers` already follows `DEFCON_THREADS` through
-    /// [`defcon_gpusim::default_threads`] in [`ServeConfig::default`].)
-    pub fn with_env_overrides(mut self) -> Result<Self, DefconError> {
-        if let Some(q) = env::positive_usize(env::SERVE_QUEUE)? {
-            self.queue_capacity = q;
-        }
-        if let Some(c) = env::positive_usize(env::SERVE_CACHE)? {
-            self.cache_capacity = c;
-        }
-        if let Some(r) = env::u64_value(env::RETRY_MAX)? {
-            self.retry.max_retries = r.min(u32::MAX as u64) as u32;
-        }
-        if let Some(d) = env::u64_value(env::SERVE_DEADLINE)? {
-            self.default_deadline_cycles = d;
-        }
-        Ok(self)
     }
 }
 
@@ -1302,15 +1273,6 @@ mod tests {
     }
 
     #[test]
-    fn device_names_round_trip() {
-        for d in ServeDevice::all() {
-            assert_eq!(ServeDevice::from_name(d.canonical_name()), Some(d));
-            assert!(!d.config().name.is_empty());
-        }
-        assert_eq!(ServeDevice::from_name("abacus"), None);
-    }
-
-    #[test]
     fn queue_overflow_is_a_typed_overloaded_error() {
         let _quiet = fault::quiesce();
         let mut server = SimServer::new(ServeConfig {
@@ -1642,19 +1604,9 @@ mod tests {
     }
 
     #[test]
-    fn retry_and_env_knobs_parse() {
-        // `serve()` counts one retry per drain-and-retry pass (the
-        // default policy retries once, reproducing the original
-        // behaviour).
+    fn default_retry_policy_retries_once() {
+        // `serve()` counts one retry per drain-and-retry pass; the default
+        // policy retries once, reproducing the original behaviour.
         assert_eq!(RetryPolicy::default().max_retries, 1);
-        std::env::set_var(env::RETRY_MAX, "5");
-        std::env::set_var(env::SERVE_DEADLINE, "123456");
-        let cfg = ServeConfig::default()
-            .with_env_overrides()
-            .expect("valid overrides");
-        std::env::remove_var(env::RETRY_MAX);
-        std::env::remove_var(env::SERVE_DEADLINE);
-        assert_eq!(cfg.retry.max_retries, 5);
-        assert_eq!(cfg.default_deadline_cycles, 123_456);
     }
 }

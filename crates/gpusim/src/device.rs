@@ -3,7 +3,6 @@
 
 use defcon_support::error::DefconError;
 use defcon_support::fault;
-use defcon_support::json::{FromJson, Json, JsonError, ToJson};
 
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,7 +31,7 @@ impl CacheGeometry {
 
     /// Checks the geometry is realizable (`what` names the cache level in
     /// the error). The same condition `num_sets` asserts, but as a typed
-    /// error a config loader can report instead of aborting.
+    /// error a caller can report instead of aborting.
     pub fn validate(&self, what: &str) -> Result<(), DefconError> {
         let constraint = |detail: String| DefconError::Constraint {
             what: "cache-config".to_string(),
@@ -51,28 +50,6 @@ impl CacheGeometry {
             )));
         }
         Ok(())
-    }
-}
-
-impl ToJson for CacheGeometry {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("size_bytes", Json::from(self.size_bytes)),
-            ("line_bytes", Json::from(self.line_bytes)),
-            ("ways", Json::from(self.ways)),
-            ("hit_latency", Json::from(self.hit_latency as u64)),
-        ])
-    }
-}
-
-impl FromJson for CacheGeometry {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(CacheGeometry {
-            size_bytes: j.usize_field("size_bytes")?,
-            line_bytes: j.usize_field("line_bytes")?,
-            ways: j.usize_field("ways")?,
-            hit_latency: j.u64_field("hit_latency")? as u32,
-        })
     }
 }
 
@@ -123,64 +100,6 @@ pub struct DeviceConfig {
     pub max_texture_layers: usize,
     /// Maximum texture extent per dimension (32768 on Xavier, §III-B).
     pub max_texture_dim: usize,
-}
-
-impl ToJson for DeviceConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(&self.name)),
-            ("num_sms", Json::from(self.num_sms)),
-            ("warp_size", Json::from(self.warp_size)),
-            ("max_warps_per_sm", Json::from(self.max_warps_per_sm)),
-            ("core_clock_ghz", Json::from(self.core_clock_ghz)),
-            ("fp32_lanes_per_sm", Json::from(self.fp32_lanes_per_sm)),
-            ("alu_lanes_per_sm", Json::from(self.alu_lanes_per_sm)),
-            ("dram_bandwidth_gbps", Json::from(self.dram_bandwidth_gbps)),
-            ("dram_latency", Json::from(self.dram_latency as u64)),
-            ("l2", self.l2.to_json()),
-            ("l1", self.l1.to_json()),
-            ("tex_cache", self.tex_cache.to_json()),
-            (
-                "tex_filter_rate_fp32",
-                Json::from(self.tex_filter_rate_fp32),
-            ),
-            (
-                "tex_filter_rate_fp16",
-                Json::from(self.tex_filter_rate_fp16),
-            ),
-            ("tex_hit_latency", Json::from(self.tex_hit_latency as u64)),
-            ("overlap_efficiency", Json::from(self.overlap_efficiency)),
-            ("launch_overhead_us", Json::from(self.launch_overhead_us)),
-            ("max_texture_layers", Json::from(self.max_texture_layers)),
-            ("max_texture_dim", Json::from(self.max_texture_dim)),
-        ])
-    }
-}
-
-impl FromJson for DeviceConfig {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(DeviceConfig {
-            name: j.str_field("name")?.to_string(),
-            num_sms: j.usize_field("num_sms")?,
-            warp_size: j.usize_field("warp_size")?,
-            max_warps_per_sm: j.usize_field("max_warps_per_sm")?,
-            core_clock_ghz: j.num_field("core_clock_ghz")?,
-            fp32_lanes_per_sm: j.usize_field("fp32_lanes_per_sm")?,
-            alu_lanes_per_sm: j.usize_field("alu_lanes_per_sm")?,
-            dram_bandwidth_gbps: j.num_field("dram_bandwidth_gbps")?,
-            dram_latency: j.u64_field("dram_latency")? as u32,
-            l2: CacheGeometry::from_json(j.field("l2")?)?,
-            l1: CacheGeometry::from_json(j.field("l1")?)?,
-            tex_cache: CacheGeometry::from_json(j.field("tex_cache")?)?,
-            tex_filter_rate_fp32: j.num_field("tex_filter_rate_fp32")?,
-            tex_filter_rate_fp16: j.num_field("tex_filter_rate_fp16")?,
-            tex_hit_latency: j.u64_field("tex_hit_latency")? as u32,
-            overlap_efficiency: j.num_field("overlap_efficiency")?,
-            launch_overhead_us: j.num_field("launch_overhead_us")?,
-            max_texture_layers: j.usize_field("max_texture_layers")?,
-            max_texture_dim: j.usize_field("max_texture_dim")?,
-        })
-    }
 }
 
 impl DeviceConfig {
@@ -266,27 +185,11 @@ impl DeviceConfig {
         }
     }
 
-    /// Looks up a built-in preset by its canonical request name (the names
-    /// `core::serve` uses to address devices in cache keys). Returns `None`
-    /// for unknown names so callers can produce a typed error.
-    pub fn preset(name: &str) -> Option<DeviceConfig> {
-        match name {
-            "xavier-agx" => Some(DeviceConfig::xavier_agx()),
-            "rtx2080ti" => Some(DeviceConfig::rtx2080ti()),
-            _ => None,
-        }
-    }
-
-    /// The canonical names accepted by [`DeviceConfig::preset`].
-    pub fn preset_names() -> [&'static str; 2] {
-        ["xavier-agx", "rtx2080ti"]
-    }
-
     /// Validates the whole configuration: positive counts and clocks, a
     /// sane overlap fraction, realizable cache geometries, positive texture
-    /// limits. Launch paths call this before simulating so a hand-edited or
-    /// JSON-loaded config fails with a typed [`DefconError::Constraint`]
-    /// instead of a mid-simulation panic.
+    /// limits. Launch paths call this before simulating so a caller-built
+    /// config with an impossible field fails with a typed
+    /// [`DefconError::Constraint`] instead of a mid-simulation panic.
     ///
     /// Fault point `device.cache_config` injects a constraint violation
     /// here (modelling an invalid deployed config) for degradation tests.
@@ -374,18 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn presets_resolve_by_canonical_name() {
-        let xavier = DeviceConfig::preset("xavier-agx").expect("known preset");
-        assert_eq!(xavier.name, "Jetson-AGX-Xavier");
-        let turing = DeviceConfig::preset("rtx2080ti").expect("known preset");
-        assert_eq!(turing.name, "RTX-2080Ti");
-        assert!(DeviceConfig::preset("tpu-v9").is_none());
-        for name in DeviceConfig::preset_names() {
-            assert!(DeviceConfig::preset(name).is_some(), "{name}");
-        }
-    }
-
-    #[test]
     fn turing_is_an_order_of_magnitude_bigger() {
         let x = DeviceConfig::xavier_agx();
         let t = DeviceConfig::rtx2080ti();
@@ -409,20 +300,6 @@ mod tests {
         let x = DeviceConfig::xavier_agx();
         let ms = x.cycles_to_ms(1.377e9);
         assert!((ms - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn device_json_round_trip() {
-        for dev in [DeviceConfig::xavier_agx(), DeviceConfig::rtx2080ti()] {
-            let text = dev.to_json().to_string();
-            let back = DeviceConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-            // Serialization is deterministic: round-tripping reproduces the
-            // exact byte string.
-            assert_eq!(back.to_json().to_string(), text);
-            assert_eq!(back.name, dev.name);
-            assert_eq!(back.l2.size_bytes, dev.l2.size_bytes);
-            assert_eq!(back.core_clock_ghz, dev.core_clock_ghz);
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Kernel execution reports and nvprof-style counters.
 
-use defcon_support::json::{FromJson, Json, JsonError, ToJson};
+use defcon_support::json::{Json, ToJson};
 
-/// The counter fields, named once: JSON serialization, parsing, `merge` and
-/// `scale` are all generated from this list so a new counter cannot be added
+/// The counter fields, named once: JSON serialization, `merge` and `scale`
+/// are all generated from this list so a new counter cannot be added
 /// to the struct and silently dropped from the report.
 macro_rules! for_each_counter {
     ($m:ident) => {
@@ -180,15 +180,6 @@ impl ToJson for Counters {
     }
 }
 
-impl FromJson for Counters {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        macro_rules! read_each {
-            ($($f:ident),*) => { Counters { $( $f: j.u64_field(stringify!($f))?, )* } };
-        }
-        Ok(for_each_counter!(read_each))
-    }
-}
-
 /// The outcome of one simulated kernel launch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelReport {
@@ -219,20 +210,6 @@ impl ToJson for KernelReport {
             ("simulated_blocks", Json::from(self.simulated_blocks)),
             ("counters", self.counters.to_json()),
         ])
-    }
-}
-
-impl FromJson for KernelReport {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(KernelReport {
-            device: j.str_field("device")?.to_string(),
-            kernel: j.str_field("kernel")?.to_string(),
-            time_ms: j.num_field("time_ms")?,
-            cycles: j.num_field("cycles")?,
-            grid_blocks: j.usize_field("grid_blocks")?,
-            simulated_blocks: j.usize_field("simulated_blocks")?,
-            counters: Counters::from_json(j.field("counters")?)?,
-        })
     }
 }
 
@@ -323,24 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn prop_counters_json_round_trip() {
-        // Values stay below 2^53 so the JSON f64 carrier is exact.
-        prop::check(
-            "Counters JSON round trip",
-            &Config::cases(64),
-            |rng| random_counters(rng, 1 << 52),
-            |c| {
-                let text = c.to_json().to_string();
-                let back =
-                    Counters::from_json(&Json::parse(&text).unwrap()).map_err(|e| e.to_string())?;
-                prop_assert_eq!(&back, c);
-                prop_assert_eq!(back.to_json().to_string(), text);
-                Ok(())
-            },
-        );
-    }
-
-    #[test]
     fn hit_rates_cover_empty_and_partial() {
         assert_eq!(Counters::default().l1_hit_rate(), 0.0);
         assert_eq!(Counters::default().l2_hit_rate(), 0.0);
@@ -422,31 +381,5 @@ mod tests {
             ..Default::default()
         };
         assert!((c.gld_transactions_per_request() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_json_round_trip() {
-        let r = KernelReport {
-            device: "Jetson-AGX-Xavier".into(),
-            kernel: "deform_conv_tex".into(),
-            time_ms: 1.234,
-            cycles: 1.7e6,
-            grid_blocks: 128,
-            simulated_blocks: 16,
-            counters: Counters {
-                flops: 1_000_000,
-                tex_requests: 42,
-                l2_accesses: 7,
-                ..Default::default()
-            },
-        };
-        let text = r.to_json().to_string();
-        let back = KernelReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        // Deterministic: identical bytes after a round trip.
-        assert_eq!(back.to_json().to_string(), text);
-        assert_eq!(back.kernel, r.kernel);
-        assert_eq!(back.counters.flops, r.counters.flops);
-        assert_eq!(back.counters.tex_requests, r.counters.tex_requests);
-        assert_eq!(back.time_ms, r.time_ms);
     }
 }

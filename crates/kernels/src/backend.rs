@@ -25,7 +25,6 @@
 //! and reads the operator and its offsets only, never an input tensor.
 
 use defcon_gpusim::{Gpu, KernelReport};
-use defcon_support::env;
 use defcon_support::error::DefconError;
 use defcon_tensor::Tensor;
 
@@ -45,36 +44,12 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// The canonical name, used in request canonical forms, report JSON,
-    /// and the `DEFCON_BACKEND` knob.
+    /// The canonical name, used in request canonical forms and report
+    /// JSON.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::Gpusim => "gpusim",
             BackendKind::Accel => "accel",
-        }
-    }
-
-    /// Resolves a canonical name back to a kind.
-    pub fn from_name(name: &str) -> Option<BackendKind> {
-        BackendKind::all().into_iter().find(|k| k.name() == name)
-    }
-
-    /// Every backend.
-    pub fn all() -> [BackendKind; 2] {
-        [BackendKind::Gpusim, BackendKind::Accel]
-    }
-
-    /// Reads the `DEFCON_BACKEND` knob: unset or empty means the default
-    /// [`BackendKind::Gpusim`]; an unknown name is a typed env error.
-    pub fn from_env() -> Result<BackendKind, DefconError> {
-        match std::env::var(env::BACKEND) {
-            Err(_) => Ok(BackendKind::default()),
-            Ok(v) if v.trim().is_empty() => Ok(BackendKind::default()),
-            Ok(v) => BackendKind::from_name(v.trim()).ok_or(DefconError::Env {
-                var: env::BACKEND.to_string(),
-                value: v,
-                expected: "a backend name (gpusim or accel)",
-            }),
         }
     }
 }
@@ -157,28 +132,6 @@ mod tests {
     use crate::layer::DeformLayerShape;
     use crate::op::{synthetic_offsets, SamplingMethod};
     use defcon_gpusim::DeviceConfig;
-
-    #[test]
-    fn backend_kind_names_round_trip() {
-        for kind in BackendKind::all() {
-            assert_eq!(BackendKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::from_name("tpu"), None);
-        assert_eq!(BackendKind::default(), BackendKind::Gpusim);
-    }
-
-    #[test]
-    fn backend_env_parses_and_rejects() {
-        // Unique var handling is inside from_env (DEFCON_BACKEND is
-        // process-global); restore the unset state afterwards.
-        std::env::remove_var(env::BACKEND);
-        assert_eq!(BackendKind::from_env().unwrap(), BackendKind::Gpusim);
-        std::env::set_var(env::BACKEND, "accel");
-        assert_eq!(BackendKind::from_env().unwrap(), BackendKind::Accel);
-        std::env::set_var(env::BACKEND, "quantum");
-        assert!(BackendKind::from_env().is_err());
-        std::env::remove_var(env::BACKEND);
-    }
 
     #[test]
     fn gpu_implements_the_backend_trait() {

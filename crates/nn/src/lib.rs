@@ -3,8 +3,8 @@
 //! A tape-based reverse-mode autograd engine and the neural-network modules
 //! required by DEFCON's training-side experiments:
 //!
-//! * regular / depthwise / pointwise convolutions and batch norm with full
-//!   training gradients,
+//! * regular (1×1 included) and depthwise convolutions and batch norm with
+//!   full training gradients,
 //! * a trainable [`modules::DeformConv2d`] whose offsets receive gradients
 //!   through the bilinear kernel (paper Eq. 2–3), and which becomes the
 //!   modulated DCNv2 with the joint offset + mask predictor,

@@ -95,11 +95,7 @@ impl Module for Conv2d {
     fn forward(&mut self, t: &mut Tape, s: &ParamStore, x: Var) -> Var {
         let w = t.param(s, self.weight);
         let b = self.bias.map(|bb| t.param(s, bb));
-        if self.params.kernel == 1 && self.params.stride == 1 && self.params.pad == 0 {
-            ops::pointwise_conv2d_op(t, x, w, b)
-        } else {
-            ops::conv2d_op(t, x, w, b, self.params)
-        }
+        ops::conv2d_op(t, x, w, b, self.params)
     }
 }
 

@@ -6,8 +6,7 @@
 
 use crate::graph::{Tape, Var};
 use defcon_tensor::conv::{
-    conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, pointwise_conv2d,
-    Conv2dParams,
+    conv2d, conv2d_backward, depthwise_conv2d, depthwise_conv2d_backward, Conv2dParams,
 };
 use defcon_tensor::norm::{batch_norm2d_backward, batch_norm2d_train};
 use defcon_tensor::pool::{
@@ -247,37 +246,6 @@ pub fn depthwise_conv2d_op(t: &mut Tape, x: Var, w: Var, b: Option<Var>, p: Conv
         parents,
         Some(Box::new(move |gy| {
             let (gx, gw, gb) = depthwise_conv2d_backward(&xv, &wv, gy, &p);
-            if has_bias {
-                vec![gx, gw, gb]
-            } else {
-                vec![gx, gw]
-            }
-        })),
-    )
-}
-
-/// Pointwise (1×1) convolution (optional bias).
-pub fn pointwise_conv2d_op(t: &mut Tape, x: Var, w: Var, b: Option<Var>) -> Var {
-    let xv = t.value(x).clone();
-    let wv = t.value(w).clone();
-    let bv = b.map(|bb| t.value(bb).clone());
-    let v = pointwise_conv2d(&xv, &wv, bv.as_ref());
-    let mut parents = vec![x, w];
-    if let Some(bb) = b {
-        parents.push(bb);
-    }
-    let has_bias = b.is_some();
-    let p = Conv2dParams {
-        kernel: 1,
-        stride: 1,
-        pad: 0,
-        dilation: 1,
-    };
-    t.push(
-        v,
-        parents,
-        Some(Box::new(move |gy| {
-            let (gx, gw, gb) = conv2d_backward(&xv, &wv, gy, &p);
             if has_bias {
                 vec![gx, gw, gb]
             } else {

@@ -34,12 +34,6 @@ pub const TRACE: &str = "DEFCON_TRACE";
 /// `DEFCON_OBS_WALL` — wall-clock span timestamps instead of the
 /// byte-reproducible logical clock.
 pub const OBS_WALL: &str = "DEFCON_OBS_WALL";
-/// `DEFCON_SERVE_QUEUE` — admission-queue capacity (requests) for the
-/// `core::serve` throughput-mode simulation service.
-pub const SERVE_QUEUE: &str = "DEFCON_SERVE_QUEUE";
-/// `DEFCON_SERVE_CACHE` — launch-report cache capacity (entries) for the
-/// `core::serve` throughput-mode simulation service.
-pub const SERVE_CACHE: &str = "DEFCON_SERVE_CACHE";
 /// `DEFCON_BENCH_OUT` — override path for a bench binary's JSON report
 /// (used by CI to compare two runs without touching the committed file).
 pub const BENCH_OUT: &str = "DEFCON_BENCH_OUT";
@@ -47,17 +41,6 @@ pub const BENCH_OUT: &str = "DEFCON_BENCH_OUT";
 /// plan + request stream); any u64, default when unset is the harness's
 /// pinned seed.
 pub const CHAOS_SEED: &str = "DEFCON_CHAOS_SEED";
-/// `DEFCON_SERVE_DEADLINE` — server-default per-request deadline budget in
-/// virtual cycles for `core::serve` (0 or unset = no default deadline;
-/// requests carrying their own budget are unaffected).
-pub const SERVE_DEADLINE: &str = "DEFCON_SERVE_DEADLINE";
-/// `DEFCON_RETRY_MAX` — admission re-attempts after the initial try in
-/// `SimServer::serve` (0 = fail straight to degrade; unset = the default
-/// single retry).
-pub const RETRY_MAX: &str = "DEFCON_RETRY_MAX";
-/// `DEFCON_BACKEND` — execution backend selection (`gpusim` or `accel`)
-/// for binaries that honour it; unset means the default `gpusim` backend.
-pub const BACKEND: &str = "DEFCON_BACKEND";
 
 /// Reads a boolean flag. Unset and empty mean **off**; `1`, `true`, `yes`,
 /// `on` mean **on**; `0`, `false`, `no`, `off` mean **off** (all

@@ -1,10 +1,9 @@
 //! The workspace-wide typed error.
 //!
-//! Every fallible public API in the DEFCON stack — LUT loading, JSON-backed
-//! configs, checkpoint IO, launch validation, the autotuner's linear
-//! algebra — reports failure through [`DefconError`] instead of panicking,
-//! so callers can degrade gracefully (retry, fall back, resume) rather than
-//! abort the process. Variants carry enough structure for a caller to
+//! Every fallible public API in the DEFCON stack — checkpoint IO, launch
+//! validation, the autotuner's linear algebra — reports failure through
+//! [`DefconError`] instead of panicking, so callers can degrade gracefully
+//! (retry, fall back, resume) rather than abort the process. Variants carry enough structure for a caller to
 //! *dispatch* on the failure class; the human-readable rendering goes
 //! through `Display`.
 
@@ -164,14 +163,6 @@ impl fmt::Display for DefconError {
 impl std::error::Error for DefconError {}
 
 impl DefconError {
-    /// Wraps a [`JsonError`] with the document it came from.
-    pub fn json(context: impl Into<String>, source: JsonError) -> Self {
-        DefconError::Json {
-            context: context.into(),
-            source,
-        }
-    }
-
     /// Wraps an [`std::io::Error`] with the path it hit.
     pub fn io(path: impl Into<String>, e: &std::io::Error) -> Self {
         DefconError::Io {
@@ -251,7 +242,10 @@ mod tests {
     /// order of the enum.
     fn one_of_each() -> Vec<DefconError> {
         vec![
-            DefconError::json("lut.json", JsonError::msg("bad")),
+            DefconError::Json {
+                context: "checkpoint".into(),
+                source: JsonError::msg("bad"),
+            },
             DefconError::Io {
                 path: "/x".into(),
                 detail: "denied".into(),

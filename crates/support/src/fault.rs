@@ -1,7 +1,7 @@
 //! Seeded, deterministic fault injection.
 //!
 //! Production code registers **named fault points** at the places where the
-//! real world can go wrong — a LUT file read, a Cholesky factorization, a
+//! real world can go wrong — a checkpoint read, a Cholesky factorization, a
 //! parallel worker band — by calling [`fires`] / [`fires_at`] (or one of
 //! the corruption helpers built on them). A test *arms* a set of points
 //! with a seeded [`FaultPlan`]; while armed, each point's [`Schedule`]

@@ -1,9 +1,11 @@
 //! A minimal JSON value type, writer and parser.
 //!
 //! Replaces `serde`/`serde_json` for the handful of structures the
-//! workspace serializes (latency LUTs, simulator reports, bench harness
-//! output). Serialization goes through hand-written [`ToJson`]/[`FromJson`]
-//! impls on those types; there is no derive and no reflection.
+//! workspace serializes (simulator reports, bench harness output,
+//! checkpoints). Serialization goes through hand-written [`ToJson`] impls
+//! on those types; there is no derive and no reflection. The one reader
+//! is the checkpoint path, which walks a [`Json::parse`] tree with the
+//! accessors below.
 //!
 //! Objects keep insertion order ([`Json::Obj`] is a `Vec` of pairs), so a
 //! deterministic producer yields byte-identical output — a property the
@@ -28,7 +30,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error from [`Json::parse`] or a [`FromJson`] conversion.
+/// Error from [`Json::parse`] or a conversion of a parsed document.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JsonError {
     /// What went wrong.
@@ -60,12 +62,6 @@ impl std::error::Error for JsonError {}
 pub trait ToJson {
     /// The JSON form of `self`.
     fn to_json(&self) -> Json;
-}
-
-/// Deserialization from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Reconstructs `Self`, or explains why the value does not fit.
-    fn from_json(j: &Json) -> Result<Self, JsonError>;
 }
 
 impl Json {
@@ -109,11 +105,6 @@ impl Json {
             }
             _ => None,
         }
-    }
-
-    /// The number as a `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
     }
 
     /// The string, if this is one.

@@ -9,9 +9,9 @@
 //!   support and slice shuffling (replaces `rand`);
 //! * [`par`] — scoped-thread `par_chunks_mut` parallel map with
 //!   deterministic chunk assignment (replaces `rayon`);
-//! * [`json`] — a small JSON value type, writer and parser plus
-//!   [`json::ToJson`]/[`json::FromJson`] traits for hand-written impls
-//!   (replaces `serde`/`serde_json`);
+//! * [`json`] — a small JSON value type, writer and parser plus the
+//!   [`json::ToJson`] trait for hand-written impls (replaces
+//!   `serde`/`serde_json`);
 //! * [`prop`] — a seeded property-testing harness with reproducible
 //!   failing-case reports (replaces `proptest`);
 //! * [`bench`] — a wall-clock micro-benchmark harness for the

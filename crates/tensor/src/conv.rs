@@ -1,5 +1,6 @@
-//! Regular, depthwise and pointwise 2-D convolutions (im2col + GEMM), plus
-//! the im2col/col2im lowering used by the autograd backward passes.
+//! Regular and depthwise 2-D convolutions (im2col + GEMM), plus the
+//! im2col/col2im lowering used by the autograd backward passes. A pointwise
+//! (1×1) convolution is [`conv2d`] with a 1×1 window.
 
 use crate::gemm::{gemm, gemm_at, gemm_bt};
 use crate::shape::conv_out_dim;
@@ -300,29 +301,6 @@ pub fn depthwise_conv2d_backward(
     (gx, gw, gb)
 }
 
-/// Pointwise (1×1) convolution: a per-pixel linear map over channels.
-/// `weight` is `[C_out, C_in, 1, 1]`.
-pub fn pointwise_conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>) -> Tensor {
-    let (n, c_in, h, w) = x.shape().nchw();
-    let (c_out, wc_in, kh, kw) = weight.shape().nchw();
-    assert_eq!(
-        (wc_in, kh, kw),
-        (c_in, 1, 1),
-        "pointwise weight must be [C_out, C_in, 1, 1]"
-    );
-    let cols = h * w;
-    let mut out = Tensor::zeros(&[n, c_out, h, w]);
-    for ni in 0..n {
-        let src = &x.data()[ni * c_in * cols..(ni + 1) * c_in * cols];
-        let dst = &mut out.data_mut()[ni * c_out * cols..(ni + 1) * c_out * cols];
-        gemm(weight.data(), src, dst, c_out, c_in, cols);
-    }
-    if let Some(b) = bias {
-        add_channel_bias(&mut out, b);
-    }
-    out
-}
-
 /// Adds a per-channel bias to an NCHW tensor in place.
 pub fn add_channel_bias(x: &mut Tensor, bias: &Tensor) {
     let (n, c, h, w) = x.shape().nchw();
@@ -442,24 +420,6 @@ mod tests {
             }
         }
         assert_close(&y, &conv2d(&x, &wf, None, &p), 1e-4, 1e-4);
-    }
-
-    #[test]
-    fn pointwise_matches_full_conv_k1() {
-        let x = Tensor::randn(&[2, 3, 5, 5], 0.0, 1.0, 9);
-        let w = Tensor::randn(&[6, 3, 1, 1], 0.0, 0.5, 10);
-        let p = Conv2dParams {
-            kernel: 1,
-            stride: 1,
-            pad: 0,
-            dilation: 1,
-        };
-        assert_close(
-            &pointwise_conv2d(&x, &w, None),
-            &conv2d(&x, &w, None, &p),
-            1e-4,
-            1e-4,
-        );
     }
 
     /// Central-difference check of conv2d_backward.

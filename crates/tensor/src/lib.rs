@@ -2,7 +2,7 @@
 //!
 //! Dense `f32` tensors and the CPU numeric kernels that back the DEFCON
 //! reproduction: im2col convolution over a `support::par`-parallel GEMM,
-//! depthwise and pointwise convolutions, pooling, batch normalization,
+//! depthwise convolution, pooling, batch normalization,
 //! bilinear sampling, and the deformable-convolution reference: one
 //! forward for every operator family (DCNv1, the mask-modulated DCNv2,
 //! the softmax-aggregated DCNv3), chosen by its per-tap

@@ -1,7 +1,5 @@
 //! Shape bookkeeping: dimension vectors, strides and NCHW helpers.
 
-use defcon_support::json::{FromJson, Json, JsonError, ToJson};
-
 /// A tensor shape: a list of dimension extents, outermost first.
 ///
 /// Shapes are value types — cheap to clone, compared structurally.
@@ -54,28 +52,6 @@ impl Shape {
     pub fn offset4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
         debug_assert_eq!(self.rank(), 4);
         ((n * self.0[1] + c) * self.0[2] + h) * self.0[3] + w
-    }
-}
-
-impl ToJson for Shape {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.0.iter().map(|&d| Json::from(d)).collect())
-    }
-}
-
-impl FromJson for Shape {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let items = j
-            .as_arr()
-            .ok_or_else(|| JsonError::msg("shape must be a JSON array"))?;
-        let dims = items
-            .iter()
-            .map(|d| {
-                d.as_usize()
-                    .ok_or_else(|| JsonError::msg("shape dims must be non-negative integers"))
-            })
-            .collect::<Result<Vec<usize>, _>>()?;
-        Ok(Shape(dims))
     }
 }
 
@@ -163,18 +139,5 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(Shape::new(&[1, 2]).to_string(), "[1, 2]");
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let s = Shape::new(&[2, 3, 4, 5]);
-        let j = s.to_json();
-        assert_eq!(j.to_string(), "[2,3,4,5]");
-        assert_eq!(
-            Shape::from_json(&Json::parse(&j.to_string()).unwrap()).unwrap(),
-            s
-        );
-        assert!(Shape::from_json(&Json::parse("[1,-2]").unwrap()).is_err());
-        assert!(Shape::from_json(&Json::parse("{}").unwrap()).is_err());
     }
 }

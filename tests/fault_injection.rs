@@ -105,49 +105,6 @@ fn ckpt_load_fault_is_detected_and_discardable() {
     std::fs::remove_file(&p).unwrap();
 }
 
-// --- core::lut: corrupted table bytes -----------------------------------
-
-fn lut_key() -> LatencyKey {
-    LatencyKey {
-        c_in: 16,
-        c_out: 16,
-        h: 16,
-        w: 16,
-        stride: 1,
-    }
-}
-
-fn tiny_lut() -> LatencyLut {
-    let gpu = Gpu::new(DeviceConfig::xavier_agx());
-    LatencyLut::build(
-        &gpu,
-        &[lut_key()],
-        SamplingMethod::SoftwareBilinear,
-        OffsetPredictorKind::Standard,
-        OpFamily::DcnV1,
-    )
-}
-
-#[test]
-fn lut_corruption_on_load_is_a_typed_error_never_a_panic() {
-    let p = tmp_path("lut.json");
-    let lut = {
-        let _quiet = fault::quiesce();
-        let lut = tiny_lut();
-        lut.save(&p).unwrap();
-        lut
-    };
-    {
-        let _armed = fault::arm(FaultPlan::new(17).point("lut.load", Schedule::Always));
-        let err = LatencyLut::load(&p).unwrap_err();
-        assert!(matches!(err, DefconError::Json { .. }), "got {err}");
-    }
-    // Disarmed, the same file loads back bit-for-bit.
-    let _quiet = fault::quiesce();
-    assert_eq!(LatencyLut::load(&p).unwrap().to_json(), lut.to_json());
-    std::fs::remove_file(&p).unwrap();
-}
-
 // --- gpusim: texture-layer limit and device-config constraints ----------
 
 #[test]
@@ -286,6 +243,7 @@ fn cholesky_fault_degrades_bayesian_tuner_to_seeded_random_search() {
 }
 
 // --- core::search: checkpoint interruption / resume byte-identity -------
+
 //
 // `PureNet` is a [`SearchModel`] whose `forward_loss` is a pure function of
 // `(store, batch)` — no Gumbel noise, no running statistics. For such a
@@ -311,6 +269,27 @@ impl PureNet {
             .collect();
         PureNet { w, alpha, targets }
     }
+}
+
+fn lut_key() -> LatencyKey {
+    LatencyKey {
+        c_in: 16,
+        c_out: 16,
+        h: 16,
+        w: 16,
+        stride: 1,
+    }
+}
+
+fn tiny_lut() -> LatencyLut {
+    let gpu = Gpu::new(DeviceConfig::xavier_agx());
+    LatencyLut::build(
+        &gpu,
+        &[lut_key()],
+        SamplingMethod::SoftwareBilinear,
+        OffsetPredictorKind::Standard,
+        OpFamily::DcnV1,
+    )
 }
 
 impl SearchModel for PureNet {
