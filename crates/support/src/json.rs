@@ -3,9 +3,10 @@
 //! Replaces `serde`/`serde_json` for the handful of structures the
 //! workspace serializes (simulator reports, bench harness output,
 //! checkpoints). Serialization goes through hand-written [`ToJson`] impls
-//! on those types; there is no derive and no reflection. The one reader
-//! is the checkpoint path, which walks a [`Json::parse`] tree with the
-//! accessors below.
+//! on those types; there is no derive and no reflection. Outside tests
+//! and benches, which read their goldens back, the one reader is the
+//! checkpoint path, which walks a [`Json::parse`] tree with the accessors
+//! below.
 //!
 //! Objects keep insertion order ([`Json::Obj`] is a `Vec` of pairs), so a
 //! deterministic producer yields byte-identical output — a property the

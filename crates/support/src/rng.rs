@@ -91,6 +91,11 @@ pub trait SampleRange<T> {
 /// High-level sampling methods, blanket-implemented for every [`RngCore`].
 pub trait Rng: RngCore {
     /// A value uniformly distributed over `range`. Panics on empty ranges.
+    ///
+    /// Inlined so a fill loop's per-element draw never becomes a call:
+    /// left to the optimizer, unrelated edits to a caller's crate flipped
+    /// that choice and moved `Tensor::randn`'s time by half.
+    #[inline]
     fn gen_range<T, R: SampleRange<T>>(&mut self, range: R) -> T
     where
         Self: Sized,
@@ -108,6 +113,7 @@ fn unit_f64<G: RngCore + ?Sized>(rng: &mut G) -> f64 {
 }
 
 impl SampleRange<f32> for std::ops::Range<f32> {
+    #[inline]
     fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> f32 {
         assert!(self.start < self.end, "empty range {:?}", self);
         let v = self.start + (unit_f64(rng) as f32) * (self.end - self.start);
@@ -121,6 +127,7 @@ impl SampleRange<f32> for std::ops::Range<f32> {
 }
 
 impl SampleRange<f64> for std::ops::Range<f64> {
+    #[inline]
     fn sample_from<G: RngCore + ?Sized>(self, rng: &mut G) -> f64 {
         assert!(self.start < self.end, "empty range {:?}", self);
         let v = self.start + unit_f64(rng) * (self.end - self.start);
