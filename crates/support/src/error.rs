@@ -3,9 +3,9 @@
 //! Every fallible public API in the DEFCON stack — checkpoint IO, launch
 //! validation, the autotuner's linear algebra — reports failure through
 //! [`DefconError`] instead of panicking, so callers can degrade gracefully
-//! (retry, fall back, resume) rather than abort the process. Variants carry enough structure for a caller to
-//! *dispatch* on the failure class; the human-readable rendering goes
-//! through `Display`.
+//! (retry, fall back, resume) rather than abort the process. Variants
+//! carry enough structure for a caller to *dispatch* on the failure class;
+//! the human-readable rendering goes through `Display`.
 
 use crate::json::JsonError;
 use std::fmt;

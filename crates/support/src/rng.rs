@@ -94,7 +94,7 @@ pub trait Rng: RngCore {
     ///
     /// Inlined so a fill loop's per-element draw never becomes a call:
     /// left to the optimizer, unrelated edits to a caller's crate flipped
-    /// that choice and moved `Tensor::randn`'s time by half.
+    /// that choice and slowed a set-up built on `Tensor::randn` by half.
     #[inline]
     fn gen_range<T, R: SampleRange<T>>(&mut self, range: R) -> T
     where
